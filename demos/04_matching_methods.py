@@ -8,10 +8,12 @@ from pathlib import Path
 from copa import (
     EmbeddingStore,
     Motion,
+    ScoreMatrix,
     SimilarityContext,
     TfIdfModel,
     TopicSentenceCorpus,
     WikiCorpus,
+    ensemble,
     load_dataset,
     predict_ba,
     predict_feature_lr,
@@ -60,14 +62,17 @@ scores["nb"] = predict_nb(nb, query, sentences)
 lr = train_feature_lr(ds, ctx)
 scores["lr"] = predict_feature_lr(lr, query, ds, ctx)
 
-# --- naive ensemble: best score any method produced --------------------------
-scores["ensemble"] = {
-    cid: max(
-        (s[cid] for s in scores.values() if s.get(cid) is not None),
-        default=None,
-    )
-    for cid in ds.copa_ids
-}
+# --- ensemble: best score any method produced --------------------------------
+# Each method's scores become a one-row score matrix (an abstention is
+# stored as NaN); the ensemble takes the per-CoPA maximum over the rows.
+rows = []
+for name, method_scores in scores.items():
+    row = ScoreMatrix(name, (query.id,), ds.copa_ids)
+    for cid, score in method_scores.items():
+        row.put(query.id, cid, score)
+    rows.append(row)
+combined = ensemble(rows)
+scores["ensemble"] = {cid: combined.get(query.id, cid) for cid in ds.copa_ids}
 
 print(f"{'CoPA':<18}" + "".join(f"{m:>10}" for m in scores))
 for cid in ds.copa_ids:

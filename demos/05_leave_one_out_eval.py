@@ -7,6 +7,8 @@
 
 from pathlib import Path
 
+import numpy as np
+
 from copa import (
     EmbeddingStore,
     EvalConfig,
@@ -50,7 +52,8 @@ matrices = leave_one_out(ds, config, ctx, sentences)
 print()
 
 for name, matrix in matrices.items():
-    scored = len(matrix.entries)
+    # the score matrix is dense; NaN marks an abstention
+    scored = int(np.count_nonzero(~np.isnan(matrix.scores)))
     total = len(ds.motions) * len(ds.copas)
     print(f"  {name:<9} scored {scored:>3}/{total} (motion, CoPA) pairs")
 print()

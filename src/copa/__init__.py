@@ -84,6 +84,7 @@ from .evaluation import (
     leave_one_out,
     p_at_1_curve,
     pr_curve,
+    score_motion,
 )
 
 __version__ = "0.1.0"

@@ -7,8 +7,9 @@ logistic regression over the engineered 17-feature vectors (LR).  The
 ensemble takes, per CoPA, the maximum score any method produced.
 
 Scores live in [0, 1]; ``None`` means the method abstains for that pair
-and never passes any decision threshold.  All training is deterministic:
-zero-initialized optimizers, no sampling, ordered iteration.
+(NaN once stored in a ``ScoreMatrix``) and never passes any decision
+threshold.  All training is deterministic: zero-initialized optimizers,
+no sampling, ordered iteration.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .features import FEATURE_ORDERING, Standardizer, compute_features, standardize
 from .kb import Dataset, Motion
-from .textsim import SimilarityContext, SimilarityKind, embed_term, term_similarity
+from .textsim import DomainError, SimilarityContext, SimilarityKind, embed_term, term_similarity
 
 Score = float | None
 
@@ -41,67 +42,60 @@ class DimensionMismatch(Exception):
 class ScoreMatrix:
     """Scores of one method for every (motion, CoPA) pair.
 
-    Pairs missing from ``entries`` are abstentions; stored entries are
-    always within [0, 1].
+    ``scores`` is a dense (motions x CoPAs) float array in the order of
+    ``motion_ids`` and ``copa_ids``.  NaN means the method abstained;
+    every other entry lies within [0, 1].
     """
 
     method: str
     motion_ids: tuple[str, ...]
     copa_ids: tuple[str, ...]
-    entries: dict[tuple[str, str], float] = field(default_factory=dict)
+    scores: np.ndarray | None = None
 
     def __post_init__(self):
-        self._motion_set = set(self.motion_ids)
-        self._copa_set = set(self.copa_ids)
-        for (mid, cid), score in self.entries.items():
-            self._check(mid, cid, score)
-
-    def _check(self, mid: str, cid: str, score: float):
-        if mid not in self._motion_set or cid not in self._copa_set:
-            raise KeyError(f"({mid!r}, {cid!r}) outside the matrix id space")
-        if not (0.0 <= score <= 1.0):
-            raise ValueError(f"score {score} for ({mid!r}, {cid!r}) outside [0, 1]")
+        self._rows = {mid: i for i, mid in enumerate(self.motion_ids)}
+        self._cols = {cid: j for j, cid in enumerate(self.copa_ids)}
+        shape = (len(self.motion_ids), len(self.copa_ids))
+        if self.scores is None:
+            self.scores = np.full(shape, np.nan)
+            return
+        self.scores = np.array(self.scores, dtype=float)
+        if self.scores.shape != shape:
+            raise ValueError(f"score array of shape {self.scores.shape}, expected {shape}")
+        if not np.all(np.isnan(self.scores) | ((self.scores >= 0.0) & (self.scores <= 1.0))):
+            raise ValueError("scores outside [0, 1]")
 
     def get(self, motion_id: str, copa_id: str) -> Score:
-        return self.entries.get((motion_id, copa_id))
+        value = float(self.scores[self._rows[motion_id], self._cols[copa_id]])
+        return None if math.isnan(value) else value
 
     def put(self, motion_id: str, copa_id: str, score: Score) -> None:
-        if score is None:
-            self.entries.pop((motion_id, copa_id), None)
-            return
-        score = float(score)
-        self._check(motion_id, copa_id, score)
-        self.entries[(motion_id, copa_id)] = score
-
-    def put_motion(self, motion_id: str, scores: dict[str, Score]) -> None:
-        for copa_id, score in scores.items():
-            self.put(motion_id, copa_id, score)
-
-    def motion_scores(self, motion_id: str) -> dict[str, float]:
-        """Non-abstain scores of one motion, keyed by copa id."""
-        return {
-            cid: self.entries[(motion_id, cid)]
-            for cid in self.copa_ids
-            if (motion_id, cid) in self.entries
-        }
+        self.scores[self._rows[motion_id], self._cols[copa_id]] = matrix_entry(score, copa_id)
 
 
-def ensemble(matrices: list[ScoreMatrix], method: str = "ensemble") -> ScoreMatrix:
+def matrix_entry(score: Score, copa_id: str) -> float:
+    """A scorer's value as a matrix entry: NaN for an abstention (None).
+    Any other value must lie within [0, 1]; NaN and +-inf are errors, never
+    abstentions."""
+    if score is None:
+        return math.nan
+    score = float(score)
+    if not (0.0 <= score <= 1.0):
+        raise ValueError(f"score {score} for {copa_id!r} outside [0, 1]")
+    return score
+
+
+def ensemble(matrices: list[ScoreMatrix]) -> ScoreMatrix:
     """Per-pair maximum over the inputs; abstains only where every input
-    abstained.  All matrices must share one id space."""
+    abstained.  All matrices must share one id space, in one order."""
     if not matrices:
         raise ValueError("ensemble needs at least one score matrix")
     first = matrices[0]
     for m in matrices[1:]:
-        if set(m.motion_ids) != set(first.motion_ids) or set(m.copa_ids) != set(first.copa_ids):
+        if m.motion_ids != first.motion_ids or m.copa_ids != first.copa_ids:
             raise ValueError("ensemble inputs have inconsistent id spaces")
-    out = ScoreMatrix(method, first.motion_ids, first.copa_ids)
-    for m in matrices:
-        for pair, score in m.entries.items():
-            current = out.entries.get(pair)
-            if current is None or score > current:
-                out.entries[pair] = score
-    return out
+    combined = np.fmax.reduce([m.scores for m in matrices])
+    return ScoreMatrix("ensemble", first.motion_ids, first.copa_ids, combined)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +309,6 @@ def predict_knn(
     ds_train: Dataset,
     motion: Motion,
     ctx: SimilarityContext,
-    sim_kind: SimilarityKind = SimilarityKind.EMBEDDING,
     threshold: float = 0.5,
     min_neighbors: int = 3,
     top: int = 5,
@@ -324,7 +317,7 @@ def predict_knn(
     """Fraction of the query topic's nearest training motions that belong
     to each CoPA.
 
-    Candidates are training motions whose topic similarity exceeds
+    Candidates are training motions whose topic embedding similarity exceeds
     ``threshold``; with fewer than ``min_neighbors`` of them the method
     abstains entirely, otherwise the best ``top`` (ties broken by motion
     id) vote.  ``exclude_topic`` drops same-topic training motions, used
@@ -337,7 +330,7 @@ def predict_knn(
             continue
         if skip is not None and m.topic.lower() == skip:
             continue
-        sim = term_similarity(sim_kind, motion.topic, m.topic, ctx)
+        sim = term_similarity(SimilarityKind.EMBEDDING, motion.topic, m.topic, ctx)
         if sim is not None and sim > threshold:
             candidates.append((sim, m))
     if len(candidates) < min_neighbors:
@@ -473,24 +466,24 @@ def tokenize(sentence: str) -> list[str]:
 
 class TopicSentenceCorpus:
     """topic -> sentences mentioning that topic, loaded from JSON lines
-    of {"topic": ..., "sentence": ...}."""
+    of {"topic": ..., "sentence": ...}.  Topics are case-insensitive;
+    spellings that differ only in case share one sentence list."""
 
     def __init__(self, sentences: dict[str, list[str]]):
         self._sentences: dict[str, list[str]] = {}
         for topic, sents in sentences.items():
             for s in sents:
                 if not s:
-                    raise ValueError(f"empty sentence for topic {topic!r}")
-            self._sentences[topic.strip().lower()] = list(sents)
+                    raise DomainError(f"empty sentence for topic {topic!r}")
+            self._sentences.setdefault(topic.strip().lower(), []).extend(sents)
 
     def get(self, topic: str) -> list[str]:
         return self._sentences.get(topic.strip().lower(), [])
 
-    def topics(self):
-        return self._sentences.keys()
-
     @classmethod
     def from_jsonl(cls, path) -> "TopicSentenceCorpus":
+        """Read JSON lines; a malformed line or a record without a
+        ``topic`` and a ``sentence`` raises DomainError."""
         table: dict[str, list[str]] = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -500,8 +493,14 @@ class TopicSentenceCorpus:
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad JSON line ({exc})") from exc
-                table.setdefault(str(rec["topic"]), []).append(str(rec["sentence"]))
+                    raise DomainError(f"{path}:{lineno}: bad JSON line ({exc})") from None
+                try:
+                    topic, sentence = str(rec["topic"]), str(rec["sentence"])
+                except (KeyError, TypeError):
+                    raise DomainError(
+                        f"{path}:{lineno}: record needs a 'topic' and a 'sentence'"
+                    ) from None
+                table.setdefault(topic, []).append(sentence)
         return cls(table)
 
 
@@ -656,7 +655,7 @@ def train_feature_lr(
             y.append(1.0 if (m.id, c.id) in ds.labels else 0.0)
     X = np.stack(X)
     scaler = standardize(X)
-    w, b = logreg_fit(scaler.transform_many(X), np.array(y), lam=lam, tol=tol, max_iters=max_iters)
+    w, b = logreg_fit(scaler.transform(X), np.array(y), lam=lam, tol=tol, max_iters=max_iters)
     return LogRegModel(
         weights=w, bias=b, standardizer=scaler,
         lam=lam, tol=tol, max_iters=max_iters, feature_ordering=FEATURE_ORDERING,

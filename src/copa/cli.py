@@ -6,7 +6,8 @@ optional similarity stores; any config field can be overridden by a
 ``COPA_``-prefixed environment variable, and flags override both.
 
 Exit codes: 0 success, 2 configuration problem, 3 domain problem (e.g.
-unknown action), 4 I/O or data-file problem.
+unknown action), 4 I/O or data-file problem, or a leave-one-out fold
+that failed (the message names the held-out motion).
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ class AppConfig:
             if m not in evalmod.KNOWN_METHODS:
                 raise ConfigError(f"unknown method {m!r} in config")
 
-    def eval_config(self, exclude_general: bool | None = None) -> EvalConfig:
+    def eval_config(self) -> EvalConfig:
         return EvalConfig(
             methods=tuple(self.methods),
             ba_k=self.ba_k,
@@ -137,7 +138,6 @@ class AppConfig:
             tol=self.tol,
             max_iters=self.max_iters,
             topic_min_motions=self.topic_min_motions,
-            exclude_general=self.exclude_general if exclude_general is None else exclude_general,
             thresholds=default_threshold_grid(self.threshold_step),
         )
 
@@ -200,8 +200,7 @@ def _build_context(cfg: AppConfig, methods) -> SimilarityContext:
 def _load_corpus(cfg: AppConfig, methods) -> TopicSentenceCorpus | None:
     if "nb" not in methods:
         return None
-    if cfg.sentence_corpus is None:
-        raise ConfigError("method 'nb' requires the 'sentence_corpus' path")
+    # _build_context, called first for the same methods, has checked the path
     return TopicSentenceCorpus.from_jsonl(cfg.sentence_corpus)
 
 
@@ -218,7 +217,7 @@ def _guarded(fn):
         _fail(EXIT_CONFIG, str(exc))
     except CliDomainError as exc:
         _fail(EXIT_DOMAIN, str(exc))
-    except (kb.ParseError, kb.ValidationError, DomainError) as exc:
+    except (kb.ParseError, kb.ValidationError, DomainError, evalmod.FoldError) as exc:
         _fail(EXIT_IO, str(exc))
     except BrokenPipeError:
         # downstream consumer (e.g. head) closed the pipe; silence the
@@ -300,16 +299,15 @@ def match(ctx, action, topic, method, threshold):
         methods = tuple(cfg.methods) if method == "ensemble" else (method,)
         ctx_sim = _build_context(cfg, methods)
         corpus = _load_corpus(cfg, methods)
-        per_method = {
-            name: _score_query(name, ds, query, cfg, ctx_sim, corpus) for name in methods
-        }
-        combined: dict[str, float] = {}
-        for scores in per_method.values():
-            for cid, s in scores.items():
-                if s is not None and (cid not in combined or s > combined[cid]):
-                    combined[cid] = s
+        config = cfg.eval_config()
+        rows = [evalmod.score_motion(name, ds, query, config, ctx_sim, corpus) for name in methods]
+        combined = clfmod.ensemble(
+            [clfmod.ScoreMatrix(name, (query.id,), ds.copa_ids, row[None])
+             for name, row in zip(methods, rows)]
+        )
+        scored = ((cid, combined.get(query.id, cid)) for cid in ds.copa_ids)
         ranked = sorted(
-            ((cid, s) for cid, s in combined.items() if s >= threshold),
+            ((cid, s) for cid, s in scored if s is not None and s >= threshold),
             key=lambda pair: (-pair[1], pair[0]),
         )
         for cid, s in ranked:
@@ -320,30 +318,6 @@ def match(ctx, action, topic, method, threshold):
                 click.echo(f"  {stance.value}: {claim}")
 
     _guarded(body)
-
-
-def _score_query(method, ds, query, cfg, ctx_sim, corpus):
-    if method == "ba":
-        return clfmod.predict_ba(clfmod.train_ba(ds, k=cfg.ba_k), query)
-    if method == "knn":
-        return clfmod.predict_knn(
-            ds, query, ctx_sim,
-            threshold=cfg.knn_threshold,
-            min_neighbors=cfg.knn_min_neighbors,
-            top=cfg.knn_top,
-        )
-    if method == "w2v":
-        model = clfmod.train_w2v_lr(ds, ctx_sim, lam=cfg.l2_lambda, tol=cfg.tol,
-                                    max_iters=cfg.max_iters)
-        return clfmod.predict_w2v(model, query, ctx_sim)
-    if method == "nb":
-        model = clfmod.train_nb(ds, corpus, alpha=cfg.nb_alpha)
-        return clfmod.predict_nb(model, query, corpus)
-    if method == "lr":
-        model = clfmod.train_feature_lr(ds, ctx_sim, lam=cfg.l2_lambda, tol=cfg.tol,
-                                        max_iters=cfg.max_iters)
-        return clfmod.predict_feature_lr(model, query, ds, ctx_sim)
-    raise CliDomainError(f"unknown method {method!r}")
 
 
 @main.command()
@@ -390,20 +364,18 @@ def eval(ctx, out_dir):
         matrices = evalmod.leave_one_out(ds, eval_cfg, ctx_sim, corpus)
 
         os.makedirs(out_dir, exist_ok=True)
+        curves = (
+            ("pr", evalmod.pr_curve, ("threshold", "precision", "recall")),
+            ("p_at_1", evalmod.p_at_1_curve, ("threshold", "coverage", "p_at_1")),
+        )
         for name in list(cfg.methods) + ["ensemble"]:
-            matrix = matrices[name]
-            pr = evalmod.pr_curve(matrix, ds, cfg.exclude_general, eval_cfg.thresholds)
-            _write_csv(
-                os.path.join(out_dir, f"pr_{name}.csv"),
-                ("method", "threshold", "precision", "recall"),
-                [(name, _fmt(p.threshold), _fmt(p.precision), _fmt(p.recall)) for p in pr],
-            )
-            pa1 = evalmod.p_at_1_curve(matrix, ds, cfg.exclude_general, eval_cfg.thresholds)
-            _write_csv(
-                os.path.join(out_dir, f"p_at_1_{name}.csv"),
-                ("method", "threshold", "coverage", "p_at_1"),
-                [(name, _fmt(p.threshold), _fmt(p.coverage), _fmt(p.p_at_1)) for p in pa1],
-            )
+            for prefix, curve, fields in curves:
+                points = curve(matrices[name], ds, cfg.exclude_general, eval_cfg.thresholds)
+                _write_csv(
+                    os.path.join(out_dir, f"{prefix}_{name}.csv"),
+                    ("method",) + fields,
+                    [[name] + [_fmt(getattr(p, f)) for f in fields] for p in points],
+                )
         _write_summary(os.path.join(out_dir, "summary.json"), ds, cfg)
         click.echo(f"wrote evaluation outputs to {out_dir}")
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classifiers as clf
-from .classifiers import ScoreMatrix, TopicSentenceCorpus, ensemble
-from .kb import Dataset
-from .textsim import SimilarityContext, SimilarityKind
+from .classifiers import ScoreMatrix, TopicSentenceCorpus, ensemble, matrix_entry
+from .kb import Dataset, Motion
+from .textsim import SimilarityContext
 
 KNOWN_METHODS = ("ba", "knn", "w2v", "nb", "lr")
 
@@ -50,13 +50,11 @@ class EvalConfig:
     knn_threshold: float = 0.5
     knn_min_neighbors: int = 3
     knn_top: int = 5
-    knn_sim_kind: SimilarityKind = SimilarityKind.EMBEDDING
     nb_alpha: float = 1.0
     lam: float = 1e-3
     tol: float = 1e-6
     max_iters: int = 10000
     topic_min_motions: int = 10
-    exclude_general: bool = False
     thresholds: tuple[float, ...] = field(default_factory=default_threshold_grid)
 
     def __post_init__(self):
@@ -100,19 +98,17 @@ def leave_one_out(
     matrices = {
         method: ScoreMatrix(method, ds.motion_ids, ds.copa_ids) for method in config.methods
     }
-    topic_eligible = topic_method_copas(ds, config.topic_min_motions)
+    eligible = topic_method_copas(ds, config.topic_min_motions)
+    ineligible = np.array([cid not in eligible for cid in ds.copa_ids], dtype=bool)
 
-    for held_out in ds.motions:
+    for i, held_out in enumerate(ds.motions):
         fold = ds.without_motion(held_out.id)
         try:
             for method in config.methods:
-                scores = _score_fold(method, ds, fold, held_out, config, ctx, corpus)
+                row = score_motion(method, ds, held_out, config, ctx, corpus, fold=fold)
                 if method in ("knn", "w2v", "nb"):
-                    scores = {
-                        cid: (s if cid in topic_eligible else None)
-                        for cid, s in scores.items()
-                    }
-                matrices[method].put_motion(held_out.id, scores)
+                    row[ineligible] = np.nan
+                matrices[method].scores[i] = row
         except Exception as exc:
             raise FoldError(f"fold holding out {held_out.id!r}: {exc}") from exc
 
@@ -120,40 +116,48 @@ def leave_one_out(
     return matrices
 
 
-def _score_fold(method, ds, fold, held_out, config, ctx, corpus):
+def score_motion(
+    method: str,
+    ds: Dataset,
+    motion: Motion,
+    config: EvalConfig,
+    ctx: SimilarityContext,
+    corpus: TopicSentenceCorpus | None = None,
+    fold: Dataset | None = None,
+) -> np.ndarray:
+    """Scores of ``motion`` against every CoPA of ``ds`` under one method,
+    in ``ds.copa_ids`` order with NaN for abstentions.
+
+    Without ``fold`` the method trains on all of ``ds`` and ``motion`` is
+    a new query.  With ``fold`` (``ds`` minus ``motion``) it is a
+    leave-one-out fold: models train on the fold, the feature LR withholds
+    ``motion`` from its counts and c_t, and KNN skips ``motion``'s topic.
+    """
+    loo = fold is not None
+    train = fold if loo else ds
     if method == "ba":
-        model = clf.train_ba(fold, k=config.ba_k)
-        return clf.predict_ba(model, held_out)
-    if method == "knn":
-        return clf.predict_knn(
-            fold,
-            held_out,
-            ctx,
-            sim_kind=config.knn_sim_kind,
-            threshold=config.knn_threshold,
-            min_neighbors=config.knn_min_neighbors,
-            top=config.knn_top,
-            exclude_topic=held_out.topic,
+        scores = clf.predict_ba(clf.train_ba(train, k=config.ba_k), motion)
+    elif method == "knn":
+        scores = clf.predict_knn(
+            train, motion, ctx, threshold=config.knn_threshold,
+            min_neighbors=config.knn_min_neighbors, top=config.knn_top,
+            exclude_topic=motion.topic if loo else None,
         )
-    if method == "w2v":
-        model = clf.train_w2v_lr(
-            fold, ctx, lam=config.lam, tol=config.tol, max_iters=config.max_iters
-        )
-        return clf.predict_w2v(model, held_out, ctx)
-    if method == "nb":
-        model = clf.train_nb(fold, corpus, alpha=config.nb_alpha)
-        return clf.predict_nb(model, held_out, corpus)
-    if method == "lr":
-        model = clf.train_feature_lr(
-            ds,
-            ctx,
-            lam=config.lam,
-            tol=config.tol,
-            max_iters=config.max_iters,
-            loo_holdout=held_out.id,
-        )
-        return clf.predict_feature_lr(model, held_out, ds, ctx, loo_holdout=held_out.id)
-    raise ValueError(f"unknown method {method!r}")
+    elif method == "w2v":
+        model = clf.train_w2v_lr(train, ctx, lam=config.lam, tol=config.tol,
+                                 max_iters=config.max_iters)
+        scores = clf.predict_w2v(model, motion, ctx)
+    elif method == "nb":
+        model = clf.train_nb(train, corpus, alpha=config.nb_alpha)
+        scores = clf.predict_nb(model, motion, corpus)
+    elif method == "lr":
+        holdout = motion.id if loo else None
+        model = clf.train_feature_lr(ds, ctx, lam=config.lam, tol=config.tol,
+                                     max_iters=config.max_iters, loo_holdout=holdout)
+        scores = clf.predict_feature_lr(model, motion, ds, ctx, loo_holdout=holdout)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return np.array([matrix_entry(scores[cid], cid) for cid in ds.copa_ids])
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +179,35 @@ class PAt1Point:
     p_at_1: float
 
 
+def _included_columns(scores: ScoreMatrix, ds: Dataset, exclude_general: bool):
+    """Score columns of the included CoPAs, sorted by copa id, and the
+    matching mask of labelled pairs."""
+    included = set(ds.included_copa_ids(exclude_general))
+    cols = sorted(
+        (j for j, cid in enumerate(scores.copa_ids) if cid in included),
+        key=lambda j: scores.copa_ids[j],
+    )
+    labelled = np.array(
+        [[(mid, scores.copa_ids[j]) in ds.labels for j in cols] for mid in scores.motion_ids],
+        dtype=bool,
+    ).reshape(len(scores.motion_ids), len(cols))
+    return scores.scores[:, cols], labelled
+
+
+def _passing_counts(values: np.ndarray, hits: np.ndarray, grid) -> list[tuple[float, int, int]]:
+    """(threshold, #values >= threshold, #hits among them) per threshold,
+    from one sort of ``values``."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    hits_below = np.concatenate(([0], np.cumsum(hits[order])))
+    grid = np.asarray(grid, dtype=float)
+    first = np.searchsorted(ordered, grid, side="left")
+    n, total_hits = len(ordered), int(hits_below[-1])
+    return [
+        (float(t), n - int(k), total_hits - int(hits_below[k])) for t, k in zip(grid, first)
+    ]
+
+
 def pr_curve(
     scores: ScoreMatrix,
     ds: Dataset,
@@ -190,20 +223,14 @@ def pr_curve(
     """
     grid = thresholds if thresholds is not None else default_threshold_grid()
     included = set(ds.included_copa_ids(exclude_general))
-    truths = {(m, c) for (m, c) in ds.labels if c in included}
-    entries = [
-        (pair, score) for pair, score in scores.entries.items() if pair[1] in included
+    n_truths = sum(1 for (_, c) in ds.labels if c in included)
+    values, labelled = _included_columns(scores, ds, exclude_general)
+    scored = ~np.isnan(values)
+    return [
+        PRPoint(threshold=t, precision=tp / predicted, recall=tp / n_truths if n_truths else 0.0)
+        for t, predicted, tp in _passing_counts(values[scored], labelled[scored], grid)
+        if predicted
     ]
-    points = []
-    for t in grid:
-        predicted = [pair for pair, score in entries if score >= t]
-        if not predicted:
-            continue
-        tp = sum(1 for pair in predicted if pair in truths)
-        precision = tp / len(predicted)
-        recall = tp / len(truths) if truths else 0.0
-        points.append(PRPoint(threshold=float(t), precision=precision, recall=recall))
-    return points
 
 
 def p_at_1_curve(
@@ -216,28 +243,20 @@ def p_at_1_curve(
     motions with any score passing the threshold.  Argmax ties break by
     copa id; thresholds covering no motion yield no point."""
     grid = thresholds if thresholds is not None else default_threshold_grid()
-    included = set(ds.included_copa_ids(exclude_general))
-    best: dict[str, tuple[float, str]] = {}
-    for (mid, cid), score in scores.entries.items():
-        if cid not in included:
-            continue
-        current = best.get(mid)
-        if current is None or score > current[0] or (score == current[0] and cid < current[1]):
-            best[mid] = (score, cid)
-    points = []
-    for t in grid:
-        covered = {mid: pick for mid, pick in best.items() if pick[0] >= t}
-        if not covered:
-            continue
-        hits = sum(1 for mid, (_, cid) in covered.items() if (mid, cid) in ds.labels)
-        points.append(
-            PAt1Point(
-                threshold=float(t),
-                coverage=len(covered) / len(ds.motions),
-                p_at_1=hits / len(covered),
-            )
-        )
-    return points
+    values, labelled = _included_columns(scores, ds, exclude_general)
+    if values.shape[1] == 0:
+        return []
+    covered = ~np.isnan(values).all(axis=1)
+    # columns are sorted by copa id, so argmax's first maximum is the tie-break
+    pick = np.argmax(np.where(np.isnan(values), -np.inf, values), axis=1)
+    rows = np.arange(len(pick))
+    best = values[rows, pick][covered]
+    hits = labelled[rows, pick][covered]
+    return [
+        PAt1Point(threshold=t, coverage=n / len(ds.motions), p_at_1=n_hits / n)
+        for t, n, n_hits in _passing_counts(best, hits, grid)
+        if n
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kb import ActionRegistry, CoPA, Dataset, Motion
-from .textsim import (
-    SimilarityContext,
-    SimilarityKind,
-    UnknownTopic,
-    avg_idf_in_article,
-    set_similarity,
-    topic_related_titles,
-)
-
-RELATED_TITLE_CAP = 10
+from .textsim import SimilarityContext, SimilarityKind, avg_idf_in_article, set_similarity
 
 _PAIRS = ("mt_cm", "mt_ct", "mw_cm", "mw_ct")
 _KINDS = (
@@ -71,17 +62,7 @@ class CopaTextSets:
 
 def motion_text_sets(motion: Motion, actions: ActionRegistry, ctx: SimilarityContext) -> MotionTextSets:
     m_t = frozenset({actions.surface(motion.action), motion.topic})
-    m_w: tuple[str, ...] = ()
-    if ctx.wiki is not None:
-        key = motion.topic.lower()
-        m_w = ctx._title_cache.get(key)
-        if m_w is None:
-            try:
-                m_w = tuple(topic_related_titles(motion.topic, ctx.wiki, cap=RELATED_TITLE_CAP))
-            except UnknownTopic:
-                m_w = ()
-            ctx._title_cache[key] = m_w
-    return MotionTextSets(m_t=m_t, m_w=m_w)
+    return MotionTextSets(m_t=m_t, m_w=ctx.related_titles(motion.topic))
 
 
 def copa_text_sets(copa: CoPA, ds: Dataset, loo_holdout: str | None = None) -> CopaTextSets:
@@ -164,9 +145,6 @@ class Standardizer:
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.mean) * self.scale
-
-    def transform_many(self, xs: np.ndarray) -> np.ndarray:
-        return (np.asarray(xs, dtype=float) - self.mean) * self.scale
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}

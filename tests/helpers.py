@@ -1,9 +1,11 @@
-"""Shared builders for toy datasets and synthetic embedding stores."""
+"""Shared builders for toy datasets, score matrices and synthetic
+embedding stores."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from copa.classifiers import ScoreMatrix
 from copa.kb import Action, ActionRegistry, Claim, CoPA, Dataset, Motion, Stance
 from copa.textsim import EmbeddingStore
 
@@ -75,3 +77,21 @@ def topic_words(ds: Dataset):
         words.update(m.topic.split())
         words.update(ds.actions.surface(m.action).split())
     return words
+
+
+def score_matrix(method, motion_ids, copa_ids, entries) -> ScoreMatrix:
+    """A matrix holding {(motion_id, copa_id): score}; other pairs abstain."""
+    matrix = ScoreMatrix(method, tuple(motion_ids), tuple(copa_ids))
+    for (mid, cid), score in entries.items():
+        matrix.put(mid, cid, score)
+    return matrix
+
+
+def matrix_entries(matrix: ScoreMatrix) -> dict:
+    """{(motion_id, copa_id): score} over the pairs that are not abstentions."""
+    return {
+        (mid, cid): score
+        for mid in matrix.motion_ids
+        for cid in matrix.copa_ids
+        if (score := matrix.get(mid, cid)) is not None
+    }

@@ -17,7 +17,6 @@ import pytest
 from click.testing import CliRunner
 
 from copa.classifiers import (
-    ScoreMatrix,
     TopicSentenceCorpus,
     _logreg_gradient,
     ensemble,
@@ -38,7 +37,14 @@ from copa.evaluation import (
 from copa.features import FEATURE_NAMES, compute_features
 from copa.kb import Motion, Stance, build_syllogism, copa_stats, instantiate_claim, load_dataset
 from copa.textsim import SimilarityContext, hypergeom_pvalue
-from helpers import build_dataset, random_dataset, random_embeddings, topic_words
+from helpers import (
+    build_dataset,
+    matrix_entries,
+    random_dataset,
+    random_embeddings,
+    score_matrix,
+    topic_words,
+)
 from oracles import (
     ba_scores,
     count_features,
@@ -214,15 +220,15 @@ def test_c06_ensemble_is_union_and_elementwise_max():
                 (m, c): float(rng.random())
                 for m in motions for c in copas if rng.random() < 0.5
             }
-            mats.append(ScoreMatrix(tag, motions, copas, entries))
+            mats.append(score_matrix(tag, motions, copas, entries))
         combined = ensemble(mats)
-        assert combined.entries == elementwise_max([m.entries for m in mats])
+        assert matrix_entries(combined) == elementwise_max([matrix_entries(m) for m in mats])
         included = set(copas)
         for t in GRID:
             union = set()
             for m in mats:
-                union |= predicted_pairs(m.entries, t, included)
-            assert predicted_pairs(combined.entries, t, included) == union
+                union |= predicted_pairs(matrix_entries(m), t, included)
+            assert predicted_pairs(matrix_entries(combined), t, included) == union
     _report(6, "ensemble entries equal elementwise max and its predicted-pair "
                "set is the union of the constituents' at every threshold")
 
@@ -238,7 +244,7 @@ def test_c07_curves_match_exhaustive_sweeps():
             (m.id, c.id): float(rng.random())
             for m in ds.motions for c in ds.copas if rng.random() < 0.7
         }
-        matrix = ScoreMatrix("m", ds.motion_ids, ds.copa_ids, entries)
+        matrix = score_matrix("m", ds.motion_ids, ds.copa_ids, entries)
         got_pr = [(p.threshold, p.precision, p.recall)
                   for p in pr_curve(matrix, ds, thresholds=GRID)]
         assert got_pr == pr_points(entries, ds.labels, set(ds.copa_ids), GRID)

@@ -10,7 +10,6 @@ from copa.classifiers import (
     DimensionMismatch,
     LogRegModel,
     NBClassifier,
-    ScoreMatrix,
     TopicSentenceCorpus,
     W2VClassifier,
     _logreg_gradient,
@@ -32,8 +31,15 @@ from copa.classifiers import (
     train_w2v_lr,
 )
 from copa.kb import Motion
-from copa.textsim import EmbeddingStore, SimilarityContext
-from helpers import build_dataset, random_dataset, random_embeddings, topic_words
+from copa.textsim import DomainError, EmbeddingStore, SimilarityContext
+from helpers import (
+    build_dataset,
+    matrix_entries,
+    random_dataset,
+    random_embeddings,
+    score_matrix,
+    topic_words,
+)
 from oracles import ba_scores, elementwise_max, knn_scores
 
 
@@ -353,6 +359,26 @@ def _nb_fixture():
     return ds, corpus
 
 
+class TestSentenceFile:
+    def test_loads_records(self, tmp_path):
+        path = tmp_path / "sent.jsonl"
+        path.write_text('{"topic": "T1", "sentence": "a b"}\n\n{"topic": "t1", "sentence": "c"}\n')
+        assert TopicSentenceCorpus.from_jsonl(path).get("t1") == ["a b", "c"]
+
+    @pytest.mark.parametrize("line", [
+        '{"topic": "t1", "sentence": "trunc',
+        '{"topic": "t1"}',
+        '{"sentence": "no topic"}',
+        '["t1", "a list"]',
+        '{"topic": "t1", "sentence": ""}',
+    ])
+    def test_bad_record_rejected(self, tmp_path, line):
+        path = tmp_path / "sent.jsonl"
+        path.write_text('{"topic": "t0", "sentence": "fine"}\n' + line + "\n")
+        with pytest.raises(DomainError):
+            TopicSentenceCorpus.from_jsonl(path)
+
+
 class TestNB:
     def test_symmetric_corpus_gives_half(self):
         ds = build_dataset(
@@ -498,14 +524,14 @@ class TestFeatureLR:
 
 
 def _matrix(method, entries, motions=("m1", "m2"), copas=("c1", "c2")):
-    return ScoreMatrix(method, tuple(motions), tuple(copas), dict(entries))
+    return score_matrix(method, motions, copas, entries)
 
 
 class TestEnsemble:
     def test_single_input_identity(self):
         m = _matrix("a", {("m1", "c1"): 0.4})
         out = ensemble([m])
-        assert out.entries == m.entries
+        assert matrix_entries(out) == matrix_entries(m)
 
     def test_max_rule_with_abstentions(self):
         a = _matrix("a", {("m1", "c1"): 0.2})
@@ -531,7 +557,7 @@ class TestEnsemble:
                 }
                 mats.append(_matrix(tag, entries, motions, copas))
             out = ensemble(mats)
-            assert out.entries == elementwise_max([m.entries for m in mats])
+            assert matrix_entries(out) == elementwise_max([matrix_entries(m) for m in mats])
 
     def test_inconsistent_id_spaces_rejected(self):
         a = _matrix("a", {}, motions=("m1",))
@@ -547,8 +573,9 @@ class TestEnsemble:
 class TestScoreMatrix:
     def test_rejects_out_of_range_scores(self):
         m = _matrix("a", {})
-        with pytest.raises(ValueError):
-            m.put("m1", "c1", 1.5)
+        for bad in (1.5, -0.1, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                m.put("m1", "c1", bad)
 
     def test_rejects_unknown_ids(self):
         m = _matrix("a", {})
@@ -559,10 +586,6 @@ class TestScoreMatrix:
         m = _matrix("a", {("m1", "c1"): 0.5})
         m.put("m1", "c1", None)
         assert m.get("m1", "c1") is None
-
-    def test_motion_scores_view(self):
-        m = _matrix("a", {("m1", "c1"): 0.5, ("m2", "c2"): 0.25})
-        assert m.motion_scores("m1") == {"c1": 0.5}
 
 
 def test_load_model_rejects_unknown_tag(tmp_path):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from copa import classifiers as clfmod
 from copa.cli import AppConfig, ConfigError, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -166,6 +167,36 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"dataset": str(broken)}))
         result = runner.invoke(main, ["--config", str(cfg), "stats"])
         assert result.exit_code == 4
+
+    def test_bad_data_files_are_io_errors(self, runner, workspace, tmp_path):
+        bad_emb = tmp_path / "emb.txt"
+        bad_emb.write_text((workspace / "emb.txt").read_text().replace("0.95 0.0 0.1", "nan 0.0 0.1"))
+        bad_sent = tmp_path / "sent.jsonl"
+        bad_sent.write_text('{"topic": "t0", "sentence": "trunc\n')
+        bad_wiki = tmp_path / "wiki.json"
+        bad_wiki.write_text(json.dumps({"articles": {"t0": {"link_counts": {"x": "many"}}}}))
+        base = json.loads((workspace / "config.json").read_text())
+        for key, path in (("embeddings", bad_emb), ("sentence_corpus", bad_sent),
+                          ("wiki_corpus", bad_wiki)):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({**base, key: str(path)}))
+            for args in (["eval", "--out", str(tmp_path / "out")], ["match", "ban", "t0"]):
+                result = runner.invoke(main, ["--config", str(cfg), *args])
+                assert result.exit_code == 4, (key, args, result.output)
+                assert str(path) in result.output
+
+    def test_fold_error_names_held_out_motion(self, runner, workspace, tmp_path, monkeypatch):
+        def broken(ds, k=5):
+            raise RuntimeError("trainer failed")
+
+        monkeypatch.setattr(clfmod, "train_ba", broken)
+        result = runner.invoke(
+            main,
+            ["--config", str(workspace / "config_ba.json"), "eval", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 4
+        assert "'m0'" in result.output
+        assert "trainer failed" in result.output
 
 
 class TestMatchCommand:

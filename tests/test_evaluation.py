@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copa.classifiers import ScoreMatrix, TopicSentenceCorpus
+from copa.classifiers import TopicSentenceCorpus
 from copa.evaluation import (
     EvalConfig,
     FoldError,
@@ -18,7 +18,14 @@ from copa.evaluation import (
 )
 from copa.kb import Motion
 from copa.textsim import SimilarityContext
-from helpers import build_dataset, random_dataset, random_embeddings, topic_words
+from helpers import (
+    build_dataset,
+    matrix_entries,
+    random_dataset,
+    random_embeddings,
+    score_matrix,
+    topic_words,
+)
 from oracles import (
     ba_scores,
     kappa_from_confusion,
@@ -38,7 +45,7 @@ def _random_matrix(rng, motions, copas, density=0.7, method="m"):
         for c in copas
         if rng.random() < density
     }
-    return ScoreMatrix(method, tuple(motions), tuple(copas), entries)
+    return score_matrix(method, motions, copas, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +80,7 @@ class TestLeaveOneOut:
         )
         config = EvalConfig(methods=("ba",), ba_k=3)
         out = leave_one_out(ds, config, SimilarityContext())
-        assert out["ba"].entries == {}
+        assert matrix_entries(out["ba"]) == {}
 
     def test_knn_folds_match_per_fold_oracle(self):
         rng = np.random.default_rng(91)
@@ -109,7 +116,7 @@ class TestLeaveOneOut:
         store = random_embeddings(rng, topic_words(ds))
         config = EvalConfig(methods=("knn",), knn_min_neighbors=1, topic_min_motions=3)
         out = leave_one_out(ds, config, SimilarityContext(embeddings=store))
-        scored_copas = {cid for (_, cid) in out["knn"].entries}
+        scored_copas = {cid for (_, cid) in matrix_entries(out["knn"])}
         assert scored_copas <= {"big"}
         assert scored_copas  # the big CoPA does receive scores
 
@@ -126,10 +133,10 @@ class TestLeaveOneOut:
         out = leave_one_out(ds, config, SimilarityContext(embeddings=store))
         included = set(ds.copa_ids)
         for t in default_threshold_grid():
-            union = predicted_pairs(out["ba"].entries, t, included) | predicted_pairs(
-                out["knn"].entries, t, included
+            union = predicted_pairs(matrix_entries(out["ba"]), t, included) | predicted_pairs(
+                matrix_entries(out["knn"]), t, included
             )
-            assert predicted_pairs(out["ensemble"].entries, t, included) == union
+            assert predicted_pairs(matrix_entries(out["ensemble"]), t, included) == union
 
     def test_all_methods_smoke_and_determinism(self):
         rng = np.random.default_rng(94)
@@ -149,7 +156,7 @@ class TestLeaveOneOut:
         first = leave_one_out(ds, config, ctx, corpus)
         second = leave_one_out(ds, config, ctx, corpus)
         for name in first:
-            assert first[name].entries == second[name].entries
+            assert matrix_entries(first[name]) == matrix_entries(second[name])
         assert set(first) == {"ba", "knn", "w2v", "nb", "lr", "ensemble"}
 
     def test_fold_errors_carry_fold_id(self):
@@ -193,14 +200,14 @@ class TestPRCurve:
             for m in ds.motions
             for c in ds.copas
         }
-        matrix = ScoreMatrix("perfect", ds.motion_ids, ds.copa_ids, entries)
+        matrix = score_matrix("perfect", ds.motion_ids, ds.copa_ids, entries)
         points = {p.threshold: p for p in pr_curve(matrix, ds, thresholds=GRID)}
         mid = points[0.5]
         assert mid.precision == 1.0 and mid.recall == 1.0
 
     def test_all_abstain_yields_no_points(self):
         ds = _toy_ds_for_curves()
-        matrix = ScoreMatrix("empty", ds.motion_ids, ds.copa_ids, {})
+        matrix = score_matrix("empty", ds.motion_ids, ds.copa_ids, {})
         assert pr_curve(matrix, ds, thresholds=GRID) == []
 
     def test_matches_threshold_sweep_oracle(self):
@@ -209,7 +216,7 @@ class TestPRCurve:
         for _ in range(25):
             matrix = _random_matrix(rng, ds.motion_ids, ds.copa_ids)
             got = [(p.threshold, p.precision, p.recall) for p in pr_curve(matrix, ds, thresholds=GRID)]
-            want = pr_points(matrix.entries, ds.labels, set(ds.copa_ids), GRID)
+            want = pr_points(matrix_entries(matrix), ds.labels, set(ds.copa_ids), GRID)
             assert got == want
 
     def test_recall_non_increasing(self):
@@ -229,13 +236,13 @@ class TestPAt1Curve:
             matched = [c.id for c in ds.copas if (m.id, c.id) in ds.labels]
             if matched:
                 entries[(m.id, matched[0])] = 0.9
-        matrix = ScoreMatrix("top", ds.motion_ids, ds.copa_ids, entries)
+        matrix = score_matrix("top", ds.motion_ids, ds.copa_ids, entries)
         for p in p_at_1_curve(matrix, ds, thresholds=GRID):
             assert p.p_at_1 == 1.0
 
     def test_threshold_above_scores_omitted(self):
         ds = _toy_ds_for_curves()
-        matrix = ScoreMatrix("low", ds.motion_ids, ds.copa_ids, {("m0", "c0"): 0.2})
+        matrix = score_matrix("low", ds.motion_ids, ds.copa_ids, {("m0", "c0"): 0.2})
         points = p_at_1_curve(matrix, ds, thresholds=GRID)
         assert points
         assert max(p.threshold for p in points) <= 0.2 + 1e-12
@@ -246,7 +253,7 @@ class TestPAt1Curve:
         for _ in range(25):
             matrix = _random_matrix(rng, ds.motion_ids, ds.copa_ids)
             got = [(p.threshold, p.coverage, p.p_at_1) for p in p_at_1_curve(matrix, ds, thresholds=GRID)]
-            want = p_at_1_points(matrix.entries, ds.labels, set(ds.copa_ids), ds.motion_ids, GRID)
+            want = p_at_1_points(matrix_entries(matrix), ds.labels, set(ds.copa_ids), ds.motion_ids, GRID)
             assert got == want
 
     def test_coverage_non_increasing(self):
@@ -260,7 +267,7 @@ class TestPAt1Curve:
     def test_argmax_ties_break_by_copa_id(self):
         ds = _toy_ds_for_curves()
         entries = {("m0", "c2"): 0.8, ("m0", "c0"): 0.8}  # tie; c0 wins and matches
-        matrix = ScoreMatrix("tie", ds.motion_ids, ds.copa_ids, entries)
+        matrix = score_matrix("tie", ds.motion_ids, ds.copa_ids, entries)
         point = p_at_1_curve(matrix, ds, thresholds=(0.5,))[0]
         assert point.p_at_1 == 1.0
 
@@ -277,13 +284,13 @@ class TestExcludeGeneral:
         ds = self._ds()
         matrix = _random_matrix(rng, ds.motion_ids, ds.copa_ids, density=1.0)
         got = [(p.threshold, p.precision, p.recall) for p in pr_curve(matrix, ds, True, GRID)]
-        want = pr_points(matrix.entries, ds.labels, {"c"}, GRID)
+        want = pr_points(matrix_entries(matrix), ds.labels, {"c"}, GRID)
         assert got == want
         # flipping the general CoPA's scores must not move the curve
         flipped_entries = {
-            pair: (1.0 - s if pair[1] == "g" else s) for pair, s in matrix.entries.items()
+            pair: (1.0 - s if pair[1] == "g" else s) for pair, s in matrix_entries(matrix).items()
         }
-        flipped = ScoreMatrix("m", ds.motion_ids, ds.copa_ids, flipped_entries)
+        flipped = score_matrix("m", ds.motion_ids, ds.copa_ids, flipped_entries)
         got_flipped = [(p.threshold, p.precision, p.recall) for p in pr_curve(flipped, ds, True, GRID)]
         assert got_flipped == got
 
@@ -292,7 +299,7 @@ class TestExcludeGeneral:
         ds = self._ds()
         matrix = _random_matrix(rng, ds.motion_ids, ds.copa_ids, density=1.0)
         got = [(p.threshold, p.coverage, p.p_at_1) for p in p_at_1_curve(matrix, ds, True, GRID)]
-        want = p_at_1_points(matrix.entries, ds.labels, {"c"}, ds.motion_ids, GRID)
+        want = p_at_1_points(matrix_entries(matrix), ds.labels, {"c"}, ds.motion_ids, GRID)
         assert got == want
 
 

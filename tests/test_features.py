@@ -196,7 +196,7 @@ class TestStandardizer:
         rng = np.random.default_rng(41)
         vectors = rng.normal(size=(50, 17)) * rng.uniform(0.5, 3.0, size=17)
         scaler = standardize(vectors)
-        transformed = scaler.transform_many(vectors)
+        transformed = scaler.transform(vectors)
         assert np.allclose(transformed.mean(axis=0), 0.0, atol=1e-9)
         assert np.allclose(transformed.std(axis=0), 1.0, atol=1e-9)
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -87,6 +88,15 @@ class TestEmbeddingFile:
         path.write_text("")
         with pytest.raises(DomainError):
             EmbeddingStore.from_file(path)
+
+    def test_non_finite_component_rejected(self, tmp_path):
+        for bad in ("nan", "inf", "-inf"):
+            path = tmp_path / "emb.txt"
+            path.write_text(f"foo 1 2\nbar 3 {bad}\n")
+            with pytest.raises(DomainError, match="'bar'"):
+                EmbeddingStore.from_file(path)
+        with pytest.raises(DomainError):
+            EmbeddingStore({"a": [1.0, math.nan]}, 2)
 
     def test_accepts_plain_lists(self):
         s = EmbeddingStore({"a": [1.0, 0.0], "b": [0.0, 2.0]}, 2)
@@ -250,6 +260,35 @@ def _toy_corpus(link_counts, background, total):
         background_link_counts=background,
         background_total_links=total,
     )
+
+
+class TestWikiFile:
+    def _write(self, tmp_path, link_count, total_links=10):
+        doc = {
+            "articles": {"Topic": {"link_counts": {"A": link_count}, "body_terms": ["a"]}},
+            "background": {"link_counts": {"a": 1}, "total_links": total_links},
+        }
+        path = tmp_path / "wiki.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_integer_counts_load(self, tmp_path):
+        corpus = WikiCorpus.from_file(self._write(tmp_path, 3))
+        assert corpus.article("topic").link_counts == {"a": 3}
+        assert corpus.background_total_links == 10
+
+    def test_non_integer_counts_rejected(self, tmp_path):
+        for bad in ("many", math.nan, 2.5, None, [1], -1):
+            with pytest.raises(DomainError, match="wiki.json: article 'topic'"):
+                WikiCorpus.from_file(self._write(tmp_path, bad))
+        with pytest.raises(DomainError, match="total_links"):
+            WikiCorpus.from_file(self._write(tmp_path, 3, total_links="lots"))
+
+    def test_malformed_json_rejected(self, tmp_path):
+        path = tmp_path / "wiki.json"
+        path.write_text('{"articles": {')
+        with pytest.raises(DomainError):
+            WikiCorpus.from_file(path)
 
 
 class TestTopicRelatedTitles:
