@@ -7,6 +7,7 @@ from pathlib import Path
 
 from copa import (
     EmbeddingStore,
+    FeatureTable,
     Motion,
     ScoreMatrix,
     SimilarityContext,
@@ -15,6 +16,7 @@ from copa import (
     WikiCorpus,
     ensemble,
     load_dataset,
+    motion_features,
     predict_ba,
     predict_feature_lr,
     predict_knn,
@@ -59,8 +61,9 @@ nb = train_nb(ds, sentences, alpha=1.0)
 scores["nb"] = predict_nb(nb, query, sentences)
 
 # --- logistic regression over the 17 engineered features --------------------
-lr = train_feature_lr(ds, ctx)
-scores["lr"] = predict_feature_lr(lr, query, ds, ctx)
+table = FeatureTable(ds, ctx)  # every (motion, CoPA) feature vector, built once
+lr = train_feature_lr(table.values, table.labels)
+scores["lr"] = predict_feature_lr(lr, motion_features(query, ds, ctx), ds.copa_ids)
 
 # --- ensemble: best score any method produced --------------------------------
 # Each method's scores become a one-row score matrix (an abstention is

@@ -44,8 +44,10 @@ from .features import (
     FEATURE_NAMES,
     FEATURE_ORDERING,
     EmptyTrainingSet,
+    FeatureTable,
     Standardizer,
     compute_features,
+    motion_features,
     standardize,
 )
 from .classifiers import (

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FEATURE_ORDERING, Standardizer, compute_features, standardize
+from .features import FEATURE_ORDERING, N_FEATURES, Standardizer, standardize
 from .kb import Dataset, Motion
 from .textsim import DomainError, SimilarityContext, SimilarityKind, embed_term, term_similarity
 
@@ -132,6 +132,19 @@ def _logreg_gradient(X, y, w, b, lam):
     return grad_w, grad_b
 
 
+class LogRegFit(tuple):
+    """The ``(weights, bias)`` pair of a fit, unpacked like any pair, plus
+    how the descent ended: ``n_iters`` accepted steps, whether the final
+    gradient norm ``grad_norm`` is below ``tol`` (``converged``)."""
+
+    def __new__(cls, weights: np.ndarray, bias: float, n_iters: int, grad_norm: float, tol: float):
+        fit = super().__new__(cls, (weights, bias))
+        fit.n_iters = n_iters
+        fit.grad_norm = grad_norm
+        fit.converged = grad_norm < tol
+        return fit
+
+
 def logreg_fit(
     X,
     y,
@@ -139,10 +152,12 @@ def logreg_fit(
     tol: float = 1e-6,
     max_iters: int = 10000,
     on_step=None,
-) -> tuple[np.ndarray, float]:
+) -> LogRegFit:
     """Deterministic full-batch gradient descent with backtracking line
     search from a zero start.  Stops when the gradient norm drops below
-    ``tol`` or after ``max_iters`` steps.  Returns (weights, bias).
+    ``tol``, when no step descends at float precision, or after
+    ``max_iters`` steps.  Returns (weights, bias) as a ``LogRegFit``,
+    which also says whether the fit converged.
 
     ``on_step(iteration, objective)`` is called after every accepted
     step; the accepted objective values never increase.
@@ -158,10 +173,13 @@ def logreg_fit(
     w = np.zeros(d)
     b = 0.0
     value = logreg_objective(X, y, w, b, lam)
-    for iteration in range(max_iters):
+    n_iters = 0
+    grad_sq = math.inf
+    for iteration in range(max_iters + 1):
         grad_w, grad_b = _logreg_gradient(X, y, w, b, lam)
         grad_sq = float(grad_w @ grad_w) + grad_b * grad_b
-        if math.sqrt(grad_sq) < tol:
+        # the pass after the last step only measures the final gradient
+        if math.sqrt(grad_sq) < tol or iteration == max_iters:
             break
         step = 1.0
         while step > 1e-20:
@@ -175,15 +193,18 @@ def logreg_fit(
             break  # no descent direction left at float precision
         assert cand_value <= value, "line search accepted an ascent step"
         w, b, value = cand_w, cand_b, cand_value
+        n_iters += 1
         if on_step is not None:
             on_step(iteration, value)
-    return w, b
+    return LogRegFit(w, b, n_iters, math.sqrt(grad_sq), tol)
 
 
 @dataclass
 class LogRegModel:
     """A trained logistic regression scorer (optionally standardizing its
-    inputs first).  ``feature_ordering`` documents what the weights mean."""
+    inputs first).  ``feature_ordering`` documents what the weights mean;
+    ``n_iters``, ``converged`` and ``grad_norm`` say how its fit ended
+    (None when not recorded, as in older model files)."""
 
     weights: np.ndarray
     bias: float
@@ -192,6 +213,19 @@ class LogRegModel:
     tol: float = 1e-6
     max_iters: int = 10000
     feature_ordering: str = ""
+    n_iters: int | None = None
+    converged: bool | None = None
+    grad_norm: float | None = None
+
+    @classmethod
+    def from_fit(cls, fit: LogRegFit, standardizer: Standardizer | None, lam: float, tol: float,
+                 max_iters: int, feature_ordering: str) -> "LogRegModel":
+        weights, bias = fit
+        return cls(
+            weights=weights, bias=bias, standardizer=standardizer, lam=lam, tol=tol,
+            max_iters=max_iters, feature_ordering=feature_ordering,
+            n_iters=fit.n_iters, converged=fit.converged, grad_norm=fit.grad_norm,
+        )
 
     def score(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -207,11 +241,15 @@ class LogRegModel:
             "standardizer": None if self.standardizer is None else self.standardizer.to_dict(),
             "hyperparameters": {"lam": self.lam, "tol": self.tol, "max_iters": self.max_iters},
             "feature_ordering": self.feature_ordering,
+            "fit": {
+                "n_iters": self.n_iters, "converged": self.converged, "grad_norm": self.grad_norm,
+            },
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LogRegModel":
         hp = doc.get("hyperparameters", {})
+        fit = doc.get("fit", {})
         std = doc.get("standardizer")
         return cls(
             weights=np.array(doc["weights"], dtype=float),
@@ -221,6 +259,9 @@ class LogRegModel:
             tol=hp.get("tol", 1e-6),
             max_iters=hp.get("max_iters", 10000),
             feature_ordering=doc.get("feature_ordering", ""),
+            n_iters=fit.get("n_iters"),
+            converged=fit.get("converged"),
+            grad_norm=fit.get("grad_norm"),
         )
 
 
@@ -426,11 +467,8 @@ def train_w2v_lr(
         ordering = f"topic_embedding[{X.shape[1]}]"
         for c in ds.copas:
             y = np.array([1.0 if m.id in c.motion_ids else 0.0 for m in row_motions])
-            w, b = logreg_fit(X, y, lam=lam, tol=tol, max_iters=max_iters)
-            per_copa[c.id] = LogRegModel(
-                weights=w, bias=b, standardizer=None,
-                lam=lam, tol=tol, max_iters=max_iters, feature_ordering=ordering,
-            )
+            fit = logreg_fit(X, y, lam=lam, tol=tol, max_iters=max_iters)
+            per_copa[c.id] = LogRegModel.from_fit(fit, None, lam, tol, max_iters, ordering)
     return W2VClassifier(per_copa=per_copa, blacklist=blacklist)
 
 
@@ -580,21 +618,25 @@ def train_nb(ds: Dataset, corpus: TopicSentenceCorpus, alpha: float = 1.0) -> NB
         raise ValueError("alpha must be positive")
     blacklist = build_blacklist(ds)
     per_copa: dict[str, NBModel] = {}
-    motion_sentences = [(m, corpus.get(m.topic)) for m in ds.motions]
+    # each motion's sentences are tokenized once; a CoPA's negative class
+    # is everything minus its positive class
+    motion_counts = []
+    all_counts: Counter[str] = Counter()
+    for m in ds.motions:
+        sents = corpus.get(m.topic)
+        counts = Counter(w for s in sents for w in tokenize(s))
+        motion_counts.append((m.id, len(sents), counts))
+        all_counts.update(counts)
+    all_sentences = sum(n for _, n, _ in motion_counts)
     for c in ds.copas:
         pos_counts: Counter[str] = Counter()
-        neg_counts: Counter[str] = Counter()
         pos_sentences = 0
-        neg_sentences = 0
-        for m, sents in motion_sentences:
-            if m.id in c.motion_ids:
-                pos_sentences += len(sents)
-                for s in sents:
-                    pos_counts.update(tokenize(s))
-            else:
-                neg_sentences += len(sents)
-                for s in sents:
-                    neg_counts.update(tokenize(s))
+        for mid, n_sentences, counts in motion_counts:
+            if mid in c.motion_ids:
+                pos_sentences += n_sentences
+                pos_counts.update(counts)
+        neg_counts = all_counts - pos_counts
+        neg_sentences = all_sentences - pos_sentences
         vocab = sorted(set(pos_counts) | set(neg_counts))
         pos_total = sum(pos_counts.values())
         neg_total = sum(neg_counts.values())
@@ -635,45 +677,31 @@ def predict_nb(clf: NBClassifier, motion: Motion, corpus: TopicSentenceCorpus) -
 
 
 def train_feature_lr(
-    ds: Dataset,
-    ctx: SimilarityContext,
+    values: np.ndarray,
+    labels: np.ndarray,
     lam: float = 1e-3,
     tol: float = 1e-6,
     max_iters: int = 10000,
-    loo_holdout: str | None = None,
 ) -> LogRegModel:
-    """A single pair classifier over standardized 17-feature vectors of
-    every (motion, CoPA) combination in the training set."""
-    motions = [m for m in ds.motions if m.id != loo_holdout]
-    if not motions:
+    """A single pair classifier over standardized 17-feature vectors.
+
+    ``values`` is a (motions x CoPAs x features) block of a
+    ``FeatureTable`` (a whole table or a fold's training rows) and
+    ``labels`` the matching (motions x CoPAs) 0/1 block; every pair is
+    one training row, motion-major."""
+    if len(values) == 0:
         raise DimensionMismatch("no training motions left")
-    X = []
-    y = []
-    for m in motions:
-        for c in ds.copas:
-            X.append(compute_features(m, c, ds, ctx, loo_holdout=loo_holdout))
-            y.append(1.0 if (m.id, c.id) in ds.labels else 0.0)
-    X = np.stack(X)
+    X = np.asarray(values, dtype=float).reshape(-1, N_FEATURES)
     scaler = standardize(X)
-    w, b = logreg_fit(scaler.transform(X), np.array(y), lam=lam, tol=tol, max_iters=max_iters)
-    return LogRegModel(
-        weights=w, bias=b, standardizer=scaler,
-        lam=lam, tol=tol, max_iters=max_iters, feature_ordering=FEATURE_ORDERING,
-    )
+    fit = logreg_fit(scaler.transform(X), np.asarray(labels, dtype=float).reshape(-1),
+                     lam=lam, tol=tol, max_iters=max_iters)
+    return LogRegModel.from_fit(fit, scaler, lam, tol, max_iters, FEATURE_ORDERING)
 
 
-def predict_feature_lr(
-    model: LogRegModel,
-    motion: Motion,
-    ds: Dataset,
-    ctx: SimilarityContext,
-    loo_holdout: str | None = None,
-) -> dict[str, Score]:
-    """Sigmoid score per CoPA; this method never abstains."""
-    return {
-        c.id: model.score(compute_features(motion, c, ds, ctx, loo_holdout=loo_holdout))
-        for c in ds.copas
-    }
+def predict_feature_lr(model: LogRegModel, rows: np.ndarray, copa_ids) -> dict[str, Score]:
+    """Sigmoid score per CoPA from one motion's (CoPAs x features) rows,
+    in ``copa_ids`` order; this method never abstains."""
+    return {cid: model.score(x) for cid, x in zip(copa_ids, rows, strict=True)}
 
 
 # ---------------------------------------------------------------------------

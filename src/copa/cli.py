@@ -25,7 +25,7 @@ from . import evaluation as evalmod
 from . import kb
 from .classifiers import TopicSentenceCorpus
 from .evaluation import EvalConfig, default_threshold_grid
-from .features import FEATURE_NAMES, compute_features
+from .features import FEATURE_NAMES, motion_features
 from .textsim import (
     DomainError,
     EmbeddingStore,
@@ -42,6 +42,16 @@ ENV_PREFIX = "COPA_"
 
 #: stores each method cannot run without
 _METHOD_REQUIRES = {"knn": "embeddings", "w2v": "embeddings", "nb": "sentence_corpus"}
+
+#: similarity stores each method reads when they are configured; the
+#: sentence corpus is loaded apart, for nb
+_METHOD_READS = {
+    "ba": (),
+    "knn": ("embeddings",),
+    "w2v": ("embeddings",),
+    "nb": (),
+    "lr": ("embeddings", "alt_embeddings", "wiki_corpus"),
+}
 
 
 class ConfigError(Exception):
@@ -186,13 +196,17 @@ def _load_dataset(cfg: AppConfig) -> kb.Dataset:
 
 
 def _build_context(cfg: AppConfig, methods) -> SimilarityContext:
+    """The similarity stores the methods read, loaded from the configured
+    paths; stores no method reads are left out."""
     for method in methods:
         required = _METHOD_REQUIRES.get(method)
         if required and getattr(cfg, required) is None:
             raise ConfigError(f"method {method!r} requires the {required!r} path")
-    embeddings = EmbeddingStore.from_file(cfg.embeddings) if cfg.embeddings else None
-    alt = EmbeddingStore.from_file(cfg.alt_embeddings) if cfg.alt_embeddings else None
-    wiki = WikiCorpus.from_file(cfg.wiki_corpus) if cfg.wiki_corpus else None
+    read = {store for method in methods for store in _METHOD_READS[method]}
+    paths = {store: getattr(cfg, store) for store in read if getattr(cfg, store)}
+    embeddings = EmbeddingStore.from_file(paths["embeddings"]) if "embeddings" in paths else None
+    alt = EmbeddingStore.from_file(paths["alt_embeddings"]) if "alt_embeddings" in paths else None
+    wiki = WikiCorpus.from_file(paths["wiki_corpus"]) if "wiki_corpus" in paths else None
     tfidf = TfIdfModel.from_wiki_corpus(wiki) if wiki is not None else None
     return SimilarityContext(embeddings=embeddings, alt_embeddings=alt, tfidf=tfidf, wiki=wiki)
 
@@ -438,12 +452,11 @@ def features(ctx, out_file):
     def body():
         cfg = _config_from_ctx(ctx)
         ds = _load_dataset(cfg)
-        ctx_sim = _build_context(cfg, ())
+        ctx_sim = _build_context(cfg, ("lr",))  # the lr method's inputs
         header = list(FEATURE_NAMES) + ["motion_id", "copa_id", "label"]
         rows = []
         for m in ds.motions:
-            for c in ds.copas:
-                vector = compute_features(m, c, ds, ctx_sim)
+            for c, vector in zip(ds.copas, motion_features(m, ds, ctx_sim)):
                 label = 1 if (m.id, c.id) in ds.labels else 0
                 rows.append([_fmt(v) for v in vector] + [m.id, c.id, str(label)])
         if out_file is None:

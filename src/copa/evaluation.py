@@ -21,6 +21,7 @@ import numpy as np
 
 from . import classifiers as clf
 from .classifiers import ScoreMatrix, TopicSentenceCorpus, ensemble, matrix_entry
+from .features import FeatureTable, motion_features
 from .kb import Dataset, Motion
 from .textsim import SimilarityContext
 
@@ -89,6 +90,7 @@ def leave_one_out(
     Each fold trains on all motions but one; the held-out motion is also
     withheld from the count features and from c_t (its topic is ignored),
     and same-topic training motions are dropped from KNN candidate sets.
+    The feature LR's table is built once and each fold derived from it.
     """
     if len(ds.motions) < 2:
         raise ValueError("leave-one-out needs at least two motions")
@@ -100,12 +102,14 @@ def leave_one_out(
     }
     eligible = topic_method_copas(ds, config.topic_min_motions)
     ineligible = np.array([cid not in eligible for cid in ds.copa_ids], dtype=bool)
+    table = FeatureTable(ds, ctx) if "lr" in config.methods else None
 
     for i, held_out in enumerate(ds.motions):
         fold = ds.without_motion(held_out.id)
         try:
             for method in config.methods:
-                row = score_motion(method, ds, held_out, config, ctx, corpus, fold=fold)
+                row = score_motion(method, ds, held_out, config, ctx, corpus,
+                                   fold=fold, table=table)
                 if method in ("knn", "w2v", "nb"):
                     row[ineligible] = np.nan
                 matrices[method].scores[i] = row
@@ -124,6 +128,7 @@ def score_motion(
     ctx: SimilarityContext,
     corpus: TopicSentenceCorpus | None = None,
     fold: Dataset | None = None,
+    table: FeatureTable | None = None,
 ) -> np.ndarray:
     """Scores of ``motion`` against every CoPA of ``ds`` under one method,
     in ``ds.copa_ids`` order with NaN for abstentions.
@@ -132,6 +137,8 @@ def score_motion(
     a new query.  With ``fold`` (``ds`` minus ``motion``) it is a
     leave-one-out fold: models train on the fold, the feature LR withholds
     ``motion`` from its counts and c_t, and KNN skips ``motion``'s topic.
+    The feature LR reads its rows from ``table``, the ``FeatureTable`` of
+    ``ds``, built here when not given.
     """
     loo = fold is not None
     train = fold if loo else ds
@@ -151,10 +158,14 @@ def score_motion(
         model = clf.train_nb(train, corpus, alpha=config.nb_alpha)
         scores = clf.predict_nb(model, motion, corpus)
     elif method == "lr":
-        holdout = motion.id if loo else None
-        model = clf.train_feature_lr(ds, ctx, lam=config.lam, tol=config.tol,
-                                     max_iters=config.max_iters, loo_holdout=holdout)
-        scores = clf.predict_feature_lr(model, motion, ds, ctx, loo_holdout=holdout)
+        table = table if table is not None else FeatureTable(ds, ctx)
+        if loo:
+            values, labels, rows = table.fold(motion.id)
+        else:
+            values, labels, rows = table.values, table.labels, motion_features(motion, ds, ctx)
+        model = clf.train_feature_lr(values, labels, lam=config.lam, tol=config.tol,
+                                     max_iters=config.max_iters)
+        scores = clf.predict_feature_lr(model, rows, ds.copa_ids)
     else:
         raise ValueError(f"unknown method {method!r}")
     return np.array([matrix_entry(scores[cid], cid) for cid in ds.copa_ids])

@@ -77,8 +77,29 @@ def copa_text_sets(copa: CoPA, ds: Dataset, loo_holdout: str | None = None) -> C
     return CopaTextSets(c_m=copa.manual_titles, c_t=frozenset(c_t))
 
 
-def _ratio(num: int, den: int) -> float:
-    return num / den if den else 0.0
+#: positions of the six similarity features that read c_t, in the order
+#: ``_similarities`` of m_t and then of m_w returns them
+_CT_FEATURES = np.array(
+    [FEATURE_NAMES.index(f"sim_{pair}_{kind}") for pair in ("mt_ct", "mw_ct")
+     for kind, _ in _KINDS]
+)
+#: positions of the four count features
+_COUNT_FEATURES = np.arange(N_FEATURES - 4, N_FEATURES)
+
+
+def count_ratios(n_all, n_action, n_copa, n_inter) -> np.ndarray:
+    """The four count features from the sizes |M_*|, |M_a|, |M_c| and
+    |M_a ∩ M_c|; a ratio with a zero denominator is 0.  The sizes are
+    integers or integer arrays that broadcast; the ratios stack on a new
+    last axis."""
+    n_all, n_action, n_copa, n_inter = np.broadcast_arrays(n_all, n_action, n_copa, n_inter)
+    num = np.stack([n_action, n_inter, n_inter, n_inter], axis=-1)
+    den = np.stack([n_all, n_action + n_copa - n_inter, n_action, n_copa], axis=-1)
+    return np.divide(num, den, out=np.zeros(num.shape), where=den != 0)
+
+
+def _similarities(side_a, side_b, ctx: SimilarityContext) -> list[float]:
+    return [set_similarity(kind, side_a, side_b, ctx) for _, kind in _KINDS]
 
 
 def compute_features(
@@ -106,9 +127,7 @@ def compute_features(
     }
     values = []
     for pair in _PAIRS:
-        side_a, side_b = text_pairs[pair]
-        for _, kind in _KINDS:
-            values.append(set_similarity(kind, side_a, side_b, ctx))
+        values.extend(_similarities(*text_pairs[pair], ctx))
 
     if ctx.tfidf is not None:
         values.append(avg_idf_in_article(c_sets.c_m, motion.topic, ctx.wiki, ctx.tfidf))
@@ -119,13 +138,86 @@ def compute_features(
     m_all = {m.id for m in universe}
     m_a = {m.id for m in universe if m.action == motion.action}
     m_c = copa.motion_ids & m_all
-    inter = len(m_a & m_c)
-    values.append(_ratio(len(m_a), len(m_all)))
-    values.append(_ratio(inter, len(m_a | m_c)))
-    values.append(_ratio(inter, len(m_a)))
-    values.append(_ratio(inter, len(m_c)))
+    values.extend(count_ratios(len(m_all), len(m_a), len(m_c), len(m_a & m_c)))
 
     return np.array(values, dtype=float)
+
+
+def motion_features(motion: Motion, ds: Dataset, ctx: SimilarityContext) -> np.ndarray:
+    """(CoPAs x features) array: ``compute_features`` of the motion against
+    every CoPA of ``ds`` in order, with no holdout."""
+    rows = [compute_features(motion, c, ds, ctx) for c in ds.copas]
+    return np.array(rows, dtype=float).reshape(len(ds.copas), N_FEATURES)
+
+
+class FeatureTable:
+    """``compute_features`` of every (motion, CoPA) pair of a dataset,
+    built once, from which each leave-one-out fold is derived.
+
+    Holding out motion h changes only two things.  The c_t of a CoPA
+    loses h's topic (and h), which matters only to the *affected* CoPAs:
+    those with a member whose topic is h's.  The count universes lose h.
+    So a fold recomputes the six c_t features of the affected CoPAs with
+    the same ``set_similarity`` calls over the same sets, and the four
+    count features from integer size tables minus h; everything else is
+    reused.  ``fold_values(h)`` therefore equals ``compute_features(...,
+    loo_holdout=h)`` for every pair, bit for bit.
+    """
+
+    def __init__(self, ds: Dataset, ctx: SimilarityContext):
+        self._ds = ds
+        self._ctx = ctx
+        self.values = np.array([motion_features(m, ds, ctx) for m in ds.motions]).reshape(
+            len(ds.motions), len(ds.copas), N_FEATURES
+        )
+        self.labels = np.array(
+            [[(m.id, c.id) in ds.labels for c in ds.copas] for m in ds.motions], dtype=float
+        ).reshape(len(ds.motions), len(ds.copas))
+        self._rows = {m.id: i for i, m in enumerate(ds.motions)}
+        self._motion_sets = [motion_text_sets(m, ds.actions, ctx) for m in ds.motions]
+        self._copa_topics = [{ds.motion(mid).topic for mid in c.motion_ids} for c in ds.copas]
+        actions = sorted({m.action for m in ds.motions})
+        action_col = {a: k for k, a in enumerate(actions)}
+        self._action = np.array([action_col[m.action] for m in ds.motions], dtype=np.int64)
+        self._member = self.labels.astype(bool)
+        self._copa_size = self._member.sum(axis=0)
+        self._action_size = np.bincount(self._action, minlength=len(actions))
+        # members of each CoPA per action: (CoPAs x actions)
+        one_hot = np.eye(len(actions), dtype=np.int64)[self._action]
+        self._copa_action_size = self._member.T.astype(np.int64) @ one_hot
+
+    def fold_values(self, holdout: str) -> np.ndarray:
+        """(motions x CoPAs x features) array of the fold without
+        ``holdout``: every row, the held-out motion's own included, as
+        ``compute_features(m, c, ds, ctx, loo_holdout=holdout)``."""
+        h = self._rows[holdout]
+        values = self.values.copy()
+        topic = self._ds.motions[h].topic
+        for j, copa in enumerate(self._ds.copas):
+            if topic in self._copa_topics[j]:
+                c_t = copa_text_sets(copa, self._ds, holdout).c_t
+                for i, m_sets in enumerate(self._motion_sets):
+                    sims = _similarities(m_sets.m_t, c_t, self._ctx)
+                    sims += _similarities(m_sets.m_w, c_t, self._ctx)
+                    values[i, j, _CT_FEATURES] = sims
+        same_action = self._action == self._action[h]
+        in_copa = self._member[h]
+        n_action = self._action_size[self._action] - same_action
+        n_copa = self._copa_size - in_copa
+        n_inter = self._copa_action_size.T[self._action] - np.outer(same_action, in_copa)
+        values[..., _COUNT_FEATURES] = count_ratios(
+            len(self._ds.motions) - 1, n_action[:, None], n_copa[None, :], n_inter
+        )
+        return values
+
+    def fold(self, holdout: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The leave-one-out fold without ``holdout``: the values and
+        labels of every other motion (the training rows), and the
+        held-out motion's own (CoPAs x features) rows."""
+        h = self._rows[holdout]
+        values = self.fold_values(holdout)
+        keep = np.arange(len(values)) != h
+        return values[keep], self.labels[keep], values[h]
 
 
 def feature_dict(vector: np.ndarray) -> dict[str, float]:

@@ -82,7 +82,7 @@ class EmbeddingStore:
                         continue
                 word, values = parts[0], parts[1:]
                 try:
-                    vec = np.array([float(v) for v in values], dtype=float)
+                    vec = np.array(values, dtype=float)
                 except ValueError:
                     raise DomainError(f"{path}:{lineno}: non-numeric vector component") from None
                 if dimension is None:
@@ -214,30 +214,43 @@ class WikiCorpus:
 
     @classmethod
     def from_file(cls, path) -> "WikiCorpus":
-        """Read the JSON corpus; malformed JSON or a link count that is not
-        a non-negative integer raises DomainError."""
+        """Read the JSON corpus; malformed JSON, a record that is not an
+        object or a link count that is not a non-negative integer raises
+        DomainError."""
         with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DomainError(f"{path}: not valid JSON ({exc})") from None
-        if not isinstance(doc, dict):
-            raise DomainError(f"{path}: top level must be an object")
-        articles = {}
-        for topic, rec in doc.get("articles", {}).items():
-            articles[_norm(topic)] = ArticleRecord(
-                link_counts={_norm(t): c for t, c in rec.get("link_counts", {}).items()},
-                body_terms=frozenset(_norm(t) for t in rec.get("body_terms", [])),
-            )
-        background = doc.get("background", {})
         try:
+            doc = _json_object(doc, "top level")
+            articles = {}
+            for topic, rec in _json_object(doc.get("articles", {}), "'articles'").items():
+                rec = _json_object(rec, f"article {topic!r}")
+                link_counts = _json_object(
+                    rec.get("link_counts", {}), f"article {topic!r}: 'link_counts'"
+                )
+                articles[_norm(topic)] = ArticleRecord(
+                    link_counts={_norm(t): c for t, c in link_counts.items()},
+                    body_terms=frozenset(_norm(t) for t in rec.get("body_terms", [])),
+                )
+            background = _json_object(doc.get("background", {}), "'background'")
+            link_counts = _json_object(
+                background.get("link_counts", {}), "background 'link_counts'"
+            )
             return cls(
                 articles,
-                {_norm(t): c for t, c in background.get("link_counts", {}).items()},
+                {_norm(t): c for t, c in link_counts.items()},
                 background.get("total_links", 0),
             )
         except DomainError as exc:
             raise DomainError(f"{path}: {exc}") from None
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise DomainError(f"{what} must be an object")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +302,34 @@ class SimilarityContext:
     """The stores a similarity computation may need.  Any of them may be
     None; similarities whose store is missing come back Absent.
 
-    Term similarities and related titles are memoized per context (they
-    are pure in the stores, and evaluation recomputes the same values
-    constantly)."""
+    Term vectors, term similarities and related titles are memoized per
+    context (they are pure in the stores, and evaluation recomputes the
+    same values constantly); each memo is bounded by the distinct terms or
+    term pairs seen."""
 
     embeddings: EmbeddingStore | None = None
     alt_embeddings: EmbeddingStore | None = None
     tfidf: TfIdfModel | None = None
     wiki: WikiCorpus | None = None
     _term_cache: dict = field(default_factory=dict, repr=False)
+    _vector_cache: dict = field(default_factory=dict, repr=False)
     _title_cache: dict = field(default_factory=dict, repr=False)
+
+    def term_vector(self, kind: SimilarityKind, term: str):
+        """The term's representation under ``kind``: its unit embedding
+        from that kind's store, or its tf-idf vector; None when the store
+        is missing or the term is unrepresentable."""
+        key = (kind, term)
+        if key not in self._vector_cache:
+            if kind is SimilarityKind.TFIDF:
+                vector = _tfidf_vector(term, self)
+            elif kind in (SimilarityKind.EMBEDDING, SimilarityKind.EMBEDDING_ALT):
+                store = self.embeddings if kind is SimilarityKind.EMBEDDING else self.alt_embeddings
+                vector = None if store is None else embed_term(store, term)
+            else:
+                raise DomainError(f"unknown similarity kind {kind!r}")
+            self._vector_cache[key] = vector
+        return self._vector_cache[key]
 
     def related_titles(self, topic: str) -> tuple[str, ...]:
         """The topic's (at most) RELATED_TITLE_CAP enriched titles; empty
@@ -353,23 +384,14 @@ def term_similarity(kind: SimilarityKind, a: str, b: str, ctx: SimilarityContext
 
 
 def _term_similarity(kind: SimilarityKind, a: str, b: str, ctx: SimilarityContext) -> float | None:
-    if kind in (SimilarityKind.EMBEDDING, SimilarityKind.EMBEDDING_ALT):
-        store = ctx.embeddings if kind is SimilarityKind.EMBEDDING else ctx.alt_embeddings
-        if store is None:
-            return None
-        va = embed_term(store, a)
-        vb = embed_term(store, b)
-        if va is None or vb is None:
-            return None
-        cos = float(np.clip(np.dot(va, vb), -1.0, 1.0))
-        return (cos + 1.0) / 2.0
+    va = ctx.term_vector(kind, a)
+    vb = ctx.term_vector(kind, b)
+    if va is None or vb is None:
+        return None
     if kind is SimilarityKind.TFIDF:
-        va = _tfidf_vector(a, ctx)
-        vb = _tfidf_vector(b, ctx)
-        if va is None or vb is None:
-            return None
         return min(1.0, max(0.0, _dict_cosine(va, vb)))
-    raise DomainError(f"unknown similarity kind {kind!r}")
+    cos = float(np.clip(np.dot(va, vb), -1.0, 1.0))
+    return (cos + 1.0) / 2.0
 
 
 def set_similarity(kind: SimilarityKind, terms_a, terms_b, ctx: SimilarityContext) -> float:

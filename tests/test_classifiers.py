@@ -1,4 +1,6 @@
+import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from copa.classifiers import (
     DimensionMismatch,
     LogRegModel,
     NBClassifier,
+    NBModel,
     TopicSentenceCorpus,
     W2VClassifier,
     _logreg_gradient,
@@ -25,11 +28,13 @@ from copa.classifiers import (
     predict_w2v,
     save_model,
     sigmoid,
+    tokenize,
     train_ba,
     train_feature_lr,
     train_nb,
     train_w2v_lr,
 )
+from copa.features import FeatureTable, motion_features
 from copa.kb import Motion
 from copa.textsim import DomainError, EmbeddingStore, SimilarityContext
 from helpers import (
@@ -270,6 +275,45 @@ class TestLogregFit:
         w2, b2 = logreg_fit(X, y)
         assert np.array_equal(w1, w2) and b1 == b2
 
+    def test_reports_when_max_iters_stops_it(self):
+        rng = np.random.default_rng(75)
+        X = rng.normal(size=(20, 3))
+        y = (rng.random(20) < 0.5).astype(float)
+        steps = []
+        fit = logreg_fit(X, y, max_iters=1, on_step=lambda i, v: steps.append(i))
+        assert fit.n_iters == len(steps) == 1
+        assert fit.converged is False
+        assert fit.grad_norm >= 1e-6
+        w, b = fit
+        grad_w, grad_b = _logreg_gradient(X, y, w, b, 1e-3)
+        assert fit.grad_norm == math.sqrt(float(grad_w @ grad_w) + grad_b * grad_b)
+
+    def test_reports_convergence(self):
+        X = np.array([[1.0], [-1.0], [2.0], [-2.0]])
+        y = np.array([1.0, 0.0, 1.0, 0.0])
+        fit = logreg_fit(X, y, lam=1.0, tol=1e-6, max_iters=10000)
+        assert fit.converged is True
+        assert 0 < fit.n_iters < 10000
+        assert fit.grad_norm < 1e-6
+        # the diagnostics do not change the (weights, bias) the fit returns
+        assert len(fit) == 2 and isinstance(fit[1], float)
+
+    def test_model_records_fit_and_reads_older_files(self, tmp_path):
+        ds = _action_separable_ds()
+        model = train_feature_lr(*_table_rows(ds, SimilarityContext()), max_iters=3)
+        assert (model.n_iters, model.converged) == (3, False)
+        save_model(model, tmp_path / "lr.json")
+        doc = json.loads((tmp_path / "lr.json").read_text())
+        assert doc["fit"] == {"n_iters": 3, "converged": False, "grad_norm": model.grad_norm}
+        loaded = load_model(tmp_path / "lr.json")
+        assert (loaded.n_iters, loaded.converged, loaded.grad_norm) == (
+            3, False, model.grad_norm
+        )
+        del doc["fit"]
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        old = load_model(tmp_path / "old.json")
+        assert (old.n_iters, old.converged, old.grad_norm) == (None, None, None)
+
 
 # ---------------------------------------------------------------------------
 # W2V
@@ -379,6 +423,32 @@ class TestSentenceFile:
             TopicSentenceCorpus.from_jsonl(path)
 
 
+def _nb_reference(ds, corpus, copa, alpha):
+    """One CoPA's model, tokenizing every sentence for this CoPA alone."""
+    pos, neg = Counter(), Counter()
+    n_pos = n_neg = 0
+    for m in ds.motions:
+        sents = corpus.get(m.topic)
+        counts, member = (pos, True) if m.id in copa.motion_ids else (neg, False)
+        for sentence in sents:
+            counts.update(tokenize(sentence))
+        if member:
+            n_pos += len(sents)
+        else:
+            n_neg += len(sents)
+    vocab = sorted(set(pos) | set(neg))
+    d_pos = sum(pos.values()) + alpha * len(vocab)
+    d_neg = sum(neg.values()) + alpha * len(vocab)
+    n = n_pos + n_neg
+    return NBModel(
+        alpha=alpha,
+        log_prior_pos=math.log(n_pos / n) if n and n_pos else -math.inf,
+        log_prior_neg=math.log(n_neg / n) if n and n_neg else -math.inf,
+        log_prob_pos={w: math.log((pos[w] + alpha) / d_pos) for w in vocab},
+        log_prob_neg={w: math.log((neg[w] + alpha) / d_neg) for w in vocab},
+    )
+
+
 class TestNB:
     def test_symmetric_corpus_gives_half(self):
         ds = build_dataset(
@@ -454,6 +524,20 @@ class TestNB:
         model = clf.per_copa["c"]
         assert model.sentence_posterior("zebra") == pytest.approx(0.5, abs=1e-12)
 
+    def test_matches_per_copa_tokenizing_reference(self):
+        rng = np.random.default_rng(76)
+        words = ["x", "y", "z", "w", "v"]
+        for _ in range(20):
+            ds = random_dataset(rng, max_motions=10, max_copas=4, distinct_topics=False)
+            corpus = TopicSentenceCorpus({
+                m.topic: [" ".join(rng.choice(words, size=int(rng.integers(1, 5))))
+                          for _ in range(int(rng.integers(0, 3)))]
+                for m in ds.motions
+            })
+            got = train_nb(ds, corpus, alpha=0.5)
+            for c in ds.copas:
+                assert got.per_copa[c.id] == _nb_reference(ds, corpus, c, alpha=0.5)
+
     def test_round_trip(self, tmp_path):
         ds, corpus = _nb_fixture()
         clf = train_nb(ds, corpus)
@@ -476,21 +560,27 @@ def _action_separable_ds():
     return build_dataset(motions, [("c1", "one"), ("c2", "two")], labels)
 
 
+def _table_rows(ds, ctx):
+    table = FeatureTable(ds, ctx)
+    return table.values, table.labels
+
+
 class TestFeatureLR:
     def test_zero_weights_score_sigmoid_bias(self):
         ds = _action_separable_ds()
         model = LogRegModel(weights=np.zeros(17), bias=-0.3)
-        scores = predict_feature_lr(model, ds.motions[0], ds, SimilarityContext())
+        rows = motion_features(ds.motions[0], ds, SimilarityContext())
+        scores = predict_feature_lr(model, rows, ds.copa_ids)
         for s in scores.values():
             assert s == pytest.approx(sigmoid(-0.3), abs=1e-15)
 
     def test_separable_by_count_feature_ranks_perfectly(self):
         ds = _action_separable_ds()
         ctx = SimilarityContext()
-        model = train_feature_lr(ds, ctx, max_iters=3000)
+        model = train_feature_lr(*_table_rows(ds, ctx), max_iters=3000)
         positive, negative = [], []
         for m in ds.motions:
-            scores = predict_feature_lr(model, m, ds, ctx)
+            scores = predict_feature_lr(model, motion_features(m, ds, ctx), ds.copa_ids)
             for cid, s in scores.items():
                 (positive if (m.id, cid) in ds.labels else negative).append(s)
         assert min(positive) > max(negative)  # AUC 1.0 on train
@@ -498,24 +588,27 @@ class TestFeatureLR:
     def test_constant_feature_weight_stays_zero(self):
         ds = _action_separable_ds()
         ctx = SimilarityContext()  # similarity features all constant zero
-        model = train_feature_lr(ds, ctx, max_iters=500)
+        model = train_feature_lr(*_table_rows(ds, ctx), max_iters=500)
         assert np.all(model.weights[:13] == 0.0)
         assert model.feature_ordering.startswith("sim_mt_cm_embed,")
 
     def test_never_abstains(self):
         ds = _action_separable_ds()
-        model = train_feature_lr(ds, SimilarityContext(), max_iters=200)
-        scores = predict_feature_lr(model, Motion("q", "promote", "nothing"), ds, SimilarityContext())
+        model = train_feature_lr(*_table_rows(ds, SimilarityContext()), max_iters=200)
+        rows = motion_features(Motion("q", "promote", "nothing"), ds, SimilarityContext())
+        scores = predict_feature_lr(model, rows, ds.copa_ids)
         assert all(s is not None for s in scores.values())
 
     def test_round_trip(self, tmp_path):
         ds = _action_separable_ds()
         ctx = SimilarityContext()
-        model = train_feature_lr(ds, ctx, max_iters=500)
+        model = train_feature_lr(*_table_rows(ds, ctx), max_iters=500)
         save_model(model, tmp_path / "lr.json")
         loaded = load_model(tmp_path / "lr.json")
-        q = ds.motions[0]
-        assert predict_feature_lr(loaded, q, ds, ctx) == predict_feature_lr(model, q, ds, ctx)
+        rows = motion_features(ds.motions[0], ds, ctx)
+        assert predict_feature_lr(loaded, rows, ds.copa_ids) == predict_feature_lr(
+            model, rows, ds.copa_ids
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,38 @@ class TestExitCodes:
                 assert result.exit_code == 4, (key, args, result.output)
                 assert str(path) in result.output
 
+    def test_wiki_record_not_an_object_is_io_error(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        bad_wiki = tmp_path / "wiki.json"
+        bad_wiki.write_text(json.dumps({"articles": {"nato": []}}))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            **json.loads((ROOT / "data" / "config.json").read_text()), "wiki_corpus": str(bad_wiki)
+        }))
+        result = runner.invoke(main, ["--config", str(cfg), "match", "disband", "NATO"])
+        assert result.exit_code == 4, result.output
+        assert str(bad_wiki) in result.output
+        assert "Traceback" not in result.output
+
+    def test_stores_no_method_reads_are_not_loaded(self, runner, workspace, tmp_path):
+        broken = tmp_path / "broken.txt"
+        broken.write_text("{oops")
+        base = json.loads((workspace / "config.json").read_text())
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            **base, "alt_embeddings": str(broken), "wiki_corpus": str(broken),
+            "methods": ["ba", "knn", "w2v", "nb"],
+        }))
+        result = runner.invoke(main, ["--config", str(cfg), "eval", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["--config", str(cfg), "match", "ban", "t0"])
+        assert result.exit_code == 0, result.output
+        # lr and the features command read every store
+        for args in (["match", "ban", "t0", "--method", "lr"], ["features"]):
+            result = runner.invoke(main, ["--config", str(cfg), *args])
+            assert result.exit_code == 4, (args, result.output)
+            assert str(broken) in result.output
+
     def test_fold_error_names_held_out_motion(self, runner, workspace, tmp_path, monkeypatch):
         def broken(ds, k=5):
             raise RuntimeError("trainer failed")

@@ -5,14 +5,21 @@ from copa.features import (
     FEATURE_NAMES,
     FEATURE_ORDERING,
     EmptyTrainingSet,
+    FeatureTable,
     compute_features,
     copa_text_sets,
     feature_dict,
     motion_text_sets,
     standardize,
 )
-from copa.kb import Motion
-from copa.textsim import ArticleRecord, SimilarityContext, WikiCorpus
+from copa.kb import Motion, load_dataset
+from copa.textsim import (
+    ArticleRecord,
+    EmbeddingStore,
+    SimilarityContext,
+    TfIdfModel,
+    WikiCorpus,
+)
 from helpers import build_dataset, random_dataset, random_embeddings, topic_words
 from oracles import count_features
 
@@ -211,3 +218,97 @@ class TestStandardizer:
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
             standardize([])
+
+
+# ---------------------------------------------------------------------------
+# The feature table and its leave-one-out folds
+# ---------------------------------------------------------------------------
+
+
+def _reference(ds, ctx, holdout=None):
+    """compute_features of every pair, motion-major: the table's reference."""
+    return np.array(
+        [[compute_features(m, c, ds, ctx, loo_holdout=holdout) for c in ds.copas]
+         for m in ds.motions]
+    ).reshape(len(ds.motions), len(ds.copas), len(FEATURE_NAMES))
+
+
+def _assert_table_exact(ds, ctx):
+    table = FeatureTable(ds, ctx)
+    assert np.array_equal(table.values, _reference(ds, ctx))
+    for h, held in enumerate(ds.motions):
+        expected = _reference(ds, ctx, holdout=held.id)
+        assert np.array_equal(table.fold_values(held.id), expected), held.id
+        values, labels, rows = table.fold(held.id)
+        keep = [i for i in range(len(ds.motions)) if i != h]
+        assert np.array_equal(values, expected[keep])
+        assert np.array_equal(labels, table.labels[keep])
+        assert np.array_equal(rows, expected[h])
+
+
+def _full_context(ds, rng):
+    words = topic_words(ds) | {"freedom", "health", "money"}
+    articles = {
+        m.topic: ArticleRecord(
+            {"freedom": 3, "health": 1, f"{m.topic} law": 2}, frozenset({"freedom", m.topic})
+        )
+        for m in ds.motions[::2]
+    }
+    wiki = WikiCorpus(articles, {"freedom": 5, "health": 2}, 40)
+    return SimilarityContext(
+        embeddings=random_embeddings(rng, words),
+        alt_embeddings=random_embeddings(rng, words, dim=5),
+        tfidf=TfIdfModel.from_wiki_corpus(wiki),
+        wiki=wiki,
+    )
+
+
+class TestFeatureTable:
+    def test_folds_equal_compute_features_on_sample_data(self, data_dir):
+        ds = load_dataset(data_dir / "sample_dataset.json")
+        wiki = WikiCorpus.from_file(data_dir / "wiki_corpus.json")
+        ctx = SimilarityContext(
+            embeddings=EmbeddingStore.from_file(data_dir / "toy_embeddings.txt"),
+            alt_embeddings=EmbeddingStore.from_file(data_dir / "toy_embeddings_alt.txt"),
+            tfidf=TfIdfModel.from_wiki_corpus(wiki),
+            wiki=wiki,
+        )
+        _assert_table_exact(ds, ctx)
+
+    def test_shared_topic_and_only_member(self):
+        # x shares h's topic without sharing its CoPAs (c3), and h is c2's
+        # only member: both CoPAs change c_t when h is held out
+        ds = build_dataset(
+            motions=[
+                ("h", "ban", "smoking"),
+                ("x", "subsidize", "smoking"),
+                ("y", "ban", "alcohol"),
+                ("z", "legalize", "gambling"),
+            ],
+            copas=[
+                ("c1", "one", True, ("health", "freedom")),
+                ("c2", "two", True, ("money",)),
+                ("c3", "three", False, ()),
+            ],
+            labels=[("h", "c1"), ("y", "c1"), ("h", "c2"), ("x", "c3"), ("z", "c3")],
+        )
+        ctx = _full_context(ds, np.random.default_rng(51))
+        table = FeatureTable(ds, ctx)
+        changed = table.fold_values("h") != table.values
+        ct = [IDX[name] for name in FEATURE_NAMES if "_ct_" in name]
+        assert changed[:, :, ct].any(axis=(0, 2)).tolist() == [True, True, True]
+        _assert_table_exact(ds, ctx)
+
+    def test_random_datasets_with_shared_topics(self):
+        rng = np.random.default_rng(52)
+        for _ in range(15):
+            ds = random_dataset(rng, max_motions=12, max_copas=4, distinct_topics=False)
+            _assert_table_exact(ds, _full_context(ds, rng))
+
+    def test_labels_follow_the_dataset(self):
+        ds = _toy_ds()
+        table = FeatureTable(ds, EMPTY_CTX)
+        assert table.labels.shape == (10, 1)
+        assert [mid for mid, row in zip(ds.motion_ids, table.labels) if row[0] == 1.0] == [
+            "m0", "m1", "m4", "m5", "m6"
+        ]

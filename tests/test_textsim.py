@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,15 @@ from copa.textsim import (
     topic_related_titles,
 )
 from oracles import hypergeom_tail_by_draws, hypergeom_tail_exact, set_similarity_mean
+
+
+def _load_bench_generator():
+    """The benchmark's workload generator, imported from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("bench_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture()
@@ -97,6 +108,47 @@ class TestEmbeddingFile:
                 EmbeddingStore.from_file(path)
         with pytest.raises(DomainError):
             EmbeddingStore({"a": [1.0, math.nan]}, 2)
+
+    @staticmethod
+    def _per_token_parse(path):
+        """The loader's earlier parse: float() on each token."""
+        table = {}
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.split() for line in fh if line.split()]
+        if len(lines[0]) == 2 and all(t.lstrip("-").isdigit() for t in lines[0]):
+            lines = lines[1:]
+        for parts in lines:
+            table[parts[0].strip().lower()] = np.array([float(v) for v in parts[1:]], dtype=float)
+        return table
+
+    def _assert_parse_unchanged(self, path):
+        store = EmbeddingStore.from_file(path)
+        reference = self._per_token_parse(path)
+        assert len(store) == len(reference)
+        for word, vec in reference.items():
+            assert np.array_equal(store.get(word), vec), word
+
+    def test_parse_equals_per_token_floats_on_bundled_data(self, data_dir):
+        for name in ("toy_embeddings.txt", "toy_embeddings_alt.txt"):
+            self._assert_parse_unchanged(data_dir / name)
+
+    def test_parse_equals_per_token_floats_on_generated_workload(self, tmp_path):
+        generate = _load_bench_generator()
+        generate.write_workload(str(tmp_path), seed=3, n_motions=28, n_copas=37)
+        for name in ("embeddings.txt", "embeddings_alt.txt"):
+            self._assert_parse_unchanged(tmp_path / name)
+
+    def test_unusual_number_spellings_parse_like_float(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("foo 1_0 +3 1e-3 -0.0\nbar .5 7. -2E2 0\n")
+        self._assert_parse_unchanged(path)
+
+    def test_non_numeric_token_names_the_line(self, tmp_path):
+        for bad in ("abc", "0x10", "1,5"):
+            path = tmp_path / "emb.txt"
+            path.write_text(f"foo 1 2\nbar 3 {bad}\n")
+            with pytest.raises(DomainError, match=r"emb.txt:2: non-numeric"):
+                EmbeddingStore.from_file(path)
 
     def test_accepts_plain_lists(self):
         s = EmbeddingStore({"a": [1.0, 0.0], "b": [0.0, 2.0]}, 2)
@@ -288,6 +340,21 @@ class TestWikiFile:
         path = tmp_path / "wiki.json"
         path.write_text('{"articles": {')
         with pytest.raises(DomainError):
+            WikiCorpus.from_file(path)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"articles": ["nato"]}, "'articles' must be an object"),
+            ({"articles": {"nato": []}}, "article 'nato' must be an object"),
+            ({"articles": {"nato": {"link_counts": [["a", 1]]}}}, "article 'nato': 'link_counts'"),
+            ({"articles": {}, "background": 7}, "'background' must be an object"),
+        ],
+    )
+    def test_non_object_records_rejected(self, tmp_path, doc, message):
+        path = tmp_path / "wiki.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match=f"wiki.json: {message}"):
             WikiCorpus.from_file(path)
 
 
