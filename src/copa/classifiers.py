@@ -24,7 +24,7 @@ import numpy as np
 
 from .features import FEATURE_ORDERING, N_FEATURES, Standardizer, standardize
 from .kb import Dataset, Motion
-from .textsim import DomainError, SimilarityContext, SimilarityKind, embed_term, term_similarity
+from .textsim import DomainError, SimilarityContext, SimilarityKind, term_similarity
 
 Score = float | None
 
@@ -251,10 +251,16 @@ class LogRegModel:
         hp = doc.get("hyperparameters", {})
         fit = doc.get("fit", {})
         std = doc.get("standardizer")
+        weights = np.array(doc["weights"], dtype=float)
+        bias = float(doc["bias"])
+        standardizer = None if std is None else Standardizer.from_dict(std)
+        fitted = [weights] if std is None else [weights, standardizer.mean, standardizer.scale]
+        if len({len(a) for a in fitted}) > 1:
+            raise DomainError("the weights and the standardizer differ in length")
+        if not (math.isfinite(bias) and all(np.isfinite(a).all() for a in fitted)):
+            raise DomainError("a weight, the bias or a standardizer value is not finite")
         return cls(
-            weights=np.array(doc["weights"], dtype=float),
-            bias=float(doc["bias"]),
-            standardizer=None if std is None else Standardizer.from_dict(std),
+            weights=weights, bias=bias, standardizer=standardizer,
             lam=hp.get("lam", 1e-3),
             tol=hp.get("tol", 1e-6),
             max_iters=hp.get("max_iters", 10000),
@@ -456,7 +462,7 @@ def train_w2v_lr(
     rows = []
     row_motions = []
     for m in ds.motions:
-        vec = embed_term(ctx.embeddings, m.topic)
+        vec = ctx.term_vector(SimilarityKind.EMBEDDING, m.topic)
         if vec is not None:
             rows.append(vec)
             row_motions.append(m)
@@ -474,9 +480,7 @@ def train_w2v_lr(
 
 def predict_w2v(clf: W2VClassifier, motion: Motion, ctx: SimilarityContext) -> dict[str, Score]:
     copa_ids = sorted(clf.blacklist.actions_by_copa)
-    if ctx.embeddings is None:
-        return {cid: None for cid in copa_ids}
-    x = embed_term(ctx.embeddings, motion.topic)
+    x = ctx.term_vector(SimilarityKind.EMBEDDING, motion.topic)
     if x is None:
         return {cid: None for cid in copa_ids}
     scores: dict[str, Score] = {}
@@ -723,9 +727,19 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
+    """A model written by ``save_model``.  DomainError naming the file when
+    it is not a JSON object, or holds a non-finite or mis-sized weight."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise DomainError(f"{path}: a model file must hold a JSON object")
     method = doc.get("method")
     if method not in _MODEL_TYPES:
         raise ValueError(f"{path}: unknown model method tag {method!r}")
-    return _MODEL_TYPES[method].from_dict(doc)
+    try:
+        model = _MODEL_TYPES[method].from_dict(doc)
+        if method == "feature_lr" and len(model.weights) != N_FEATURES:
+            raise DomainError(f"{len(model.weights)} weights for {N_FEATURES} features")
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+    return model

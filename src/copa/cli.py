@@ -1,9 +1,12 @@
 """Command-line front door.
 
 Subcommands: ``stats``, ``match``, ``invent``, ``eval``, ``features``.
-Everything is driven by a JSON config file naming the dataset and the
-optional similarity stores; any config field can be overridden by a
-``COPA_``-prefixed environment variable, and flags override both.
+Everything is driven by a JSON config file.  Its keys are the fields of
+``AppConfig``: those of ``evaluation.EvalConfig`` (the methods and their
+hyperparameters), the five data paths and ``exclude_general``.  Any key
+can be overridden by a ``COPA_``-prefixed environment variable, and
+flags override both.  Each value is checked against its declared type
+and range when the config is loaded.
 
 Exit codes: 0 success, 2 configuration problem, 3 domain problem (e.g.
 unknown action), 4 I/O or data-file problem, or a leave-one-out fold
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ from . import classifiers as clfmod
 from . import evaluation as evalmod
 from . import kb
 from .classifiers import TopicSentenceCorpus
-from .evaluation import EvalConfig, default_threshold_grid
+from .evaluation import EvalConfig
 from .features import FEATURE_NAMES, motion_features
 from .textsim import (
     DomainError,
@@ -63,24 +67,16 @@ class CliDomainError(Exception):
 
 
 @dataclass
-class AppConfig:
+class AppConfig(EvalConfig):
+    """The config record: ``EvalConfig``'s methods and hyperparameters,
+    the five data paths and ``exclude_general``, all as flat keys."""
+
     dataset: str | None = None
     embeddings: str | None = None
     alt_embeddings: str | None = None
     sentence_corpus: str | None = None
     wiki_corpus: str | None = None
-    ba_k: int = 5
-    knn_threshold: float = 0.5
-    knn_min_neighbors: int = 3
-    knn_top: int = 5
-    nb_alpha: float = 1.0
-    l2_lambda: float = 1e-3
-    tol: float = 1e-6
-    max_iters: int = 10000
-    threshold_step: float = 0.01
-    topic_min_motions: int = 10
     exclude_general: bool = False
-    methods: tuple[str, ...] = evalmod.KNOWN_METHODS
 
     @classmethod
     def load(cls, path: str | None, env=None) -> "AppConfig":
@@ -93,13 +89,13 @@ class AppConfig:
                     doc = json.load(fh)
             except OSError as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long integer
                 raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ConfigError(f"config {path}: top level must be an object")
             values.update(doc)
 
-        fields = {f.name: f for f in dataclasses.fields(cls)}
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
         for name in fields:
             env_key = ENV_PREFIX + name.upper()
             if env_key in env:
@@ -109,60 +105,22 @@ class AppConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-        cfg = cls()
-        for name, value in values.items():
-            setattr(cfg, name, _coerce(name, value, fields[name].type))
-        cfg.validate()
-        return cfg
-
-    def validate(self):
-        checks = [
-            (self.ba_k >= 1, "ba_k must be >= 1"),
-            (0.0 <= self.knn_threshold <= 1.0, "knn_threshold must be in [0, 1]"),
-            (self.knn_min_neighbors >= 1, "knn_min_neighbors must be >= 1"),
-            (self.knn_top >= 1, "knn_top must be >= 1"),
-            (self.nb_alpha > 0, "nb_alpha must be positive"),
-            (self.l2_lambda >= 0, "l2_lambda must be non-negative"),
-            (self.tol > 0, "tol must be positive"),
-            (self.max_iters >= 1, "max_iters must be >= 1"),
-            (0.0 < self.threshold_step <= 1.0, "threshold_step must be in (0, 1]"),
-            (self.topic_min_motions >= 0, "topic_min_motions must be >= 0"),
-            (len(self.methods) > 0, "methods must not be empty"),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
-        for m in self.methods:
-            if m not in evalmod.KNOWN_METHODS:
-                raise ConfigError(f"unknown method {m!r} in config")
-
-    def eval_config(self) -> EvalConfig:
-        return EvalConfig(
-            methods=tuple(self.methods),
-            ba_k=self.ba_k,
-            knn_threshold=self.knn_threshold,
-            knn_min_neighbors=self.knn_min_neighbors,
-            knn_top=self.knn_top,
-            nb_alpha=self.nb_alpha,
-            lam=self.l2_lambda,
-            tol=self.tol,
-            max_iters=self.max_iters,
-            topic_min_motions=self.topic_min_motions,
-            thresholds=default_threshold_grid(self.threshold_step),
-        )
+        try:
+            return cls(**{name: _coerce(name, value, fields[name]) for name, value in values.items()})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _coerce(name: str, value, declared: str):
-    if value is None:
-        return None
-    if name == "methods":
+    """``value``, from the JSON file or (as a string) from the environment,
+    as the declared type of key ``name``; ConfigError naming the key when
+    it is not one."""
+    if declared == "tuple[str, ...]":
         if isinstance(value, str):
-            parts = [p.strip() for p in value.split(",") if p.strip()]
-            return tuple(parts)
-        if isinstance(value, (list, tuple)):
-            return tuple(str(v) for v in value)
-        raise ConfigError("methods must be a list or a comma-separated string")
-    if "bool" in declared:
+            value = [p.strip() for p in value.split(",") if p.strip()]
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return tuple(value)
+    elif declared == "bool":
         if isinstance(value, bool):
             return value
         text = str(value).strip().lower()
@@ -170,18 +128,24 @@ def _coerce(name: str, value, declared: str):
             return True
         if text in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"{name}: cannot parse boolean from {value!r}")
-    if "int" in declared:
+    elif declared in ("int", "float"):
+        kind = int if declared == "int" else float
         try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name}: cannot parse integer from {value!r}") from None
-    if "float" in declared:
+            number = kind(value) if isinstance(value, str) else value
+            finite = type(number) is int or type(number) is float and math.isfinite(number)
+            if finite and kind(number) == number:  # no bool, no rounding, no overflow
+                return kind(number)
+        except (ValueError, OverflowError):
+            pass
+    elif value is None:
+        return None
+    elif isinstance(value, str) and "\0" not in value:
         try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name}: cannot parse number from {value!r}") from None
-    return str(value)
+            os.fsencode(value)  # a lone surrogate cannot name a file
+            return value
+        except UnicodeEncodeError:
+            pass
+    raise ConfigError(f"{name}: expected {declared}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +274,10 @@ def match(ctx, action, topic, method, threshold):
         if action not in ds.actions:
             raise CliDomainError(f"unknown action {action!r}")
         query = kb.Motion(id="@query", action=action, topic=topic)
-        methods = tuple(cfg.methods) if method == "ensemble" else (method,)
+        methods = cfg.methods if method == "ensemble" else (method,)
         ctx_sim = _build_context(cfg, methods)
         corpus = _load_corpus(cfg, methods)
-        config = cfg.eval_config()
-        rows = [evalmod.score_motion(name, ds, query, config, ctx_sim, corpus) for name in methods]
+        rows = [evalmod.score_motion(name, ds, query, cfg, ctx_sim, corpus) for name in methods]
         combined = clfmod.ensemble(
             [clfmod.ScoreMatrix(name, (query.id,), ds.copa_ids, row[None])
              for name, row in zip(methods, rows)]
@@ -374,17 +337,16 @@ def eval(ctx, out_dir):
         ds = _load_dataset(cfg)
         ctx_sim = _build_context(cfg, cfg.methods)
         corpus = _load_corpus(cfg, cfg.methods)
-        eval_cfg = cfg.eval_config()
-        matrices = evalmod.leave_one_out(ds, eval_cfg, ctx_sim, corpus)
+        matrices = evalmod.leave_one_out(ds, cfg, ctx_sim, corpus)
 
         os.makedirs(out_dir, exist_ok=True)
         curves = (
             ("pr", evalmod.pr_curve, ("threshold", "precision", "recall")),
             ("p_at_1", evalmod.p_at_1_curve, ("threshold", "coverage", "p_at_1")),
         )
-        for name in list(cfg.methods) + ["ensemble"]:
+        for name in cfg.methods + ("ensemble",):
             for prefix, curve, fields in curves:
-                points = curve(matrices[name], ds, cfg.exclude_general, eval_cfg.thresholds)
+                points = curve(matrices[name], ds, cfg.exclude_general, cfg.thresholds)
                 _write_csv(
                     os.path.join(out_dir, f"{prefix}_{name}.csv"),
                     ("method",) + fields,

@@ -15,7 +15,8 @@ feature LR scores every CoPA.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,38 +39,56 @@ class FoldError(Exception):
 
 
 def default_threshold_grid(step: float = 0.01) -> tuple[float, ...]:
-    if not (0.0 < step <= 1.0):
-        raise ValueError("threshold step must be in (0, 1]")
-    count = int(round(1.0 / step))
+    """0 to 1 in ``step`` steps; ``step`` must lie in [1e-6, 1] and divide 1."""
+    count = round(1.0 / step) if 1e-6 <= step <= 1.0 else 0
+    if count == 0 or not math.isclose(count * step, 1.0, rel_tol=1e-9):
+        raise ValueError(f"threshold_step must lie in [1e-6, 1] and divide 1, got {step!r}")
     return tuple(np.linspace(0.0, 1.0, count + 1))
 
 
 @dataclass
 class EvalConfig:
+    """The methods to run and every method hyperparameter.  Each field is
+    also a config key (``cli.AppConfig``) and is checked here, once."""
+
     methods: tuple[str, ...] = KNOWN_METHODS
     ba_k: int = 5
     knn_threshold: float = 0.5
     knn_min_neighbors: int = 3
     knn_top: int = 5
     nb_alpha: float = 1.0
-    lam: float = 1e-3
+    l2_lambda: float = 1e-3
     tol: float = 1e-6
     max_iters: int = 10000
+    threshold_step: float = 0.01
     topic_min_motions: int = 10
-    thresholds: tuple[float, ...] = field(default_factory=default_threshold_grid)
 
     def __post_init__(self):
-        if not self.methods:
-            raise ValueError("at least one method is required")
-        for m in self.methods:
-            if m not in KNOWN_METHODS:
-                raise ValueError(f"unknown method {m!r}")
-        grid = tuple(self.thresholds)
-        if not grid or any(t < 0.0 or t > 1.0 for t in grid):
-            raise ValueError("threshold grid must lie within [0, 1]")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("threshold grid must be strictly increasing")
-        self.thresholds = grid
+        unknown = [m for m in self.methods if m not in KNOWN_METHODS]
+        checks = [
+            (self.ba_k >= 1, "ba_k must be >= 1"),
+            (0.0 <= self.knn_threshold <= 1.0, "knn_threshold must be in [0, 1]"),
+            (self.knn_min_neighbors >= 1, "knn_min_neighbors must be >= 1"),
+            (self.knn_top >= 1, "knn_top must be >= 1"),
+            (self.nb_alpha > 0, "nb_alpha must be positive"),
+            (self.l2_lambda >= 0, "l2_lambda must be non-negative"),
+            (self.tol > 0, "tol must be positive"),
+            (self.max_iters >= 1, "max_iters must be >= 1"),
+            (self.topic_min_motions >= 0, "topic_min_motions must be >= 0"),
+            (len(self.methods) > 0, "methods must not be empty"),
+            (not unknown, f"unknown method {', '.join(map(repr, unknown))} in config"),
+            (len(set(self.methods)) == len(self.methods),
+             f"methods repeats a method: {', '.join(self.methods)}"),
+        ]
+        for ok, message in checks:
+            if not ok:
+                raise ValueError(message)
+        default_threshold_grid(self.threshold_step)  # raises on a bad step
+
+    @property
+    def thresholds(self) -> tuple[float, ...]:
+        """The curves' threshold grid, 0 to 1 in ``threshold_step`` steps."""
+        return default_threshold_grid(self.threshold_step)
 
 
 def topic_method_copas(ds: Dataset, min_motions: int = 10) -> frozenset[str]:
@@ -151,7 +170,7 @@ def score_motion(
             exclude_topic=motion.topic if loo else None,
         )
     elif method == "w2v":
-        model = clf.train_w2v_lr(train, ctx, lam=config.lam, tol=config.tol,
+        model = clf.train_w2v_lr(train, ctx, lam=config.l2_lambda, tol=config.tol,
                                  max_iters=config.max_iters)
         scores = clf.predict_w2v(model, motion, ctx)
     elif method == "nb":
@@ -163,7 +182,7 @@ def score_motion(
             values, labels, rows = table.fold(motion.id)
         else:
             values, labels, rows = table.values, table.labels, motion_features(motion, ds, ctx)
-        model = clf.train_feature_lr(values, labels, lam=config.lam, tol=config.tol,
+        model = clf.train_feature_lr(values, labels, lam=config.l2_lambda, tol=config.tol,
                                      max_iters=config.max_iters)
         scores = clf.predict_feature_lr(model, rows, ds.copa_ids)
     else:

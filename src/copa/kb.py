@@ -257,6 +257,8 @@ def dataset_from_dict(doc: dict, source: str = "<dict>") -> Dataset:
         name = _require(rec, "name", str, f"{source} copa {cid!r}")
         topic_related = _require(rec, "topic_related", bool, f"{source} copa {cid!r}")
         titles = _require(rec, "manual_titles", list, f"{source} copa {cid!r}")
+        if not all(isinstance(t, str) for t in titles):
+            raise ParseError(f"{source} copa {cid!r}: every manual title must be a string")
         claims_raw = _require(rec, "claims", list, f"{source} copa {cid!r}")
         claims = []
         for crec in claims_raw:
@@ -330,6 +332,8 @@ def dataset_from_dict(doc: dict, source: str = "<dict>") -> Dataset:
     if "general_copas" in doc:
         general = _require(doc, "general_copas", list, source)
         for cid in general:
+            if not isinstance(cid, str):
+                raise ParseError(f"{source}: general_copas entry {cid!r} is not a string")
             if cid not in copa_ids:
                 raise ValidationError(f"general_copas references unknown copa {cid!r}")
         general_ids = frozenset(general)
@@ -358,7 +362,7 @@ def load_dataset(path) -> Dataset:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long integer
             raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     return dataset_from_dict(doc, source=str(path))
 

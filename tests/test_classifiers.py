@@ -688,6 +688,54 @@ def test_load_model_rejects_unknown_tag(tmp_path):
         load_model(path)
 
 
+class TestLoadModelValidation:
+    """A model file that is not an object, holds a non-finite number or
+    has mismatched lengths raises DomainError naming the file."""
+
+    @staticmethod
+    def _lr_doc():
+        ds = _action_separable_ds()
+        return train_feature_lr(*_table_rows(ds, SimilarityContext()), max_iters=3).to_dict()
+
+    @staticmethod
+    def _assert_rejected(tmp_path, doc, match):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DomainError, match=match) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    def test_document_not_an_object(self, tmp_path):
+        for doc in ([1, 2], "feature_lr", None):
+            self._assert_rejected(tmp_path, doc, "JSON object")
+
+    def test_non_finite_values(self, tmp_path):
+        for bad in (math.nan, math.inf, -math.inf):
+            for edit in (
+                lambda d: d["weights"].__setitem__(0, bad),
+                lambda d: d.__setitem__("bias", bad),
+                lambda d: d["standardizer"]["mean"].__setitem__(3, bad),
+                lambda d: d["standardizer"]["scale"].__setitem__(16, bad),
+            ):
+                doc = self._lr_doc()
+                edit(doc)
+                self._assert_rejected(tmp_path, doc, "not finite")
+
+    def test_length_mismatches(self, tmp_path):
+        doc = self._lr_doc()
+        doc["weights"].pop()
+        self._assert_rejected(tmp_path, doc, "standardizer")
+        doc["standardizer"]["mean"].pop()
+        self._assert_rejected(tmp_path, doc, "standardizer")
+        doc["standardizer"]["scale"].pop()
+        self._assert_rejected(tmp_path, doc, "17 features")
+
+    def test_w2v_member_model_checked(self, tmp_path):
+        member = {**self._lr_doc(), "standardizer": None, "weights": [0.5, math.nan]}
+        doc = {"method": "w2v", "per_copa": {"c1": member}, "blacklist": {"c1": []}}
+        self._assert_rejected(tmp_path, doc, "not finite")
+
+
 def test_build_blacklist_exact_definition():
     ds = build_dataset(
         [("m0", "ban", "a"), ("m1", "legalize", "b"), ("m2", "subsidize", "c")],

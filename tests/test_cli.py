@@ -1,8 +1,11 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copa import classifiers as clfmod
 from copa.cli import AppConfig, ConfigError, main
@@ -184,6 +187,19 @@ class TestExitCodes:
                 result = runner.invoke(main, ["--config", str(cfg), *args])
                 assert result.exit_code == 4, (key, args, result.output)
                 assert str(path) in result.output
+
+    def test_non_string_dataset_entries_are_io_errors(self, runner, workspace, tmp_path):
+        doc = json.loads((workspace / "ds.json").read_text())
+        titles = {**doc, "copas": [{**doc["copas"][0], "manual_titles": [1, 2]}, doc["copas"][1]]}
+        general = {**doc, "general_copas": [["x"]]}
+        for command, bad_doc, message in (("features", titles, "manual title"),
+                                          ("stats", general, "general_copas")):
+            (tmp_path / "ds.json").write_text(json.dumps(bad_doc))
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"dataset": str(tmp_path / "ds.json")}))
+            result = runner.invoke(main, ["--config", str(cfg), command])
+            assert result.exit_code == 4, result.output
+            assert message in result.output
 
     def test_wiki_record_not_an_object_is_io_error(self, runner, tmp_path, monkeypatch):
         monkeypatch.chdir(ROOT)
@@ -406,3 +422,92 @@ class TestAppConfig:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             AppConfig.load(None, env={"COPA_METHODS": "ba,rnn"})
+
+
+class TestConfigTyping:
+    """Each config value is checked against its key's declared type and
+    range when the config loads; a bad one exits 2 naming the key."""
+
+    @pytest.mark.parametrize("key, raw", [
+        ("ba_k", "1e999"),
+        ("ba_k", "2.7"),
+        ("ba_k", "true"),
+        ("max_iters", "null"),
+        ("knn_top", "[3]"),
+        ("l2_lambda", "Infinity"),
+        ("tol", "NaN"),
+        ("nb_alpha", "true"),
+        ("knn_threshold", "-Infinity"),
+        ("dataset", "5"),
+        ("wiki_corpus", '"a\\u0000b"'),
+        ("embeddings", '"\\ud800"'),
+        ("methods", '["ba", "ba"]'),
+        ("methods", '["ba", 1]'),
+        ("threshold_step", "0.3"),
+        ("threshold_step", "1e-300"),
+    ])
+    def test_bad_value_exits_2_naming_the_key(self, runner, workspace, tmp_path, key, raw):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(f'{{"dataset": {json.dumps(str(workspace / "ds.json"))}, "{key}": {raw}}}')
+        result = runner.invoke(main, ["--config", str(cfg), "stats"])
+        assert result.exit_code == 2, result.output
+        assert key in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("env", [{"COPA_TOL": "nan"}, {"COPA_L2_LAMBDA": "inf"},
+                                     {"COPA_METHODS": "ba,nb,ba"}, {"COPA_BA_K": "2.7"}])
+    def test_bad_env_value_exits_2(self, runner, workspace, env):
+        result = runner.invoke(main, ["--config", str(workspace / "config_ba.json"), "stats"],
+                               env=env)
+        assert result.exit_code == 2, result.output
+        assert next(iter(env))[len("COPA_"):].lower() in result.output
+
+    def test_over_long_integer_exits_2(self, runner, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"ba_k": ' + "1" * 5000 + "}")
+        result = runner.invoke(main, ["--config", str(cfg), "stats"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_values_load_as_declared_types(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"ba_k": 3.0, "l2_lambda": 1, "dataset": null, "threshold_step": 0.25}')
+        loaded = AppConfig.load(str(cfg), env={"COPA_KNN_THRESHOLD": "0.25", "COPA_MAX_ITERS": "7"})
+        assert (loaded.ba_k, loaded.l2_lambda, loaded.knn_threshold, loaded.max_iters) == (
+            3, 1.0, 0.25, 7
+        )
+        assert type(loaded.ba_k) is int and type(loaded.l2_lambda) is float
+        assert loaded.dataset is None
+        assert loaded.thresholds == (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    def test_sample_config_loads_unchanged(self):
+        doc = json.loads((ROOT / "data" / "config.json").read_text())
+        loaded = AppConfig.load(str(ROOT / "data" / "config.json"), env={})
+        assert {key: getattr(loaded, key) for key in doc} == {**doc, "methods": tuple(doc["methods"])}
+
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(AppConfig)]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.floats() | st.text()
+    | st.sampled_from([0, 1, 2, 0.25, 1e999, -1e999, "ba,knn", "true", "0.5", "inf"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(doc=st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES, max_size=6),
+       real_dataset=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_any_json_config_loads_or_is_a_config_error(workspace, doc, real_dataset):
+    if real_dataset:
+        doc["dataset"] = str(workspace / "ds.json")
+    path = workspace / "fuzz_config.json"
+    path.write_text(json.dumps(doc))
+    try:
+        AppConfig.load(str(path), env={})
+    except ConfigError:
+        pass
+    result = CliRunner().invoke(main, ["--config", str(path), "stats"])
+    assert result.exit_code in (0, 2, 4), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)

@@ -382,11 +382,14 @@ class TestThresholdGrid:
             default_threshold_grid(1.5)
 
     def test_config_validates_grid(self):
-        with pytest.raises(ValueError):
-            EvalConfig(thresholds=(0.5, 0.4))
-        with pytest.raises(ValueError):
-            EvalConfig(thresholds=(0.1, 1.2))
+        assert EvalConfig(threshold_step=0.25).thresholds == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert EvalConfig().thresholds == default_threshold_grid()
+        for step in (0.0, 1.5, 0.3, 0.07, float("nan"), 1e-7, 5e-324):
+            with pytest.raises(ValueError, match="threshold_step"):
+                EvalConfig(threshold_step=step)
         with pytest.raises(ValueError):
             EvalConfig(methods=())
         with pytest.raises(ValueError):
             EvalConfig(methods=("nope",))
+        with pytest.raises(ValueError, match="repeats"):
+            EvalConfig(methods=("ba", "knn", "ba"))

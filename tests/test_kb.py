@@ -94,9 +94,10 @@ class TestLoadDataset:
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ParseError):
-            load_dataset(path)
+        for raw in (b"{not json", b'{"actions": \xff}', b'{"actions": ' + b"1" * 5000 + b"}"):
+            path.write_bytes(raw)
+            with pytest.raises(ParseError):
+                load_dataset(path)
 
     def test_missing_field_is_parse_error(self, tmp_path):
         doc = json.loads(json.dumps(TOY_DOC))
@@ -133,6 +134,18 @@ class TestLoadDataset:
         doc["general_copas"] = ["nope"]
         with pytest.raises(ValidationError, match="nope"):
             load_dataset(_write(tmp_path, doc))
+
+    def test_non_string_titles_and_general_ids(self, tmp_path):
+        for titles in ([1, 2], ["ok", None], [["x"]]):
+            doc = json.loads(json.dumps(TOY_DOC))
+            doc["copas"][1]["manual_titles"] = titles
+            with pytest.raises(ParseError, match="c2.*manual title"):
+                load_dataset(_write(tmp_path, doc))
+        for general in ([["x"]], [1], ["c1", {"id": "c2"}]):
+            doc = json.loads(json.dumps(TOY_DOC))
+            doc["general_copas"] = general
+            with pytest.raises(ParseError, match="general_copas"):
+                load_dataset(_write(tmp_path, doc))
 
     def test_stance_flag_round_trip(self, tmp_path):
         doc = json.loads(json.dumps(TOY_DOC))
