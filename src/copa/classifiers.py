@@ -24,7 +24,7 @@ import numpy as np
 
 from .features import FEATURE_ORDERING, N_FEATURES, Standardizer, standardize
 from .kb import Dataset, Motion
-from .textsim import DomainError, SimilarityContext, SimilarityKind, term_similarity
+from .textsim import DomainError, SimilarityContext, SimilarityKind, read_lines, term_similarity
 
 Score = float | None
 
@@ -153,11 +153,20 @@ def logreg_fit(
     max_iters: int = 10000,
     on_step=None,
 ) -> LogRegFit:
-    """Deterministic full-batch gradient descent with backtracking line
-    search from a zero start.  Stops when the gradient norm drops below
-    ``tol``, when no step descends at float precision, or after
-    ``max_iters`` steps.  Returns (weights, bias) as a ``LogRegFit``,
-    which also says whether the fit converged.
+    """Deterministic damped Newton from a zero start.
+
+    Each step solves ``H dir = -g`` on the (d+1)-dimensional system of
+    weights and bias (bias last), with ``H = Aᵀ diag(p(1-p)/n) A`` for
+    ``A = [X 1]`` plus ``lam`` on the weight diagonal, then backtracks
+    until ``f(θ + t·dir) <= f(θ) + 1e-4·t·gᵀdir`` (Armijo).  Where the
+    solve fails or its direction does not descend (a singular H, as with
+    duplicate columns and ``lam = 0``), the step falls back to ``-g``.
+
+    Stops when the gradient norm drops below ``tol``, when no step
+    descends at float precision, or after ``max_iters`` steps.  Returns
+    (weights, bias) as a ``LogRegFit``; its ``converged`` is False only
+    when one of the last two stops ended the fit above ``tol``, as on
+    separable data with ``lam = 0``, whose optimum lies at infinity.
 
     ``on_step(iteration, objective)`` is called after every accepted
     step; the accepted objective values never increase.
@@ -169,6 +178,8 @@ def logreg_fit(
     if len(X) != len(y) or len(y) == 0:
         raise DimensionMismatch(f"{len(X)} rows vs {len(y)} labels")
     n, d = X.shape
+    A = np.hstack([X, np.ones((n, 1))])
+    ridge = np.diag(np.append(np.full(d, float(lam)), 0.0))
 
     w = np.zeros(d)
     b = 0.0
@@ -177,16 +188,26 @@ def logreg_fit(
     grad_sq = math.inf
     for iteration in range(max_iters + 1):
         grad_w, grad_b = _logreg_gradient(X, y, w, b, lam)
+        grad = np.append(grad_w, grad_b)
         grad_sq = float(grad_w @ grad_w) + grad_b * grad_b
         # the pass after the last step only measures the final gradient
         if math.sqrt(grad_sq) < tol or iteration == max_iters:
             break
+        p = sigmoid(X @ w + b)
+        hessian = (A.T * (p * (1.0 - p) / n)) @ A + ridge
+        try:
+            direction = np.linalg.solve(hessian, -grad)
+        except np.linalg.LinAlgError:
+            direction = None
+        if direction is None or not (np.isfinite(direction).all() and grad @ direction < 0.0):
+            direction = -grad
+        slope = float(grad @ direction)
         step = 1.0
         while step > 1e-20:
-            cand_w = w - step * grad_w
-            cand_b = b - step * grad_b
+            cand_w = w + step * direction[:d]
+            cand_b = b + step * float(direction[d])
             cand_value = logreg_objective(X, y, cand_w, cand_b, lam)
-            if cand_value <= value - 1e-4 * step * grad_sq:
+            if cand_value <= value + 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
@@ -527,22 +548,21 @@ class TopicSentenceCorpus:
         """Read JSON lines; a malformed line or a record without a
         ``topic`` and a ``sentence`` raises DomainError."""
         table: dict[str, list[str]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DomainError(f"{path}:{lineno}: bad JSON line ({exc})") from None
-                try:
-                    topic, sentence = str(rec["topic"]), str(rec["sentence"])
-                except (KeyError, TypeError):
-                    raise DomainError(
-                        f"{path}:{lineno}: record needs a 'topic' and a 'sentence'"
-                    ) from None
-                table.setdefault(topic, []).append(sentence)
+        for lineno, line in read_lines(path):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"{path}:{lineno}: bad JSON line ({exc})") from None
+            try:
+                topic, sentence = str(rec["topic"]), str(rec["sentence"])
+            except (KeyError, TypeError):
+                raise DomainError(
+                    f"{path}:{lineno}: record needs a 'topic' and a 'sentence'"
+                ) from None
+            table.setdefault(topic, []).append(sentence)
         return cls(table)
 
 
@@ -728,7 +748,8 @@ def save_model(model, path) -> None:
 
 def load_model(path):
     """A model written by ``save_model``.  DomainError naming the file when
-    it is not a JSON object, or holds a non-finite or mis-sized weight."""
+    it is not a JSON object, lacks or mistypes a field, or holds a
+    non-finite or mis-sized weight."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -742,4 +763,8 @@ def load_model(path):
             raise DomainError(f"{len(model.weights)} weights for {N_FEATURES} features")
     except DomainError as exc:
         raise DomainError(f"{path}: {exc}") from None
+    except KeyError as exc:
+        raise DomainError(f"{path}: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DomainError(f"{path}: mistyped field ({exc})") from None
     return model

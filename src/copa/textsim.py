@@ -31,6 +31,16 @@ def _norm(term: str) -> str:
     return term.strip().lower()
 
 
+def read_lines(path):
+    """(line number, line) pairs of a UTF-8 text file, numbered from 1;
+    DomainError naming the file when it is not UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 # ---------------------------------------------------------------------------
 # Embeddings
 # ---------------------------------------------------------------------------
@@ -69,29 +79,28 @@ class EmbeddingStore:
         Later records win on duplicate words."""
         table: dict[str, np.ndarray] = {}
         dimension = None
-        with open(path, encoding="utf-8") as fh:
-            first = True
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts:
+        first = True
+        for lineno, line in read_lines(path):
+            parts = line.split()
+            if not parts:
+                continue
+            if first:
+                first = False
+                if len(parts) == 2 and all(_is_int(p) for p in parts):
+                    dimension = int(parts[1])
                     continue
-                if first:
-                    first = False
-                    if len(parts) == 2 and all(_is_int(p) for p in parts):
-                        dimension = int(parts[1])
-                        continue
-                word, values = parts[0], parts[1:]
-                try:
-                    vec = np.array(values, dtype=float)
-                except ValueError:
-                    raise DomainError(f"{path}:{lineno}: non-numeric vector component") from None
-                if dimension is None:
-                    dimension = len(vec)
-                if len(vec) != dimension:
-                    raise DomainError(
-                        f"{path}:{lineno}: expected {dimension} components, got {len(vec)}"
-                    )
-                table[_norm(word)] = vec
+            word, values = parts[0], parts[1:]
+            try:
+                vec = np.array(values, dtype=float)
+            except ValueError:
+                raise DomainError(f"{path}:{lineno}: non-numeric vector component") from None
+            if dimension is None:
+                dimension = len(vec)
+            if len(vec) != dimension:
+                raise DomainError(
+                    f"{path}:{lineno}: expected {dimension} components, got {len(vec)}"
+                )
+            table[_norm(word)] = vec
         if dimension is None:
             raise DomainError(f"{path}: empty embedding file")
         try:
@@ -222,6 +231,8 @@ class WikiCorpus:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DomainError(f"{path}: not valid JSON ({exc})") from None
+            except UnicodeDecodeError as exc:
+                raise DomainError(f"{path}: not UTF-8 text ({exc})") from None
         try:
             doc = _json_object(doc, "top level")
             articles = {}

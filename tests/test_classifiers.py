@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from copa import classifiers as clfmod
 from copa.classifiers import (
     BAModel,
     Blacklist,
@@ -34,7 +38,8 @@ from copa.classifiers import (
     train_nb,
     train_w2v_lr,
 )
-from copa.features import FeatureTable, motion_features
+from copa.cli import main
+from copa.features import N_FEATURES, FeatureTable, motion_features
 from copa.kb import Motion
 from copa.textsim import DomainError, EmbeddingStore, SimilarityContext
 from helpers import (
@@ -297,6 +302,73 @@ class TestLogregFit:
         assert fit.grad_norm < 1e-6
         # the diagnostics do not change the (weights, bias) the fit returns
         assert len(fit) == 2 and isinstance(fit[1], float)
+
+    def test_every_sample_fit_converges(self, monkeypatch, data_dir, tmp_path):
+        """Every W2V and feature-LR fit of an eval and of three queries on
+        the bundled sample reaches the sample config's ``tol``."""
+        fits = []
+
+        def recording(X, y, **kwargs):
+            fit = logreg_fit(X, y, **kwargs)
+            fits.append((np.shape(X)[1], fit.converged))
+            return fit
+
+        monkeypatch.setattr(clfmod, "logreg_fit", recording)
+        monkeypatch.chdir(data_dir.parent)
+        commands = [["eval", "--out", str(tmp_path / "out")], ["match", "disband", "NATO"],
+                    ["match", "subsidize", "solar energy"], ["match", "ban", "smoking"]]
+        for args in commands:
+            result = CliRunner().invoke(main, ["--config", "data/config.json", *args],
+                                        env={"COPA_METHODS": "w2v,lr"})
+            assert result.exit_code == 0, result.output
+        widths = Counter(d for d, _ in fits)
+        assert widths[N_FEATURES] > 0 and len(widths) == 2  # feature LR and W2V
+        assert all(converged for _, converged in fits), widths
+
+    def test_duplicate_columns_without_penalty(self):
+        """A singular Hessian: the fit falls back to -g where the Newton
+        solve fails, and still reaches the optimum of overlapping labels."""
+        rng = np.random.default_rng(76)
+        x = rng.normal(size=(15, 1))
+        X = np.hstack([x, x, rng.normal(size=(15, 1))])
+        overlapping = (rng.random(15) < 0.5).astype(float)
+        separable = (x[:, 0] > 0).astype(float)
+        for y, has_optimum in ((overlapping, True), (separable, False)):
+            fit = logreg_fit(X, y, lam=0.0, max_iters=200)
+            w, b = fit
+            assert np.isfinite(w).all() and math.isfinite(b)
+            grad_w, grad_b = _logreg_gradient(X, y, w, b, 0.0)
+            assert fit.converged == (math.hypot(*grad_w, grad_b) < 1e-6)
+            assert fit.converged or not has_optimum
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        d=st.integers(1, 5),
+        lam=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+        labels=st.sampled_from(["random", "zeros", "ones"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_properties(self, n, d, lam, labels, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(scale=2.0, size=(n, d))
+        y = {"random": (rng.random(n) < 0.5).astype(float),
+             "zeros": np.zeros(n), "ones": np.ones(n)}[labels]
+        values = []
+        fit = logreg_fit(X, y, lam=lam, max_iters=200, on_step=lambda i, v: values.append(v))
+        w, b = fit
+        assert np.isfinite(w).all() and math.isfinite(b)
+        assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+        assert fit.n_iters == len(values)
+        grad_w, grad_b = _logreg_gradient(X, y, w, b, lam)
+        assert fit.converged == (math.sqrt(float(grad_w @ grad_w) + grad_b * grad_b) < 1e-6)
+        if fit.converged:
+            best = logreg_objective(X, y, w, b, lam)
+            for _ in range(5):
+                dw, db = rng.normal(scale=1e-3, size=d), float(rng.normal(scale=1e-3))
+                # convexity: f(θ + δ) >= f(θ) + gᵀδ >= f(θ) - |g||δ|
+                slack = 1e-6 * math.sqrt(float(dw @ dw) + db * db) + 1e-12 * max(1.0, abs(best))
+                assert logreg_objective(X, y, w + dw, b + db, lam) >= best - slack
 
     def test_model_records_fit_and_reads_older_files(self, tmp_path):
         ds = _action_separable_ds()
@@ -689,8 +761,9 @@ def test_load_model_rejects_unknown_tag(tmp_path):
 
 
 class TestLoadModelValidation:
-    """A model file that is not an object, holds a non-finite number or
-    has mismatched lengths raises DomainError naming the file."""
+    """A model file that is not an object, lacks or mistypes a field, holds
+    a non-finite number or has mismatched lengths raises DomainError naming
+    the file."""
 
     @staticmethod
     def _lr_doc():
@@ -729,6 +802,28 @@ class TestLoadModelValidation:
         self._assert_rejected(tmp_path, doc, "standardizer")
         doc["standardizer"]["scale"].pop()
         self._assert_rejected(tmp_path, doc, "17 features")
+
+    def test_missing_or_mistyped_fields(self, tmp_path):
+        ba = train_ba(_action_separable_ds(), k=1).to_dict()
+        member = {**self._lr_doc(), "standardizer": None, "weights": [0.5, 0.25]}
+        w2v = {"method": "w2v", "per_copa": {"c1": member}, "blacklist": {"c1": []}}
+        nb_model = {"alpha": 1.0, "log_prior_pos": -0.5, "log_prior_neg": -1.0,
+                    "log_prob_pos": {"a": -0.1}, "log_prob_neg": {"a": -0.2}}
+        nb = {"method": "nb", "per_copa": {"c1": nb_model}, "blacklist": {"c1": []}}
+        cases = [
+            ({"method": "feature_lr"}, "missing field 'weights'"),
+            ({**self._lr_doc(), "bias": "high"}, "mistyped"),
+            ({**self._lr_doc(), "weights": ["heavy"] * 17}, "mistyped"),
+            ({k: v for k, v in ba.items() if k != "support"}, "missing field 'support'"),
+            ({**ba, "hyperparameters": {"k": "five"}}, "mistyped"),
+            ({**ba, "action_totals": [1, 2]}, "mistyped"),
+            ({**w2v, "per_copa": {"c1": {"weights": [1.0]}}}, "missing field 'bias'"),
+            ({**w2v, "blacklist": None}, "mistyped"),
+            ({**nb, "per_copa": {"c1": {**nb_model, "alpha": None}}}, "mistyped"),
+            ({k: v for k, v in nb.items() if k != "blacklist"}, "missing field 'blacklist'"),
+        ]
+        for doc, match in cases:
+            self._assert_rejected(tmp_path, doc, match)
 
     def test_w2v_member_model_checked(self, tmp_path):
         member = {**self._lr_doc(), "standardizer": None, "weights": [0.5, math.nan]}

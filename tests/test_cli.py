@@ -214,6 +214,19 @@ class TestExitCodes:
         assert str(bad_wiki) in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "env_key", ["COPA_EMBEDDINGS", "COPA_WIKI_CORPUS", "COPA_SENTENCE_CORPUS"]
+    )
+    def test_non_utf8_data_file_is_io_error(self, runner, tmp_path, monkeypatch, env_key):
+        monkeypatch.chdir(ROOT)
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff")
+        result = runner.invoke(main, ["--config", "data/config.json", "match", "ban", "smoking"],
+                               env={env_key: str(bad)})
+        assert result.exit_code == 4, result.output
+        assert str(bad) in result.output and "UTF-8" in result.output
+        assert "Traceback" not in result.output
+
     def test_stores_no_method_reads_are_not_loaded(self, runner, workspace, tmp_path):
         broken = tmp_path / "broken.txt"
         broken.write_text("{oops")
