@@ -37,6 +37,7 @@ from .textsim import (
     embed_term,
     hypergeom_pvalue,
     set_similarity,
+    similarity_block,
     term_similarity,
     topic_related_titles,
 )

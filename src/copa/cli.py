@@ -29,7 +29,7 @@ from . import evaluation as evalmod
 from . import kb
 from .classifiers import TopicSentenceCorpus
 from .evaluation import EvalConfig
-from .features import FEATURE_NAMES, motion_features
+from .features import FEATURE_NAMES, FeatureTable
 from .textsim import (
     DomainError,
     EmbeddingStore,
@@ -416,11 +416,11 @@ def features(ctx, out_file):
         ds = _load_dataset(cfg)
         ctx_sim = _build_context(cfg, ("lr",))  # the lr method's inputs
         header = list(FEATURE_NAMES) + ["motion_id", "copa_id", "label"]
+        table = FeatureTable(ds, ctx_sim)
         rows = []
-        for m in ds.motions:
-            for c, vector in zip(ds.copas, motion_features(m, ds, ctx_sim)):
-                label = 1 if (m.id, c.id) in ds.labels else 0
-                rows.append([_fmt(v) for v in vector] + [m.id, c.id, str(label)])
+        for m, vectors, labels in zip(ds.motions, table.values, table.labels):
+            for c, vector, label in zip(ds.copas, vectors, labels):
+                rows.append([_fmt(v) for v in vector] + [m.id, c.id, str(int(label))])
         if out_file is None:
             click.echo(",".join(header))
             for row in rows:

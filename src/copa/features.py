@@ -13,7 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kb import ActionRegistry, CoPA, Dataset, Motion
-from .textsim import SimilarityContext, SimilarityKind, avg_idf_in_article, set_similarity
+from .textsim import (
+    MAX_SET_PAIRS,
+    DomainError,
+    SimilarityContext,
+    SimilarityKind,
+    avg_idf_in_article,
+    mean_similarity,
+    set_similarity,
+    similarity_block,
+)
 
 _PAIRS = ("mt_cm", "mt_ct", "mw_cm", "mw_ct")
 _KINDS = (
@@ -77,13 +86,15 @@ def copa_text_sets(copa: CoPA, ds: Dataset, loo_holdout: str | None = None) -> C
     return CopaTextSets(c_m=copa.manual_titles, c_t=frozenset(c_t))
 
 
-#: positions of the six similarity features that read c_t, in the order
-#: ``_similarities`` of m_t and then of m_w returns them
+#: positions of the six similarity features that read c_t, m_t's three
+#: kinds and then m_w's
 _CT_FEATURES = np.array(
     [FEATURE_NAMES.index(f"sim_{pair}_{kind}") for pair in ("mt_ct", "mw_ct")
      for kind, _ in _KINDS]
 )
-#: positions of the four count features
+#: positions of the twelve similarity features and of the four count features
+_SIM_FEATURES = np.arange(len(_PAIRS) * len(_KINDS))
+_IDF_FEATURE = FEATURE_NAMES.index("avg_idf_manual_titles_in_topic_article")
 _COUNT_FEATURES = np.arange(N_FEATURES - 4, N_FEATURES)
 
 
@@ -98,8 +109,10 @@ def count_ratios(n_all, n_action, n_copa, n_inter) -> np.ndarray:
     return np.divide(num, den, out=np.zeros(num.shape), where=den != 0)
 
 
-def _similarities(side_a, side_b, ctx: SimilarityContext) -> list[float]:
-    return [set_similarity(kind, side_a, side_b, ctx) for _, kind in _KINDS]
+def _avg_idf(copa: CoPA, topic: str, ctx: SimilarityContext) -> float:
+    if ctx.tfidf is None:
+        return 0.0
+    return avg_idf_in_article(copa.manual_titles, topic, ctx.wiki, ctx.tfidf)
 
 
 def compute_features(
@@ -110,7 +123,7 @@ def compute_features(
     loo_holdout: str | None = None,
 ) -> np.ndarray:
     """Feature vector for one (motion, CoPA) pair, ordered as
-    FEATURE_NAMES.
+    FEATURE_NAMES: the per-pair reference of ``FeatureTable``.
 
     When ``loo_holdout`` names a motion, that motion is excluded from the
     count universes (M_a, M_c, M_*) and its topic from c_t, so training
@@ -125,14 +138,10 @@ def compute_features(
         "mw_cm": (m_sets.m_w, c_sets.c_m),
         "mw_ct": (m_sets.m_w, c_sets.c_t),
     }
-    values = []
-    for pair in _PAIRS:
-        values.extend(_similarities(*text_pairs[pair], ctx))
-
-    if ctx.tfidf is not None:
-        values.append(avg_idf_in_article(c_sets.c_m, motion.topic, ctx.wiki, ctx.tfidf))
-    else:
-        values.append(0.0)
+    values = [
+        set_similarity(kind, *text_pairs[pair], ctx) for pair in _PAIRS for _, kind in _KINDS
+    ]
+    values.append(_avg_idf(copa, motion.topic, ctx))
 
     universe = [m for m in ds.motions if m.id != loo_holdout]
     m_all = {m.id for m in universe}
@@ -143,39 +152,120 @@ def compute_features(
     return np.array(values, dtype=float)
 
 
+@dataclass(frozen=True)
+class _SimilaritySums:
+    """Exact sums of present pair similarities, and counts of present
+    pairs, over motion-side and CoPA-side text sets: ``sums``/``counts``
+    per (motion, CoPA) pair in feature order (motions x CoPAs x 12), and
+    ``term_sums``/``term_counts`` of each motion's m_t and m_w against
+    each single CoPA-side term (motions x terms x 6, in the c_t features'
+    order).  ``ct`` is the (CoPAs x terms) incidence of the c_t sets and
+    ``term_index`` the terms' columns."""
+
+    sums: np.ndarray
+    counts: np.ndarray
+    term_sums: np.ndarray
+    term_counts: np.ndarray
+    ct: np.ndarray
+    term_index: dict[str, int]
+
+
+def _incidence(term_lists, index: dict[str, int]) -> np.ndarray:
+    # multiplicities: c_m is a tuple that may repeat a title
+    out = np.zeros((len(term_lists), len(index)))
+    for i, terms in enumerate(term_lists):
+        for term in terms:
+            out[i, index[term]] += 1.0
+    return out
+
+
+def _similarity_sums(motions, ds: Dataset, ctx: SimilarityContext) -> _SimilaritySums:
+    """The twelve similarity features of ``motions`` against every CoPA of
+    ``ds`` as exact sums: per kind one ``similarity_block`` of all
+    motion-side terms against all CoPA-side terms, then A @ sims @ B.T
+    over the incidence matrices A and B of the text sets.  Every sum is a
+    multiple of SIMILARITY_STEP of at most MAX_SET_PAIRS terms, so it is
+    exact in any summation order and equals ``set_similarity``'s."""
+    m_sets = [motion_text_sets(m, ds.actions, ctx) for m in motions]
+    c_sets = [copa_text_sets(c, ds) for c in ds.copas]
+    rows = sorted({t for s in m_sets for t in (*s.m_t, *s.m_w)})
+    cols = sorted({t for s in c_sets for t in (*s.c_m, *s.c_t)})
+    row_index = {t: i for i, t in enumerate(rows)}
+    term_index = {t: i for i, t in enumerate(cols)}
+    motion_side = {
+        "mt": _incidence([s.m_t for s in m_sets], row_index),
+        "mw": _incidence([s.m_w for s in m_sets], row_index),
+    }
+    copa_side = {
+        "cm": _incidence([s.c_m for s in c_sets], term_index),
+        "ct": _incidence([s.c_t for s in c_sets], term_index),
+    }
+    for m_name, a in motion_side.items():
+        for c_name, b in copa_side.items():
+            pairs = np.outer(a.sum(axis=1), b.sum(axis=1))
+            if (pairs > MAX_SET_PAIRS).any():
+                i, j = np.argwhere(pairs > MAX_SET_PAIRS)[0]
+                raise DomainError(
+                    f"CoPA {ds.copas[j].id!r}: {int(pairs[i, j])} term pairs of "
+                    f"{m_name} x {c_name} against motion {motions[i].id!r} exceed the "
+                    f"exact-sum bound of {MAX_SET_PAIRS}"
+                )
+
+    shape = (len(motions), len(ds.copas), len(_SIM_FEATURES))
+    sums, counts = np.zeros(shape), np.zeros(shape)
+    term_shape = (len(motions), len(cols), len(_CT_FEATURES))
+    term_sums, term_counts = np.zeros(term_shape), np.zeros(term_shape)
+    for k, (kind_name, kind) in enumerate(_KINDS):
+        sims, present = similarity_block(kind, rows, cols, ctx)
+        for s, (m_name, a) in enumerate(motion_side.items()):
+            row_sums, row_counts = a @ sims, a @ present
+            term_sums[..., s * len(_KINDS) + k] = row_sums
+            term_counts[..., s * len(_KINDS) + k] = row_counts
+            for c_name, b in copa_side.items():
+                f = FEATURE_NAMES.index(f"sim_{m_name}_{c_name}_{kind_name}")
+                sums[..., f] = row_sums @ b.T
+                counts[..., f] = row_counts @ b.T
+    return _SimilaritySums(sums, counts, term_sums, term_counts, copa_side["ct"] > 0, term_index)
+
+
 def motion_features(motion: Motion, ds: Dataset, ctx: SimilarityContext) -> np.ndarray:
     """(CoPAs x features) array: ``compute_features`` of the motion against
-    every CoPA of ``ds`` in order, with no holdout."""
-    rows = [compute_features(motion, c, ds, ctx) for c in ds.copas]
-    return np.array(rows, dtype=float).reshape(len(ds.copas), N_FEATURES)
+    every CoPA of ``ds`` in order, with no holdout, bit for bit."""
+    values = np.empty((len(ds.copas), N_FEATURES))
+    sim = _similarity_sums([motion], ds, ctx)
+    values[:, _SIM_FEATURES] = mean_similarity(sim.sums[0], sim.counts[0])
+    values[:, _IDF_FEATURE] = [_avg_idf(c, motion.topic, ctx) for c in ds.copas]
+    m_a = {m.id for m in ds.motions if m.action == motion.action}
+    values[:, _COUNT_FEATURES] = count_ratios(
+        len(ds.motions),
+        len(m_a),
+        np.array([len(c.motion_ids) for c in ds.copas], dtype=np.int64),
+        np.array([len(m_a & c.motion_ids) for c in ds.copas], dtype=np.int64),
+    )
+    return values
 
 
 class FeatureTable:
     """``compute_features`` of every (motion, CoPA) pair of a dataset,
     built once, from which each leave-one-out fold is derived.
 
-    Holding out motion h changes only two things.  The c_t of a CoPA
-    loses h's topic (and h), which matters only to the *affected* CoPAs:
-    those with a member whose topic is h's.  The count universes lose h.
-    So a fold recomputes the six c_t features of the affected CoPAs with
-    the same ``set_similarity`` calls over the same sets, and the four
-    count features from integer size tables minus h; everything else is
-    reused.  ``fold_values(h)`` therefore equals ``compute_features(...,
+    The twelve similarity features come from ``_similarity_sums``: exact
+    sums and counts of pair similarities, divided once.  Holding out
+    motion h changes only two things.  The c_t of a CoPA loses h's topic
+    (and h), which matters only to the CoPAs whose c_t holds that topic:
+    a fold subtracts the topic's term column from their c_t sums and
+    counts, which is exact.  The count universes lose h: a fold computes
+    the four count features from integer size tables minus h.  Everything
+    else is reused, so ``fold_values(h)`` equals ``compute_features(...,
     loo_holdout=h)`` for every pair, bit for bit.
     """
 
     def __init__(self, ds: Dataset, ctx: SimilarityContext):
         self._ds = ds
-        self._ctx = ctx
-        self.values = np.array([motion_features(m, ds, ctx) for m in ds.motions]).reshape(
-            len(ds.motions), len(ds.copas), N_FEATURES
-        )
         self.labels = np.array(
             [[(m.id, c.id) in ds.labels for c in ds.copas] for m in ds.motions], dtype=float
         ).reshape(len(ds.motions), len(ds.copas))
         self._rows = {m.id: i for i, m in enumerate(ds.motions)}
-        self._motion_sets = [motion_text_sets(m, ds.actions, ctx) for m in ds.motions]
-        self._copa_topics = [{ds.motion(mid).topic for mid in c.motion_ids} for c in ds.copas]
         actions = sorted({m.action for m in ds.motions})
         action_col = {a: k for k, a in enumerate(actions)}
         self._action = np.array([action_col[m.action] for m in ds.motions], dtype=np.int64)
@@ -186,28 +276,45 @@ class FeatureTable:
         one_hot = np.eye(len(actions), dtype=np.int64)[self._action]
         self._copa_action_size = self._member.T.astype(np.int64) @ one_hot
 
+        sim = _similarity_sums(ds.motions, ds, ctx)
+        self._sim = sim
+        self.values = np.empty((len(ds.motions), len(ds.copas), N_FEATURES))
+        self.values[..., _SIM_FEATURES] = mean_similarity(sim.sums, sim.counts)
+        self.values[..., _IDF_FEATURE] = [
+            [_avg_idf(c, m.topic, ctx) for c in ds.copas] for m in ds.motions
+        ]
+        self.values[..., _COUNT_FEATURES] = self._count_values(None)
+
+    def _count_values(self, h: int | None) -> np.ndarray:
+        """The four count features of every pair, without motion row ``h``
+        when it is given."""
+        n_all = len(self._action)
+        same_action = np.zeros(n_all, dtype=np.int64)
+        in_copa = np.zeros(len(self._copa_size), dtype=np.int64)
+        if h is not None:
+            n_all -= 1
+            same_action = (self._action == self._action[h]).astype(np.int64)
+            in_copa = self._member[h].astype(np.int64)
+        n_action = self._action_size[self._action] - same_action
+        n_copa = self._copa_size - in_copa
+        n_inter = self._copa_action_size.T[self._action] - np.outer(same_action, in_copa)
+        return count_ratios(n_all, n_action[:, None], n_copa[None, :], n_inter)
+
     def fold_values(self, holdout: str) -> np.ndarray:
         """(motions x CoPAs x features) array of the fold without
         ``holdout``: every row, the held-out motion's own included, as
         ``compute_features(m, c, ds, ctx, loo_holdout=holdout)``."""
         h = self._rows[holdout]
         values = self.values.copy()
-        topic = self._ds.motions[h].topic
-        for j, copa in enumerate(self._ds.copas):
-            if topic in self._copa_topics[j]:
-                c_t = copa_text_sets(copa, self._ds, holdout).c_t
-                for i, m_sets in enumerate(self._motion_sets):
-                    sims = _similarities(m_sets.m_t, c_t, self._ctx)
-                    sims += _similarities(m_sets.m_w, c_t, self._ctx)
-                    values[i, j, _CT_FEATURES] = sims
-        same_action = self._action == self._action[h]
-        in_copa = self._member[h]
-        n_action = self._action_size[self._action] - same_action
-        n_copa = self._copa_size - in_copa
-        n_inter = self._copa_action_size.T[self._action] - np.outer(same_action, in_copa)
-        values[..., _COUNT_FEATURES] = count_ratios(
-            len(self._ds.motions) - 1, n_action[:, None], n_copa[None, :], n_inter
-        )
+        sim = self._sim
+        t = sim.term_index.get(self._ds.motions[h].topic)
+        if t is not None:
+            for j in np.flatnonzero(sim.ct[:, t]):
+                values[:, j, _CT_FEATURES] = mean_similarity(
+                    sim.sums[:, j, _CT_FEATURES] - sim.term_sums[:, t],
+                    sim.counts[:, j, _CT_FEATURES] - sim.term_counts[:, t],
+                )
+        values[..., _COUNT_FEATURES] = self._count_values(h)
         return values
 
     def fold(self, holdout: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

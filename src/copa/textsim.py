@@ -313,10 +313,11 @@ class SimilarityContext:
     """The stores a similarity computation may need.  Any of them may be
     None; similarities whose store is missing come back Absent.
 
-    Term vectors, term similarities and related titles are memoized per
-    context (they are pure in the stores, and evaluation recomputes the
-    same values constantly); each memo is bounded by the distinct terms or
-    term pairs seen."""
+    Term vectors and related titles are memoized per context (they are
+    pure in the stores, and every kernel call and KNN fold reads them
+    again); each memo is bounded by the distinct terms seen.  The scalar
+    ``term_similarity`` memoizes its pairs too; only KNN calls it, since
+    set similarities go through ``similarity_block``."""
 
     embeddings: EmbeddingStore | None = None
     alt_embeddings: EmbeddingStore | None = None
@@ -368,12 +369,19 @@ def _tfidf_vector(term: str, ctx: SimilarityContext) -> dict[str, float] | None:
     return vec or None
 
 
+def _tfidf_norm(vec: dict[str, float]) -> float:
+    return math.sqrt(sum(w * w for w in vec.values()))
+
+
 def _dict_cosine(a: dict[str, float], b: dict[str, float]) -> float:
-    # iterate common keys in sorted order so cosine(a, b) == cosine(b, a)
-    # bit for bit
-    dot = sum(a[t] * b[t] for t in sorted(a.keys() & b.keys()))
-    na = math.sqrt(sum(w * w for w in a.values()))
-    nb = math.sqrt(sum(w * w for w in b.values()))
+    # add the common keys' products one by one in sorted order, so that
+    # cosine(a, b) == cosine(b, a) bit for bit and ``_tfidf_block``
+    # reproduces it (``sum`` may compensate on newer Pythons)
+    dot = 0.0
+    for t in sorted(a.keys() & b.keys()):
+        dot += a[t] * b[t]
+    na = _tfidf_norm(a)
+    nb = _tfidf_norm(b)
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
@@ -405,18 +413,109 @@ def _term_similarity(kind: SimilarityKind, a: str, b: str, ctx: SimilarityContex
     return (cos + 1.0) / 2.0
 
 
+#: Set similarities sum pair similarities rounded to multiples of this
+#: step.  A sum of at most MAX_SET_PAIRS of them is a multiple of the step
+#: below 2**13, exact in float64 (53-bit significand) at every partial
+#: sum, so it does not depend on the summation order.
+SIMILARITY_STEP = 2.0**-40
+
+#: the most term pairs (with multiplicity) one set similarity may sum
+MAX_SET_PAIRS = 2**13
+
+#: bytes of one broadcast product in ``_cosine_block``
+_CHUNK_BYTES = 1 << 22
+
+
+def similarity_block(kind: SimilarityKind, terms_a, terms_b, ctx: SimilarityContext):
+    """(sims, present): the similarities of every (a, b) term pair as a
+    len(terms_a) x len(terms_b) array, each rounded to a multiple of
+    SIMILARITY_STEP, and the mask of the pairs that are not Absent
+    (their sims are 0).
+
+    Each entry depends only on its own two terms, never on the block's
+    shape or order: no BLAS reduction is involved.  Embedding entries are
+    the mapped cosine of ``term_similarity`` with the dot product taken as
+    ``np.sum(u * v)``; tf-idf entries are ``term_similarity`` exactly."""
+    va = [ctx.term_vector(kind, t) for t in terms_a]
+    vb = [ctx.term_vector(kind, t) for t in terms_b]
+    present = np.outer(
+        np.array([v is not None for v in va], dtype=bool),
+        np.array([v is not None for v in vb], dtype=bool),
+    )
+    if not present.any():
+        return np.zeros(present.shape), present
+    if kind is SimilarityKind.TFIDF:
+        sims = _tfidf_block(va, vb)
+    else:
+        sims = _cosine_block(va, vb)
+    sims = np.rint(sims / SIMILARITY_STEP) * SIMILARITY_STEP
+    sims[~present] = 0.0
+    return sims, present
+
+
+def _stack(vectors) -> np.ndarray:
+    zero = np.zeros_like(next(v for v in vectors if v is not None))
+    return np.array([zero if v is None else v for v in vectors])
+
+
+def _cosine_block(va, vb) -> np.ndarray:
+    # a reduction along the last axis of a broadcast product sums each
+    # pair exactly as np.sum(u * v) does, whatever the block's shape
+    u, v = _stack(va), _stack(vb)
+    sims = np.empty((len(u), len(v)))
+    step = max(1, _CHUNK_BYTES // max(1, v.nbytes))
+    for lo in range(0, len(u), step):
+        dots = np.sum(u[lo:lo + step, None, :] * v[None, :, :], axis=-1)
+        sims[lo:lo + step] = (np.clip(dots, -1.0, 1.0) + 1.0) / 2.0
+    return sims
+
+
+def _tfidf_block(va, vb) -> np.ndarray:
+    # ``_dict_cosine`` of every pair: each pair's products are added one
+    # common unit at a time in sorted-unit order
+    def postings(vectors):
+        by_unit: dict[str, tuple[list, list]] = {}
+        for i, vec in enumerate(vectors):
+            for unit, weight in (vec or {}).items():
+                rows, weights = by_unit.setdefault(unit, ([], []))
+                rows.append(i)
+                weights.append(weight)
+        return by_unit
+
+    pa, pb = postings(va), postings(vb)
+    dots = np.zeros((len(va), len(vb)))
+    for unit in sorted(pa.keys() & pb.keys()):
+        (ia, wa), (ib, wb) = pa[unit], pb[unit]
+        dots[np.ix_(ia, ib)] += np.multiply.outer(wa, wb)
+    na = np.array([_tfidf_norm(v) if v else 0.0 for v in va])
+    nb = np.array([_tfidf_norm(v) if v else 0.0 for v in vb])
+    nonzero = np.outer(na != 0.0, nb != 0.0)
+    cos = np.divide(dots, np.outer(na, nb), out=np.zeros(dots.shape), where=nonzero)
+    return np.minimum(1.0, np.maximum(0.0, cos))
+
+
+def mean_similarity(sums, counts):
+    """Set similarities from exact sums of pair similarities and the counts
+    of present pairs: sums / counts, and 0 where the count is 0."""
+    sums = np.asarray(sums, dtype=float)
+    return np.divide(sums, counts, out=np.zeros(sums.shape), where=np.asarray(counts) != 0)
+
+
 def set_similarity(kind: SimilarityKind, terms_a, terms_b, ctx: SimilarityContext) -> float:
-    """Mean term similarity over all cross pairs, skipping Absent pairs;
-    0 when either side is empty or every pair is Absent."""
-    total = 0.0
-    count = 0
-    for a in sorted(terms_a):
-        for b in sorted(terms_b):
-            sim = term_similarity(kind, a, b, ctx)
-            if sim is not None:
-                total += sim
-                count += 1
-    return total / count if count else 0.0
+    """Mean term similarity over all cross pairs (with multiplicity),
+    skipping Absent pairs; 0 when either side is empty or every pair is
+    Absent.  The sum of the pair's ``similarity_block`` is exact, so the
+    mean does not depend on the order of either side, nor on whether the
+    pairs were cut from a larger block.  More than
+    MAX_SET_PAIRS pairs raise DomainError."""
+    terms_a, terms_b = list(terms_a), list(terms_b)
+    if len(terms_a) * len(terms_b) > MAX_SET_PAIRS:
+        raise DomainError(
+            f"{len(terms_a)} x {len(terms_b)} term pairs exceed the exact-sum bound "
+            f"of {MAX_SET_PAIRS}"
+        )
+    sims, present = similarity_block(kind, terms_a, terms_b, ctx)
+    return float(mean_similarity(sims.sum(), present.sum()))
 
 
 # ---------------------------------------------------------------------------

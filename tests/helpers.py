@@ -3,6 +3,9 @@ embedding stores."""
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from copa.classifiers import ScoreMatrix
@@ -95,3 +98,12 @@ def matrix_entries(matrix: ScoreMatrix) -> dict:
         for cid in matrix.copa_ids
         if (score := matrix.get(mid, cid)) is not None
     }
+
+
+def load_bench_generator():
+    """The benchmark's workload generator, imported from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("bench_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

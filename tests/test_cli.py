@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from copa import classifiers as clfmod
 from copa.cli import AppConfig, ConfigError, main
+from helpers import load_bench_generator
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -393,6 +397,38 @@ class TestFeaturesCommand:
         )
         assert result.exit_code == 0
         assert out.read_text().count("\n") == 13  # header + 12 rows
+
+
+    def test_exact_sum_bound_exits_4_naming_the_copa(self, runner, workspace, tmp_path):
+        # m_t = {"ban", "t0"} against 4,097 titles is 8,194 term pairs
+        doc = json.loads((workspace / "ds.json").read_text())
+        titles = [f"title {i}" for i in range(4097)]
+        doc["copas"][1] = {**doc["copas"][1], "manual_titles": titles}
+        (tmp_path / "ds.json").write_text(json.dumps(doc))
+        cfg = tmp_path / "c.json"
+        base = json.loads((workspace / "config.json").read_text())
+        cfg.write_text(json.dumps({**base, "dataset": str(tmp_path / "ds.json")}))
+        result = runner.invoke(main, ["--config", str(cfg), "features"])
+        assert result.exit_code == 4, result.output
+        assert "'c2'" in result.output and "exact-sum bound" in result.output
+        assert "Traceback" not in result.output
+
+    def test_output_does_not_depend_on_blas_threads(self, tmp_path):
+        load_bench_generator().write_workload(str(tmp_path), seed=2, n_motions=150, n_copas=37)
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+            )
+            result = subprocess.run(
+                [sys.executable, "-m", "copa.cli", "--config", "config.json", "features"],
+                cwd=tmp_path, env=env, capture_output=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0].count(b"\n") == 150 * 37 + 1
+        assert outputs[0] == outputs[1]
 
 
 class TestEnvOverrides:

@@ -17,11 +17,13 @@ from copa.textsim import (
     ArticleRecord,
     EmbeddingStore,
     SimilarityContext,
+    SimilarityKind,
     TfIdfModel,
     WikiCorpus,
+    term_similarity,
 )
 from helpers import build_dataset, random_dataset, random_embeddings, topic_words
-from oracles import count_features
+from oracles import count_features, set_similarity_mean
 
 IDX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 COUNT_SLICE = slice(IDX["action_share_of_all_motions"], None)
@@ -304,6 +306,26 @@ class TestFeatureTable:
         for _ in range(15):
             ds = random_dataset(rng, max_motions=12, max_copas=4, distinct_topics=False)
             _assert_table_exact(ds, _full_context(ds, rng))
+
+    def test_repeated_manual_title_counts_twice(self):
+        ds = build_dataset(
+            motions=[("h", "ban", "smoking"), ("x", "subsidize", "alcohol")],
+            copas=[
+                ("c1", "one", True, ("health", "health", "freedom")),
+                ("c2", "two", True, ("health", "freedom")),
+            ],
+            labels=[("h", "c1"), ("x", "c2")],
+        )
+        ctx = _full_context(ds, np.random.default_rng(53))
+        _assert_table_exact(ds, ctx)
+        table = FeatureTable(ds, ctx)
+        m_t = motion_text_sets(ds.motions[0], ds.actions, ctx).m_t
+        f = IDX["sim_mt_cm_embed"]
+        for j, titles in enumerate((("health", "health", "freedom"), ("health", "freedom"))):
+            sims = [term_similarity(SimilarityKind.EMBEDDING, x, y, ctx)
+                    for x in m_t for y in titles]
+            assert table.values[0, j, f] == pytest.approx(set_similarity_mean(sims), abs=1e-12)
+        assert table.values[0, 0, f] != pytest.approx(table.values[0, 1, f], abs=1e-6)
 
     def test_labels_follow_the_dataset(self):
         ds = _toy_ds()

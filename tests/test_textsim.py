@@ -1,7 +1,5 @@
-import importlib.util
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copa.textsim import (
+    MAX_SET_PAIRS,
+    SIMILARITY_STEP,
     ArticleRecord,
     DomainError,
     EmbeddingStore,
@@ -17,23 +17,19 @@ from copa.textsim import (
     TfIdfModel,
     UnknownTopic,
     WikiCorpus,
+    _cosine_block,
+    _dict_cosine,
+    _tfidf_block,
     avg_idf_in_article,
     embed_term,
     hypergeom_pvalue,
     set_similarity,
+    similarity_block,
     term_similarity,
     topic_related_titles,
 )
+from helpers import load_bench_generator
 from oracles import hypergeom_tail_by_draws, hypergeom_tail_exact, set_similarity_mean
-
-
-def _load_bench_generator():
-    """The benchmark's workload generator, imported from its file."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
-    spec = importlib.util.spec_from_file_location("bench_generate", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture()
@@ -133,7 +129,7 @@ class TestEmbeddingFile:
             self._assert_parse_unchanged(data_dir / name)
 
     def test_parse_equals_per_token_floats_on_generated_workload(self, tmp_path):
-        generate = _load_bench_generator()
+        generate = load_bench_generator()
         generate.write_workload(str(tmp_path), seed=3, n_motions=28, n_copas=37)
         for name in ("embeddings.txt", "embeddings_alt.txt"):
             self._assert_parse_unchanged(tmp_path / name)
@@ -266,6 +262,109 @@ class TestSetSimilarity:
             for y in sorted(b)
         ]
         assert got == pytest.approx(set_similarity_mean(sims), abs=1e-12)
+
+
+def _kernel_context():
+    """All three kinds with partial coverage: words without a vector, an
+    alt store over fewer words, and tf-idf vectors from article bodies
+    for some terms and from the term's own tokens for the rest."""
+    rng = np.random.default_rng(61)
+    words = ["east", "north", "smoking", "renewable", "energy", "tax", "law"]
+    corpus = WikiCorpus(
+        articles={
+            "smoking": ArticleRecord({}, frozenset({"health", "tax", "law"})),
+            "tax": ArticleRecord({}, frozenset({"money", "law", "health"})),
+            "renewable energy": ArticleRecord({}, frozenset({"sun", "wind", "money"})),
+            "law": ArticleRecord({}, frozenset({"court"})),
+        },
+        background_link_counts={},
+        background_total_links=0,
+    )
+    return SimilarityContext(
+        embeddings=EmbeddingStore({w: rng.normal(size=6) for w in words[:6]}, 6),
+        alt_embeddings=EmbeddingStore({w: rng.normal(size=3) for w in words[2:]}, 3),
+        tfidf=TfIdfModel.from_wiki_corpus(corpus),
+        wiki=corpus,
+    )
+
+
+KERNEL_CTX = _kernel_context()
+#: single and multi-word terms, some with no vector under some kind
+KERNEL_TERMS = ("east", "north", "smoking", "renewable energy", "tax", "law", "qzx",
+                "east law", "tax qzx")
+term_lists = st.lists(st.sampled_from(KERNEL_TERMS), max_size=6)  # repeats allowed
+
+
+class TestSimilarityBlock:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(list(SimilarityKind)), a=term_lists, b=term_lists)
+    def test_entries_equal_their_one_by_one_blocks(self, kind, a, b):
+        sims, present = similarity_block(kind, a, b, KERNEL_CTX)
+        assert sims.shape == present.shape == (len(a), len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                one, one_present = similarity_block(kind, [x], [y], KERNEL_CTX)
+                assert np.array_equal(sims[i:i + 1, j:j + 1], one)
+                assert present[i, j] == one_present[0, 0]
+                exact = term_similarity(kind, x, y, KERNEL_CTX)
+                assert present[i, j] == (exact is not None)
+                if exact is None:
+                    assert sims[i, j] == 0.0
+                elif kind is SimilarityKind.TFIDF:
+                    # the block's tf-idf arithmetic is _dict_cosine's
+                    assert sims[i, j] == np.rint(exact / SIMILARITY_STEP) * SIMILARITY_STEP
+                else:
+                    assert sims[i, j] == pytest.approx(exact, abs=SIMILARITY_STEP)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(list(SimilarityKind)), a=term_lists, b=term_lists,
+           data=st.data())
+    def test_set_similarity_is_order_free(self, kind, a, b, data):
+        got = set_similarity(kind, a, b, KERNEL_CTX)
+        a2 = data.draw(st.permutations(a))
+        b2 = data.draw(st.permutations(b))
+        assert set_similarity(kind, a2, b2, KERNEL_CTX) == got
+        assert set_similarity(kind, b2, a2, KERNEL_CTX) == got
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(list(SimilarityKind)), a=term_lists, b=term_lists)
+    def test_set_similarity_matches_mean_oracle(self, kind, a, b):
+        got = set_similarity(kind, a, b, KERNEL_CTX)
+        sims = [term_similarity(kind, x, y, KERNEL_CTX) for x in a for y in b]
+        assert got == pytest.approx(set_similarity_mean(sims), abs=1e-12)
+
+    def test_cosine_entries_are_per_pair_sums(self):
+        # before rounding: every entry is its own pair's np.sum(u * v), in
+        # every chunk of the broadcast product (a BLAS product is not)
+        rng = np.random.default_rng(62)
+        u = [rng.normal(size=300) for _ in range(40)]
+        v = [rng.normal(size=300) for _ in range(25)]
+        got = _cosine_block(u * 30, v)
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                assert got[i, j] == (np.clip(np.sum(a * b), -1.0, 1.0) + 1.0) / 2.0
+        assert np.array_equal(got, np.tile(got[:40], (30, 1)))
+
+    def test_tfidf_entries_are_dict_cosines(self):
+        # before rounding, with many common units per pair, so that the
+        # order in which their products are added shows
+        rng = np.random.default_rng(63)
+        units = [f"u{i:02d}" for i in range(20)]
+        vectors = [
+            {u: float(rng.uniform(0.1, 3.0)) for u in rng.choice(units, size=12, replace=False)}
+            for _ in range(30)
+        ]
+        got = _tfidf_block(vectors, vectors)
+        for i, a in enumerate(vectors):
+            for j, b in enumerate(vectors):
+                assert got[i, j] == min(1.0, max(0.0, _dict_cosine(a, b)))
+
+    def test_pair_bound(self, store):
+        ctx = SimilarityContext(embeddings=store)
+        side = ["east"] * (MAX_SET_PAIRS // 2)
+        assert set_similarity(SimilarityKind.EMBEDDING, ["north"] * 2, side, ctx) == 0.5
+        with pytest.raises(DomainError, match="exact-sum bound"):
+            set_similarity(SimilarityKind.EMBEDDING, ["north"] * 2, side + ["east"], ctx)
 
 
 class TestHypergeom:
