@@ -63,14 +63,12 @@ from .classifiers import (
     W2VClassifier,
     build_blacklist,
     ensemble,
-    load_model,
     logreg_fit,
     predict_ba,
     predict_feature_lr,
     predict_knn,
     predict_nb,
     predict_w2v,
-    save_model,
     train_ba,
     train_feature_lr,
     train_nb,

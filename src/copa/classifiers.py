@@ -18,11 +18,12 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .features import FEATURE_ORDERING, N_FEATURES, Standardizer, standardize
+from .features import N_FEATURES, Standardizer, standardize
 from .kb import Dataset, Motion
 from .textsim import DomainError, SimilarityContext, SimilarityKind, read_lines, term_similarity
 
@@ -223,73 +224,27 @@ def logreg_fit(
 @dataclass
 class LogRegModel:
     """A trained logistic regression scorer (optionally standardizing its
-    inputs first).  ``feature_ordering`` documents what the weights mean;
-    ``n_iters``, ``converged`` and ``grad_norm`` say how its fit ended
-    (None when not recorded, as in older model files)."""
+    inputs first).  ``n_iters``, ``converged`` and ``grad_norm`` say how
+    its fit ended (None when not recorded)."""
 
     weights: np.ndarray
     bias: float
     standardizer: Standardizer | None = None
-    lam: float = 1e-3
-    tol: float = 1e-6
-    max_iters: int = 10000
-    feature_ordering: str = ""
     n_iters: int | None = None
     converged: bool | None = None
     grad_norm: float | None = None
 
     @classmethod
-    def from_fit(cls, fit: LogRegFit, standardizer: Standardizer | None, lam: float, tol: float,
-                 max_iters: int, feature_ordering: str) -> "LogRegModel":
+    def from_fit(cls, fit: LogRegFit, standardizer: Standardizer | None) -> "LogRegModel":
         weights, bias = fit
-        return cls(
-            weights=weights, bias=bias, standardizer=standardizer, lam=lam, tol=tol,
-            max_iters=max_iters, feature_ordering=feature_ordering,
-            n_iters=fit.n_iters, converged=fit.converged, grad_norm=fit.grad_norm,
-        )
+        return cls(weights=weights, bias=bias, standardizer=standardizer,
+                   n_iters=fit.n_iters, converged=fit.converged, grad_norm=fit.grad_norm)
 
     def score(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         if self.standardizer is not None:
             x = self.standardizer.transform(x)
         return float(sigmoid(float(self.weights @ x) + self.bias))
-
-    def to_dict(self) -> dict:
-        return {
-            "method": "feature_lr",
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "standardizer": None if self.standardizer is None else self.standardizer.to_dict(),
-            "hyperparameters": {"lam": self.lam, "tol": self.tol, "max_iters": self.max_iters},
-            "feature_ordering": self.feature_ordering,
-            "fit": {
-                "n_iters": self.n_iters, "converged": self.converged, "grad_norm": self.grad_norm,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LogRegModel":
-        hp = doc.get("hyperparameters", {})
-        fit = doc.get("fit", {})
-        std = doc.get("standardizer")
-        weights = np.array(doc["weights"], dtype=float)
-        bias = float(doc["bias"])
-        standardizer = None if std is None else Standardizer.from_dict(std)
-        fitted = [weights] if std is None else [weights, standardizer.mean, standardizer.scale]
-        if len({len(a) for a in fitted}) > 1:
-            raise DomainError("the weights and the standardizer differ in length")
-        if not (math.isfinite(bias) and all(np.isfinite(a).all() for a in fitted)):
-            raise DomainError("a weight, the bias or a standardizer value is not finite")
-        return cls(
-            weights=weights, bias=bias, standardizer=standardizer,
-            lam=hp.get("lam", 1e-3),
-            tol=hp.get("tol", 1e-6),
-            max_iters=hp.get("max_iters", 10000),
-            feature_ordering=doc.get("feature_ordering", ""),
-            n_iters=fit.get("n_iters"),
-            converged=fit.get("converged"),
-            grad_norm=fit.get("grad_norm"),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -312,32 +267,6 @@ class BAModel:
         if total == 0:
             return None
         return self.support.get((copa_id, action), 0) / total
-
-    def to_dict(self) -> dict:
-        nested: dict[str, dict[str, int]] = {}
-        for (cid, action), count in sorted(self.support.items()):
-            nested.setdefault(cid, {})[action] = count
-        return {
-            "method": "ba",
-            "hyperparameters": {"k": self.k},
-            "copa_ids": list(self.copa_ids),
-            "action_totals": dict(sorted(self.action_totals.items())),
-            "support": nested,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BAModel":
-        support = {
-            (cid, action): int(count)
-            for cid, by_action in doc["support"].items()
-            for action, count in by_action.items()
-        }
-        return cls(
-            k=int(doc["hyperparameters"]["k"]),
-            copa_ids=tuple(doc["copa_ids"]),
-            action_totals={a: int(n) for a, n in doc["action_totals"].items()},
-            support=support,
-        )
 
 
 def train_ba(ds: Dataset, k: int = 5) -> BAModel:
@@ -420,19 +349,12 @@ def predict_knn(
 @dataclass(frozen=True)
 class Blacklist:
     """Per-CoPA set of actions never seen inside the CoPA in training;
-    used by W2V and NB to veto predictions."""
+    used by W2V to veto predictions."""
 
     actions_by_copa: dict[str, frozenset[str]]
 
     def blocks(self, copa_id: str, action: str) -> bool:
         return action in self.actions_by_copa.get(copa_id, frozenset())
-
-    def to_dict(self) -> dict:
-        return {cid: sorted(acts) for cid, acts in sorted(self.actions_by_copa.items())}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Blacklist":
-        return cls({cid: frozenset(acts) for cid, acts in doc.items()})
 
 
 def build_blacklist(ds: Dataset) -> Blacklist:
@@ -453,20 +375,6 @@ def build_blacklist(ds: Dataset) -> Blacklist:
 class W2VClassifier:
     per_copa: dict[str, LogRegModel]
     blacklist: Blacklist
-
-    def to_dict(self) -> dict:
-        return {
-            "method": "w2v",
-            "per_copa": {cid: m.to_dict() for cid, m in sorted(self.per_copa.items())},
-            "blacklist": self.blacklist.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "W2VClassifier":
-        return cls(
-            per_copa={cid: LogRegModel.from_dict(m) for cid, m in doc["per_copa"].items()},
-            blacklist=Blacklist.from_dict(doc["blacklist"]),
-        )
 
 
 def train_w2v_lr(
@@ -491,11 +399,10 @@ def train_w2v_lr(
     per_copa: dict[str, LogRegModel] = {}
     if rows:
         X = np.stack(rows)
-        ordering = f"topic_embedding[{X.shape[1]}]"
         for c in ds.copas:
             y = np.array([1.0 if m.id in c.motion_ids else 0.0 for m in row_motions])
             fit = logreg_fit(X, y, lam=lam, tol=tol, max_iters=max_iters)
-            per_copa[c.id] = LogRegModel.from_fit(fit, None, lam, tol, max_iters, ordering)
+            per_copa[c.id] = LogRegModel.from_fit(fit, None)
     return W2VClassifier(per_copa=per_copa, blacklist=blacklist)
 
 
@@ -545,8 +452,9 @@ class TopicSentenceCorpus:
 
     @classmethod
     def from_jsonl(cls, path) -> "TopicSentenceCorpus":
-        """Read JSON lines; a malformed line or a record without a
-        ``topic`` and a ``sentence`` raises DomainError."""
+        """Read JSON lines; a malformed line, or a record that is not an
+        object with a string ``topic`` and a string ``sentence``, raises
+        DomainError naming the file and line."""
         table: dict[str, list[str]] = {}
         for lineno, line in read_lines(path):
             line = line.strip()
@@ -554,22 +462,23 @@ class TopicSentenceCorpus:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
                 raise DomainError(f"{path}:{lineno}: bad JSON line ({exc})") from None
-            try:
-                topic, sentence = str(rec["topic"]), str(rec["sentence"])
-            except (KeyError, TypeError):
+            if not (isinstance(rec, dict) and isinstance(rec.get("topic"), str)
+                    and isinstance(rec.get("sentence"), str)):
                 raise DomainError(
-                    f"{path}:{lineno}: record needs a 'topic' and a 'sentence'"
-                ) from None
-            table.setdefault(topic, []).append(sentence)
+                    f"{path}:{lineno}: record needs a string 'topic' and a string 'sentence'"
+                )
+            table.setdefault(rec["topic"], []).append(rec["sentence"])
         return cls(table)
 
 
 @dataclass
 class NBModel:
-    """Unigram Naive Bayes for one CoPA: sentence-level positive /
-    negative classes with Laplace smoothing over the shared vocabulary."""
+    """One CoPA's Naive Bayes log tables: the log-priors of its positive
+    and negative sentence classes and their Laplace-smoothed unigram
+    log-probabilities, over the training vocabulary or the part of it a
+    query needs."""
 
     alpha: float
     log_prior_pos: float
@@ -578,8 +487,7 @@ class NBModel:
     log_prob_neg: dict[str, float]
 
     def sentence_posterior(self, sentence: str) -> float:
-        """P(positive | sentence); prediction-time words outside the
-        training vocabulary are skipped."""
+        """P(positive | sentence); words outside the tables are skipped."""
         lp = self.log_prior_pos
         ln = self.log_prior_neg
         for w in tokenize(sentence):
@@ -591,44 +499,98 @@ class NBModel:
         # sigmoid of the log-odds: exact 0.5 under perfect symmetry
         return float(sigmoid(lp - ln))
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "log_prior_pos": self.log_prior_pos,
-            "log_prior_neg": self.log_prior_neg,
-            "log_prob_pos": dict(sorted(self.log_prob_pos.items())),
-            "log_prob_neg": dict(sorted(self.log_prob_neg.items())),
-        }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NBModel":
-        return cls(
-            alpha=float(doc["alpha"]),
-            log_prior_pos=float(doc["log_prior_pos"]),
-            log_prior_neg=float(doc["log_prior_neg"]),
-            log_prob_pos={w: float(v) for w, v in doc["log_prob_pos"].items()},
-            log_prob_neg={w: float(v) for w, v in doc["log_prob_neg"].items()},
-        )
+class _MotionCounts(NamedTuple):
+    """One training motion's share of the NB count tables."""
+
+    words: np.ndarray  # vocabulary columns of its topic's sentence words
+    counts: np.ndarray  # occurrences of each
+    sentences: int
+    copas: np.ndarray  # rows of the CoPAs it is a member of
+    action: int | None  # support column of its action, None outside the registry
 
 
-@dataclass
+@dataclass(eq=False)
 class NBClassifier:
-    per_copa: dict[str, NBModel]
-    blacklist: Blacklist
+    """Naive Bayes for every CoPA at once, as integer count tables.
 
-    def to_dict(self) -> dict:
-        return {
-            "method": "nb",
-            "per_copa": {cid: m.to_dict() for cid, m in sorted(self.per_copa.items())},
-            "blacklist": self.blacklist.to_dict(),
-        }
+    A CoPA's positive class is the sentences of its members' topics, its
+    negative class those of the other training motions.  Over the training
+    motions the tables count each word (``totals``), each word among each
+    CoPA's members (``positive``), sentences in all and among each CoPA's
+    members, and each CoPA's members per registry action (``support``;
+    where it is 0 the blacklist vetoes the action).  The vocabulary is the
+    words with a positive total.
+    """
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NBClassifier":
-        return cls(
-            per_copa={cid: NBModel.from_dict(m) for cid, m in doc["per_copa"].items()},
-            blacklist=Blacklist.from_dict(doc["blacklist"]),
-        )
+    alpha: float
+    copa_ids: tuple[str, ...]
+    actions: dict[str, int]  # registry action -> support column
+    vocab: dict[str, int]  # every word of the training set -> column
+    motions: dict[str, _MotionCounts]
+    totals: np.ndarray
+    positive: np.ndarray
+    sentences: int
+    positive_sentences: np.ndarray
+    support: np.ndarray
+
+    def _add(self, share: _MotionCounts, sign: int) -> None:
+        self.totals[share.words] += sign * share.counts
+        self.positive[np.ix_(share.copas, share.words)] += sign * share.counts
+        self.sentences += sign * share.sentences
+        self.positive_sentences[share.copas] += sign * share.sentences
+        if share.action is not None:
+            self.support[share.copas, share.action] += sign
+
+    def without_motion(self, motion_id: str) -> "NBClassifier":
+        """The classifier of ``ds.without_motion(motion_id)`` for the ``ds``
+        that ``train_nb`` built this one from: copies of the tables minus
+        that motion's counts."""
+        fold = replace(self, totals=self.totals.copy(), positive=self.positive.copy(),
+                       positive_sentences=self.positive_sentences.copy(),
+                       support=self.support.copy())
+        fold._add(self.motions[motion_id], -1)
+        return fold
+
+    def blocked_copas(self, action: str) -> frozenset[str]:
+        """CoPAs without a training member of the registry action
+        ``action``; the blacklist forces their score to 0."""
+        col = self.actions.get(action)
+        if col is None:
+            return frozenset()
+        return frozenset(cid for cid, n in zip(self.copa_ids, self.support[:, col]) if n == 0)
+
+    def copa_models(self, words) -> list[NBModel]:
+        """Each CoPA's model, in ``copa_ids`` order, with log-probabilities
+        for those of ``words`` that are in the vocabulary."""
+        known = [w for w in words if (j := self.vocab.get(w)) is not None and self.totals[j] > 0]
+        cols = [self.vocab[w] for w in known]
+        totals = self.totals[cols].tolist()
+        n_vocab = int(np.count_nonzero(self.totals))
+        n_words = int(self.totals.sum())
+        n, alpha = self.sentences, self.alpha
+        models = []
+        for pos_counts, pos_words, pos_sentences in zip(
+            self.positive[:, cols].tolist(), self.positive.sum(axis=1).tolist(),
+            self.positive_sentences.tolist(),
+        ):
+            denom_pos = pos_words + alpha * n_vocab
+            denom_neg = (n_words - pos_words) + alpha * n_vocab
+            models.append(NBModel(
+                alpha=alpha,
+                log_prior_pos=_log_or_neg_inf(pos_sentences / n if n else 0.0),
+                log_prior_neg=_log_or_neg_inf((n - pos_sentences) / n if n else 0.0),
+                log_prob_pos={w: math.log((k + alpha) / denom_pos)
+                              for w, k in zip(known, pos_counts)},
+                log_prob_neg={w: math.log((t - k + alpha) / denom_neg)
+                              for w, k, t in zip(known, pos_counts, totals)},
+            ))
+        return models
+
+    @property
+    def per_copa(self) -> dict[str, NBModel]:
+        """Each CoPA's model over the whole vocabulary."""
+        return dict(zip(self.copa_ids, self.copa_models(self.vocab)))
 
 
 def _log_or_neg_inf(x: float) -> float:
@@ -636,60 +598,47 @@ def _log_or_neg_inf(x: float) -> float:
 
 
 def train_nb(ds: Dataset, corpus: TopicSentenceCorpus, alpha: float = 1.0) -> NBClassifier:
-    """Sentences of member-motion topics are the positive class, all
-    other motions' sentences the negative class, per CoPA."""
+    """The count tables of ``ds``, each motion's sentences tokenized once."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    blacklist = build_blacklist(ds)
-    per_copa: dict[str, NBModel] = {}
-    # each motion's sentences are tokenized once; a CoPA's negative class
-    # is everything minus its positive class
-    motion_counts = []
-    all_counts: Counter[str] = Counter()
+    actions = {a.id: j for j, a in enumerate(ds.actions)}
+    vocab: dict[str, int] = {}
+    motions = {}
     for m in ds.motions:
         sents = corpus.get(m.topic)
         counts = Counter(w for s in sents for w in tokenize(s))
-        motion_counts.append((m.id, len(sents), counts))
-        all_counts.update(counts)
-    all_sentences = sum(n for _, n, _ in motion_counts)
-    for c in ds.copas:
-        pos_counts: Counter[str] = Counter()
-        pos_sentences = 0
-        for mid, n_sentences, counts in motion_counts:
-            if mid in c.motion_ids:
-                pos_sentences += n_sentences
-                pos_counts.update(counts)
-        neg_counts = all_counts - pos_counts
-        neg_sentences = all_sentences - pos_sentences
-        vocab = sorted(set(pos_counts) | set(neg_counts))
-        pos_total = sum(pos_counts.values())
-        neg_total = sum(neg_counts.values())
-        denom_pos = pos_total + alpha * len(vocab)
-        denom_neg = neg_total + alpha * len(vocab)
-        total_sentences = pos_sentences + neg_sentences
-        per_copa[c.id] = NBModel(
-            alpha=alpha,
-            log_prior_pos=_log_or_neg_inf(pos_sentences / total_sentences if total_sentences else 0.0),
-            log_prior_neg=_log_or_neg_inf(neg_sentences / total_sentences if total_sentences else 0.0),
-            log_prob_pos={w: math.log((pos_counts[w] + alpha) / denom_pos) for w in vocab},
-            log_prob_neg={w: math.log((neg_counts[w] + alpha) / denom_neg) for w in vocab},
+        motions[m.id] = _MotionCounts(
+            words=np.array([vocab.setdefault(w, len(vocab)) for w in counts], dtype=np.intp),
+            counts=np.array(list(counts.values()), dtype=np.int64),
+            sentences=len(sents),
+            copas=np.flatnonzero([m.id in c.motion_ids for c in ds.copas]),
+            action=actions.get(m.action),
         )
-    return NBClassifier(per_copa=per_copa, blacklist=blacklist)
+    n_copas, n_words = len(ds.copas), len(vocab)
+    clf = NBClassifier(
+        alpha, ds.copa_ids, actions, vocab, motions, totals=np.zeros(n_words, dtype=np.int64),
+        positive=np.zeros((n_copas, n_words), dtype=np.int64), sentences=0,
+        positive_sentences=np.zeros(n_copas, dtype=np.int64),
+        support=np.zeros((n_copas, len(actions)), dtype=np.int64),
+    )
+    for share in motions.values():
+        clf._add(share, 1)
+    return clf
 
 
 def predict_nb(clf: NBClassifier, motion: Motion, corpus: TopicSentenceCorpus) -> dict[str, Score]:
     """Mean per-sentence posterior over the topic's sentences; abstains
     when the corpus has none, 0 where the blacklist vetoes the action."""
-    copa_ids = sorted(clf.per_copa)
     sentences = corpus.get(motion.topic)
     if not sentences:
-        return {cid: None for cid in copa_ids}
+        return {cid: None for cid in clf.copa_ids}
+    blocked = clf.blocked_copas(motion.action)
+    models = clf.copa_models({w for s in sentences for w in tokenize(s)})
     scores: dict[str, Score] = {}
-    for cid in copa_ids:
-        if clf.blacklist.blocks(cid, motion.action):
+    for cid, model in zip(clf.copa_ids, models):
+        if cid in blocked:
             scores[cid] = 0.0
             continue
-        model = clf.per_copa[cid]
         posterior = sum(model.sentence_posterior(s) for s in sentences) / len(sentences)
         scores[cid] = min(1.0, max(0.0, posterior))
     return scores
@@ -719,52 +668,10 @@ def train_feature_lr(
     scaler = standardize(X)
     fit = logreg_fit(scaler.transform(X), np.asarray(labels, dtype=float).reshape(-1),
                      lam=lam, tol=tol, max_iters=max_iters)
-    return LogRegModel.from_fit(fit, scaler, lam, tol, max_iters, FEATURE_ORDERING)
+    return LogRegModel.from_fit(fit, scaler)
 
 
 def predict_feature_lr(model: LogRegModel, rows: np.ndarray, copa_ids) -> dict[str, Score]:
     """Sigmoid score per CoPA from one motion's (CoPAs x features) rows,
     in ``copa_ids`` order; this method never abstains."""
     return {cid: model.score(x) for cid, x in zip(copa_ids, rows, strict=True)}
-
-
-# ---------------------------------------------------------------------------
-# Model persistence
-# ---------------------------------------------------------------------------
-
-_MODEL_TYPES = {
-    "ba": BAModel,
-    "w2v": W2VClassifier,
-    "nb": NBClassifier,
-    "feature_lr": LogRegModel,
-}
-
-
-def save_model(model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path):
-    """A model written by ``save_model``.  DomainError naming the file when
-    it is not a JSON object, lacks or mistypes a field, or holds a
-    non-finite or mis-sized weight."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise DomainError(f"{path}: a model file must hold a JSON object")
-    method = doc.get("method")
-    if method not in _MODEL_TYPES:
-        raise ValueError(f"{path}: unknown model method tag {method!r}")
-    try:
-        model = _MODEL_TYPES[method].from_dict(doc)
-        if method == "feature_lr" and len(model.weights) != N_FEATURES:
-            raise DomainError(f"{len(model.weights)} weights for {N_FEATURES} features")
-    except DomainError as exc:
-        raise DomainError(f"{path}: {exc}") from None
-    except KeyError as exc:
-        raise DomainError(f"{path}: missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise DomainError(f"{path}: mistyped field ({exc})") from None
-    return model

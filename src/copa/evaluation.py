@@ -109,7 +109,8 @@ def leave_one_out(
     Each fold trains on all motions but one; the held-out motion is also
     withheld from the count features and from c_t (its topic is ignored),
     and same-topic training motions are dropped from KNN candidate sets.
-    The feature LR's table is built once and each fold derived from it.
+    The feature LR's table and the NB count tables are built once, and
+    each fold is derived from them.
     """
     if len(ds.motions) < 2:
         raise ValueError("leave-one-out needs at least two motions")
@@ -122,13 +123,14 @@ def leave_one_out(
     eligible = topic_method_copas(ds, config.topic_min_motions)
     ineligible = np.array([cid not in eligible for cid in ds.copa_ids], dtype=bool)
     table = FeatureTable(ds, ctx) if "lr" in config.methods else None
+    nb = clf.train_nb(ds, corpus, alpha=config.nb_alpha) if "nb" in config.methods else None
 
     for i, held_out in enumerate(ds.motions):
         fold = ds.without_motion(held_out.id)
         try:
             for method in config.methods:
                 row = score_motion(method, ds, held_out, config, ctx, corpus,
-                                   fold=fold, table=table)
+                                   fold=fold, table=table, nb=nb)
                 if method in ("knn", "w2v", "nb"):
                     row[ineligible] = np.nan
                 matrices[method].scores[i] = row
@@ -148,6 +150,7 @@ def score_motion(
     corpus: TopicSentenceCorpus | None = None,
     fold: Dataset | None = None,
     table: FeatureTable | None = None,
+    nb: clf.NBClassifier | None = None,
 ) -> np.ndarray:
     """Scores of ``motion`` against every CoPA of ``ds`` under one method,
     in ``ds.copa_ids`` order with NaN for abstentions.
@@ -157,7 +160,8 @@ def score_motion(
     leave-one-out fold: models train on the fold, the feature LR withholds
     ``motion`` from its counts and c_t, and KNN skips ``motion``'s topic.
     The feature LR reads its rows from ``table``, the ``FeatureTable`` of
-    ``ds``, built here when not given.
+    ``ds``, and NB its counts from ``nb``, ``train_nb`` of ``ds``; each is
+    built here when not given, and a fold subtracts ``motion`` from them.
     """
     loo = fold is not None
     train = fold if loo else ds
@@ -174,8 +178,8 @@ def score_motion(
                                  max_iters=config.max_iters)
         scores = clf.predict_w2v(model, motion, ctx)
     elif method == "nb":
-        model = clf.train_nb(train, corpus, alpha=config.nb_alpha)
-        scores = clf.predict_nb(model, motion, corpus)
+        model = nb if nb is not None else clf.train_nb(ds, corpus, alpha=config.nb_alpha)
+        scores = clf.predict_nb(model.without_motion(motion.id) if loo else model, motion, corpus)
     elif method == "lr":
         table = table if table is not None else FeatureTable(ds, ctx)
         if loo:

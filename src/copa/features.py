@@ -345,13 +345,6 @@ class Standardizer:
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.mean) * self.scale
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Standardizer":
-        return cls(np.array(doc["mean"], dtype=float), np.array(doc["scale"], dtype=float))
-
 
 STDDEV_FLOOR = 1e-9
 

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copa import classifiers as clfmod
+from copa.classifiers import TopicSentenceCorpus
 from copa.cli import AppConfig, ConfigError, main
+from copa.textsim import DomainError, EmbeddingStore
 from helpers import load_bench_generator
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -229,6 +231,22 @@ class TestExitCodes:
                                env={env_key: str(bad)})
         assert result.exit_code == 4, result.output
         assert str(bad) in result.output and "UTF-8" in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("record", [
+        {"topic": "smoking", "sentence": None},
+        {"topic": "smoking", "sentence": ["a"]},
+        {"topic": None, "sentence": "a"},
+    ])
+    def test_non_string_sentence_record_is_io_error(self, runner, tmp_path, monkeypatch, record):
+        monkeypatch.chdir(ROOT)
+        bad = tmp_path / "sent.jsonl"
+        bad.write_text(json.dumps({"topic": "smoking", "sentence": "fine"}) + "\n"
+                       + json.dumps(record) + "\n")
+        result = runner.invoke(main, ["--config", "data/config.json", "match", "ban", "smoking",
+                                      "--method", "nb"], env={"COPA_SENTENCE_CORPUS": str(bad)})
+        assert result.exit_code == 4, result.output
+        assert f"{bad}:2" in result.output and "string 'sentence'" in result.output
         assert "Traceback" not in result.output
 
     def test_stores_no_method_reads_are_not_loaded(self, runner, workspace, tmp_path):
@@ -560,3 +578,59 @@ def test_any_json_config_loads_or_is_a_config_error(workspace, doc, real_dataset
     result = CliRunner().invoke(main, ["--config", str(path), "stats"])
     assert result.exit_code in (0, 2, 4), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+# any line a file may hold: JSON values, sentence records with any field
+# values, and text that is not JSON
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+SENTENCE_LINES = st.one_of(
+    JSON_VALUES.map(json.dumps),
+    st.fixed_dictionaries({"topic": JSON_VALUES | st.sampled_from(["t0", " T1 ", "u2"]),
+                           "sentence": JSON_VALUES | TEXT}).map(json.dumps),
+    TEXT,
+)
+EMBEDDING_LINES = st.lists(
+    st.one_of(st.floats().map(repr), st.integers(-(10**30), 10**30).map(str),
+              st.sampled_from(["t0", "U1", "nan", "-inf", "1e999", "1e200", "0x10", "1_0", "3"]),
+              TEXT),
+    max_size=5,
+).map(" ".join)
+
+
+def _fuzz_file(workspace, name, lines, raw):
+    path = workspace / name
+    if raw is not None:
+        path.write_bytes(raw)
+    else:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _assert_documented_exit(workspace, args, env):
+    result = CliRunner().invoke(main, ["--config", str(workspace / "config.json"), *args], env=env)
+    assert result.exit_code in (0, 2, 3, 4), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+
+
+@given(lines=st.lists(SENTENCE_LINES, max_size=5), raw=st.none() | st.binary(max_size=16))
+@settings(max_examples=150, deadline=None)
+def test_any_sentence_file_loads_or_is_a_domain_error(workspace, lines, raw):
+    path = _fuzz_file(workspace, "fuzz_sentences.jsonl", lines, raw)
+    try:
+        TopicSentenceCorpus.from_jsonl(path)
+    except DomainError:
+        pass
+    _assert_documented_exit(workspace, ["match", "ban", "t0", "--method", "nb"],
+                            {"COPA_SENTENCE_CORPUS": str(path)})
+
+
+@given(lines=st.lists(EMBEDDING_LINES, max_size=6), raw=st.none() | st.binary(max_size=16))
+@settings(max_examples=150, deadline=None)
+def test_any_embedding_file_loads_or_is_a_domain_error(workspace, lines, raw):
+    path = _fuzz_file(workspace, "fuzz_embeddings.txt", lines, raw)
+    try:
+        EmbeddingStore.from_file(path)
+    except DomainError:
+        pass
+    _assert_documented_exit(workspace, ["match", "ban", "t0", "--method", "ensemble"],
+                            {"COPA_EMBEDDINGS": str(path)})
