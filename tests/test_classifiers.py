@@ -353,11 +353,19 @@ class TestLogregFit:
                 slack = 1e-6 * math.sqrt(float(dw @ dw) + db * db) + 1e-12 * max(1.0, abs(best))
                 assert logreg_objective(X, y, w + dw, b + db, lam) >= best - slack
 
-    def test_model_records_its_fit(self):
+    def test_model_records_fit_and_reads_older_files(self):
+        # A model without a fit record (the older form: weights, bias and
+        # standardizer only) reports None for each field and scores the same.
         ds = _action_separable_ds()
-        model = train_feature_lr(*_table_rows(ds, SimilarityContext()), max_iters=3)
+        x, y = _table_rows(ds, SimilarityContext())
+        model = train_feature_lr(x, y, max_iters=3)
         assert (model.n_iters, model.converged) == (3, False)
         assert model.grad_norm >= 1e-6
+        old = LogRegModel(weights=model.weights, bias=model.bias,
+                          standardizer=model.standardizer)
+        assert (old.n_iters, old.converged, old.grad_norm) == (None, None, None)
+        rows = x.reshape(-1, N_FEATURES)
+        assert [old.score(r) for r in rows] == [model.score(r) for r in rows]
 
 
 # ---------------------------------------------------------------------------
