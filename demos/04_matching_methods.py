@@ -13,6 +13,7 @@ from copa import (
     SimilarityContext,
     TfIdfModel,
     TopicSentenceCorpus,
+    W2VTable,
     WikiCorpus,
     ensemble,
     load_dataset,
@@ -53,7 +54,7 @@ scores = {"ba": predict_ba(ba, query)}
 scores["knn"] = predict_knn(ds, query, ctx, min_neighbors=2, top=5)
 
 # --- logistic regression on the topic embedding, with action blacklists -----
-w2v = train_w2v_lr(ds, ctx)
+w2v = train_w2v_lr(W2VTable(ds, ctx))  # the topic vectors and labels, built once
 scores["w2v"] = predict_w2v(w2v, query, ctx)
 
 # --- Naive Bayes over sentences mentioning the topic ------------------------

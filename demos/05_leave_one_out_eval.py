@@ -1,9 +1,9 @@
-# The evaluation protocol: every method is retrained once per motion on
-# the remaining motions and scores the held-out one; the collected score
-# matrices drive precision/recall and precision-at-1 curves.
+# The evaluation protocol: each method's inputs are built once from all
+# motions, and each held-out motion is scored against them minus that
+# motion (the two logistic regressions retrain per fold); the collected
+# score matrices drive precision/recall and precision-at-1 curves.
 #
 # Run from anywhere:  python3 demos/05_leave_one_out_eval.py
-# (takes a little while: the feature LR retrains per fold)
 
 from pathlib import Path
 

@@ -43,7 +43,6 @@ from .textsim import (
 )
 from .features import (
     FEATURE_NAMES,
-    FEATURE_ORDERING,
     EmptyTrainingSet,
     FeatureTable,
     Standardizer,
@@ -53,7 +52,6 @@ from .features import (
 )
 from .classifiers import (
     BAModel,
-    Blacklist,
     DimensionMismatch,
     LogRegModel,
     NBClassifier,
@@ -61,7 +59,7 @@ from .classifiers import (
     ScoreMatrix,
     TopicSentenceCorpus,
     W2VClassifier,
-    build_blacklist,
+    W2VTable,
     ensemble,
     logreg_fit,
     predict_ba,
@@ -83,6 +81,7 @@ from .evaluation import (
     cohen_kappa,
     default_threshold_grid,
     leave_one_out,
+    method_inputs,
     p_at_1_curve,
     pr_curve,
     score_motion,

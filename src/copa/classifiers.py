@@ -14,6 +14,7 @@ no sampling, ordered iteration.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import re
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .features import N_FEATURES, Standardizer, standardize
-from .kb import Dataset, Motion
+from .kb import Dataset, LabelCounts, Motion
 from .textsim import DomainError, SimilarityContext, SimilarityKind, read_lines, term_similarity
 
 Score = float | None
@@ -252,54 +253,47 @@ class LogRegModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BAModel:
-    """p(c, a): probability that a training motion with action a belongs
-    to CoPA c, with per-pair support counts and the abstention cutoff k."""
+    """p(c, a), the share of the training motions with action a in CoPA
+    c, from the label counts; abstains below a support of k members."""
 
     k: int
-    copa_ids: tuple[str, ...]
-    action_totals: dict[str, int]
-    support: dict[tuple[str, str], int]
+    counts: LabelCounts
 
-    def probability(self, copa_id: str, action: str) -> float | None:
-        total = self.action_totals.get(action, 0)
-        if total == 0:
-            return None
-        return self.support.get((copa_id, action), 0) / total
+    def without_motion(self, motion_id: str) -> "BAModel":
+        return replace(self, counts=self.counts.without_motion(motion_id))
 
 
 def train_ba(ds: Dataset, k: int = 5) -> BAModel:
     if k < 1:
         raise ValueError("k must be at least 1")
-    action_totals: dict[str, int] = {}
-    support: dict[tuple[str, str], int] = {}
-    for m in ds.motions:
-        action_totals[m.action] = action_totals.get(m.action, 0) + 1
-    for c in ds.copas:
-        for mid in c.motion_ids:
-            action = ds.motion(mid).action
-            support[(c.id, action)] = support.get((c.id, action), 0) + 1
-    return BAModel(k=k, copa_ids=ds.copa_ids, action_totals=action_totals, support=support)
+    return BAModel(k, ds.label_counts)
 
 
 def predict_ba(model: BAModel, motion: Motion) -> dict[str, Score]:
     """p(c, action) per CoPA; abstains where fewer than k training
     motions back the estimate (and everywhere for unseen actions)."""
-    if model.action_totals.get(motion.action, 0) == 0:
-        return {cid: None for cid in model.copa_ids}
-    scores: dict[str, Score] = {}
-    for cid in model.copa_ids:
-        if model.support.get((cid, motion.action), 0) >= model.k:
-            scores[cid] = model.probability(cid, motion.action)
-        else:
-            scores[cid] = None
-    return scores
+    total, support = model.counts.with_action(motion.action)  # support >= k >= 1 means total > 0
+    return {cid: n / total if n >= model.k else None
+            for cid, n in zip(model.counts.copa_ids, support.tolist())}
 
 
 # ---------------------------------------------------------------------------
 # KNN over topic similarity
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KNNCandidates:
+    """KNN's training motions: those of ``ds`` not on ``exclude_topic``.
+    The fold without motion h excludes h's topic, and with it h."""
+
+    ds: Dataset
+    exclude_topic: str | None = None
+
+    def without_motion(self, motion_id: str) -> "KNNCandidates":
+        return replace(self, exclude_topic=self.ds.motion(motion_id).topic)
 
 
 def predict_knn(
@@ -342,81 +336,73 @@ def predict_knn(
 
 
 # ---------------------------------------------------------------------------
-# Action blacklists
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Blacklist:
-    """Per-CoPA set of actions never seen inside the CoPA in training;
-    used by W2V to veto predictions."""
-
-    actions_by_copa: dict[str, frozenset[str]]
-
-    def blocks(self, copa_id: str, action: str) -> bool:
-        return action in self.actions_by_copa.get(copa_id, frozenset())
-
-
-def build_blacklist(ds: Dataset) -> Blacklist:
-    all_actions = {a.id for a in ds.actions}
-    table = {}
-    for c in ds.copas:
-        present = {ds.motion(mid).action for mid in c.motion_ids}
-        table[c.id] = frozenset(all_actions - present)
-    return Blacklist(table)
-
-
-# ---------------------------------------------------------------------------
 # W2V: logistic regression over topic embeddings
 # ---------------------------------------------------------------------------
 
 
+class W2VTable:
+    """W2V's training data, built once per dataset: the unit topic vector
+    ``X`` of each motion whose topic has an embedding (the others are left
+    out of training), at dataset row ``rows``, with its CoPA memberships
+    ``labels`` (0/1), and the label counts the blacklist reads.  The fold
+    ``without_motion(h)`` drops h's row and subtracts h from the counts."""
+
+    def __init__(self, ds: Dataset, ctx: SimilarityContext):
+        if ctx.embeddings is None:
+            raise ValueError("w2v training requires an embedding store")
+        vectors = [ctx.term_vector(SimilarityKind.EMBEDDING, m.topic) for m in ds.motions]
+        self.rows = np.array([i for i, v in enumerate(vectors) if v is not None], dtype=np.intp)
+        shape = (len(self.rows), ctx.embeddings.dimension)
+        self.X = np.array([vectors[i] for i in self.rows]).reshape(shape)
+        self.counts = ds.label_counts
+        self.labels = self.counts.member[self.rows].astype(float)
+
+    def without_motion(self, motion_id: str) -> "W2VTable":
+        fold = copy.copy(self)
+        keep = self.rows != self.counts.rows[motion_id]
+        fold.rows, fold.X, fold.labels = self.rows[keep], self.X[keep], self.labels[keep]
+        fold.counts = self.counts.without_motion(motion_id)
+        return fold
+
+
 @dataclass
 class W2VClassifier:
+    """A logistic regression per CoPA (none when no training motion has
+    an embedding) and the label counts of the action blacklist."""
+
     per_copa: dict[str, LogRegModel]
-    blacklist: Blacklist
+    counts: LabelCounts
 
 
 def train_w2v_lr(
-    ds: Dataset,
-    ctx: SimilarityContext,
+    table: W2VTable,
     lam: float = 1e-3,
     tol: float = 1e-6,
     max_iters: int = 10000,
 ) -> W2VClassifier:
-    """One-vs-rest logistic regression per CoPA over unit topic vectors.
-    Motions whose topic has no embedding are left out of training."""
-    if ctx.embeddings is None:
-        raise ValueError("w2v training requires an embedding store")
-    rows = []
-    row_motions = []
-    for m in ds.motions:
-        vec = ctx.term_vector(SimilarityKind.EMBEDDING, m.topic)
-        if vec is not None:
-            rows.append(vec)
-            row_motions.append(m)
-    blacklist = build_blacklist(ds)
+    """One-vs-rest logistic regression per CoPA over the table's unit
+    topic vectors."""
     per_copa: dict[str, LogRegModel] = {}
-    if rows:
-        X = np.stack(rows)
-        for c in ds.copas:
-            y = np.array([1.0 if m.id in c.motion_ids else 0.0 for m in row_motions])
-            fit = logreg_fit(X, y, lam=lam, tol=tol, max_iters=max_iters)
-            per_copa[c.id] = LogRegModel.from_fit(fit, None)
-    return W2VClassifier(per_copa=per_copa, blacklist=blacklist)
+    if len(table.X):
+        for cid, y in zip(table.counts.copa_ids, table.labels.T):
+            fit = logreg_fit(table.X, y, lam=lam, tol=tol, max_iters=max_iters)
+            per_copa[cid] = LogRegModel.from_fit(fit, None)
+    return W2VClassifier(per_copa=per_copa, counts=table.counts)
 
 
 def predict_w2v(clf: W2VClassifier, motion: Motion, ctx: SimilarityContext) -> dict[str, Score]:
-    copa_ids = sorted(clf.blacklist.actions_by_copa)
+    """Each CoPA's model score of the topic vector; abstains when the
+    topic has no embedding, 0 where the blacklist vetoes the action."""
+    copa_ids = clf.counts.copa_ids
     x = ctx.term_vector(SimilarityKind.EMBEDDING, motion.topic)
     if x is None:
         return {cid: None for cid in copa_ids}
     scores: dict[str, Score] = {}
-    for cid in copa_ids:
+    for cid, vetoed in zip(copa_ids, clf.counts.blacklisted(motion.action)):
         model = clf.per_copa.get(cid)
         if model is None:
             scores[cid] = None
-        elif clf.blacklist.blocks(cid, motion.action):
+        elif vetoed:
             scores[cid] = 0.0
         else:
             scores[cid] = model.score(x)
@@ -501,13 +487,11 @@ class NBModel:
 
 
 class _MotionCounts(NamedTuple):
-    """One training motion's share of the NB count tables."""
+    """One training motion's share of the NB word tables."""
 
     words: np.ndarray  # vocabulary columns of its topic's sentence words
     counts: np.ndarray  # occurrences of each
     sentences: int
-    copas: np.ndarray  # rows of the CoPAs it is a member of
-    action: int | None  # support column of its action, None outside the registry
 
 
 @dataclass(eq=False)
@@ -517,30 +501,27 @@ class NBClassifier:
     A CoPA's positive class is the sentences of its members' topics, its
     negative class those of the other training motions.  Over the training
     motions the tables count each word (``totals``), each word among each
-    CoPA's members (``positive``), sentences in all and among each CoPA's
-    members, and each CoPA's members per registry action (``support``;
-    where it is 0 the blacklist vetoes the action).  The vocabulary is the
-    words with a positive total.
+    CoPA's members (``positive``), and sentences in all and among each
+    CoPA's members; the label counts give the memberships and the
+    blacklist.  The vocabulary is the words with a positive total.
     """
 
     alpha: float
-    copa_ids: tuple[str, ...]
-    actions: dict[str, int]  # registry action -> support column
     vocab: dict[str, int]  # every word of the training set -> column
     motions: dict[str, _MotionCounts]
     totals: np.ndarray
     positive: np.ndarray
     sentences: int
     positive_sentences: np.ndarray
-    support: np.ndarray
+    counts: LabelCounts
 
-    def _add(self, share: _MotionCounts, sign: int) -> None:
+    def _add(self, motion_id: str, sign: int) -> None:
+        share = self.motions[motion_id]
+        copas = self.counts.member[self.counts.rows[motion_id]]
         self.totals[share.words] += sign * share.counts
-        self.positive[np.ix_(share.copas, share.words)] += sign * share.counts
+        self.positive[np.ix_(copas, share.words)] += sign * share.counts
         self.sentences += sign * share.sentences
-        self.positive_sentences[share.copas] += sign * share.sentences
-        if share.action is not None:
-            self.support[share.copas, share.action] += sign
+        self.positive_sentences[copas] += sign * share.sentences
 
     def without_motion(self, motion_id: str) -> "NBClassifier":
         """The classifier of ``ds.without_motion(motion_id)`` for the ``ds``
@@ -548,17 +529,9 @@ class NBClassifier:
         that motion's counts."""
         fold = replace(self, totals=self.totals.copy(), positive=self.positive.copy(),
                        positive_sentences=self.positive_sentences.copy(),
-                       support=self.support.copy())
-        fold._add(self.motions[motion_id], -1)
+                       counts=self.counts.without_motion(motion_id))
+        fold._add(motion_id, -1)
         return fold
-
-    def blocked_copas(self, action: str) -> frozenset[str]:
-        """CoPAs without a training member of the registry action
-        ``action``; the blacklist forces their score to 0."""
-        col = self.actions.get(action)
-        if col is None:
-            return frozenset()
-        return frozenset(cid for cid, n in zip(self.copa_ids, self.support[:, col]) if n == 0)
 
     def copa_models(self, words) -> list[NBModel]:
         """Each CoPA's model, in ``copa_ids`` order, with log-probabilities
@@ -590,18 +563,19 @@ class NBClassifier:
     @property
     def per_copa(self) -> dict[str, NBModel]:
         """Each CoPA's model over the whole vocabulary."""
-        return dict(zip(self.copa_ids, self.copa_models(self.vocab)))
+        return dict(zip(self.counts.copa_ids, self.copa_models(self.vocab)))
 
 
 def _log_or_neg_inf(x: float) -> float:
     return math.log(x) if x > 0 else -math.inf
 
 
-def train_nb(ds: Dataset, corpus: TopicSentenceCorpus, alpha: float = 1.0) -> NBClassifier:
+def train_nb(ds: Dataset, corpus: TopicSentenceCorpus | None, alpha: float = 1.0) -> NBClassifier:
     """The count tables of ``ds``, each motion's sentences tokenized once."""
+    if corpus is None:
+        raise ValueError("nb training requires a sentence corpus")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    actions = {a.id: j for j, a in enumerate(ds.actions)}
     vocab: dict[str, int] = {}
     motions = {}
     for m in ds.motions:
@@ -611,18 +585,15 @@ def train_nb(ds: Dataset, corpus: TopicSentenceCorpus, alpha: float = 1.0) -> NB
             words=np.array([vocab.setdefault(w, len(vocab)) for w in counts], dtype=np.intp),
             counts=np.array(list(counts.values()), dtype=np.int64),
             sentences=len(sents),
-            copas=np.flatnonzero([m.id in c.motion_ids for c in ds.copas]),
-            action=actions.get(m.action),
         )
     n_copas, n_words = len(ds.copas), len(vocab)
     clf = NBClassifier(
-        alpha, ds.copa_ids, actions, vocab, motions, totals=np.zeros(n_words, dtype=np.int64),
+        alpha, vocab, motions, totals=np.zeros(n_words, dtype=np.int64),
         positive=np.zeros((n_copas, n_words), dtype=np.int64), sentences=0,
-        positive_sentences=np.zeros(n_copas, dtype=np.int64),
-        support=np.zeros((n_copas, len(actions)), dtype=np.int64),
+        positive_sentences=np.zeros(n_copas, dtype=np.int64), counts=ds.label_counts,
     )
-    for share in motions.values():
-        clf._add(share, 1)
+    for mid in motions:
+        clf._add(mid, 1)
     return clf
 
 
@@ -631,12 +602,12 @@ def predict_nb(clf: NBClassifier, motion: Motion, corpus: TopicSentenceCorpus) -
     when the corpus has none, 0 where the blacklist vetoes the action."""
     sentences = corpus.get(motion.topic)
     if not sentences:
-        return {cid: None for cid in clf.copa_ids}
-    blocked = clf.blocked_copas(motion.action)
+        return {cid: None for cid in clf.counts.copa_ids}
+    blocked = clf.counts.blacklisted(motion.action)
     models = clf.copa_models({w for s in sentences for w in tokenize(s)})
     scores: dict[str, Score] = {}
-    for cid, model in zip(clf.copa_ids, models):
-        if cid in blocked:
+    for cid, model, vetoed in zip(clf.counts.copa_ids, models, blocked):
+        if vetoed:
             scores[cid] = 0.0
             continue
         posterior = sum(model.sentence_posterior(s) for s in sentences) / len(sentences)

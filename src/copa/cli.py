@@ -89,7 +89,7 @@ class AppConfig(EvalConfig):
                     doc = json.load(fh)
             except OSError as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
-            except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long integer
+            except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, long integer, nesting
                 raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ConfigError(f"config {path}: top level must be an object")
@@ -277,7 +277,8 @@ def match(ctx, action, topic, method, threshold):
         methods = cfg.methods if method == "ensemble" else (method,)
         ctx_sim = _build_context(cfg, methods)
         corpus = _load_corpus(cfg, methods)
-        rows = [evalmod.score_motion(name, ds, query, cfg, ctx_sim, corpus) for name in methods]
+        rows = [evalmod.score_motion(m, ds, evalmod.method_inputs(m, ds, cfg, ctx_sim, corpus),
+                                     query, cfg, ctx_sim, corpus) for m in methods]
         combined = clfmod.ensemble(
             [clfmod.ScoreMatrix(name, (query.id,), ds.copa_ids, row[None])
              for name, row in zip(methods, rows)]

@@ -1,10 +1,10 @@
 """Leave-one-motion-out evaluation, threshold-sweep curves and baselines.
 
-The protocol retrains every requested method once per motion on the
-remaining motions, scores the held-out motion against its eligible
-CoPAs, and collects the scores into per-method matrices.  Curves sweep a
-fixed threshold grid over the matrices: pair-level precision/recall, and
-per-motion precision-at-1 versus coverage.
+The protocol builds each method's inputs once, derives the fold without
+each motion by subtracting it, scores the held-out motion against its
+eligible CoPAs, and collects the scores into per-method matrices.  Curves
+sweep a fixed threshold grid over the matrices: pair-level
+precision/recall, and per-motion precision-at-1 versus coverage.
 
 Eligibility mirrors the published protocol: BA-k abstains below k
 supporting motions per (CoPA, action); the topic methods (KNN, W2V, NB)
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classifiers as clf
 from .classifiers import ScoreMatrix, TopicSentenceCorpus, ensemble, matrix_entry
-from .features import FeatureTable, motion_features
+from .features import FeatureTable
 from .kb import Dataset, Motion
 from .textsim import SimilarityContext
 
@@ -109,28 +109,24 @@ def leave_one_out(
     Each fold trains on all motions but one; the held-out motion is also
     withheld from the count features and from c_t (its topic is ignored),
     and same-topic training motions are dropped from KNN candidate sets.
-    The feature LR's table and the NB count tables are built once, and
-    each fold is derived from them.
+    Each method's inputs are built once (a failure there is raised as
+    is), and the fold without motion h is their ``without_motion(h)``.
     """
     if len(ds.motions) < 2:
         raise ValueError("leave-one-out needs at least two motions")
-    if "nb" in config.methods and corpus is None:
-        raise ValueError("nb method requested but no sentence corpus given")
 
     matrices = {
         method: ScoreMatrix(method, ds.motion_ids, ds.copa_ids) for method in config.methods
     }
     eligible = topic_method_copas(ds, config.topic_min_motions)
     ineligible = np.array([cid not in eligible for cid in ds.copa_ids], dtype=bool)
-    table = FeatureTable(ds, ctx) if "lr" in config.methods else None
-    nb = clf.train_nb(ds, corpus, alpha=config.nb_alpha) if "nb" in config.methods else None
+    inputs = {method: method_inputs(method, ds, config, ctx, corpus) for method in config.methods}
 
     for i, held_out in enumerate(ds.motions):
-        fold = ds.without_motion(held_out.id)
         try:
             for method in config.methods:
-                row = score_motion(method, ds, held_out, config, ctx, corpus,
-                                   fold=fold, table=table, nb=nb)
+                fold = inputs[method].without_motion(held_out.id)
+                row = score_motion(method, ds, fold, held_out, config, ctx, corpus)
                 if method in ("knn", "w2v", "nb"):
                     row[ineligible] = np.nan
                 matrices[method].scores[i] = row
@@ -141,54 +137,59 @@ def leave_one_out(
     return matrices
 
 
+def method_inputs(method: str, ds: Dataset, config: EvalConfig, ctx: SimilarityContext,
+                  corpus: TopicSentenceCorpus | None = None):
+    """What ``method`` learns from ``ds``, built once per command.  Its
+    ``without_motion(h)`` is the leave-one-out fold without motion h,
+    derived by subtracting h; ``score_motion`` reads either."""
+    if method == "ba":
+        return clf.train_ba(ds, k=config.ba_k)
+    if method == "knn":
+        return clf.KNNCandidates(ds)
+    if method == "w2v":
+        return clf.W2VTable(ds, ctx)
+    if method == "nb":
+        return clf.train_nb(ds, corpus, alpha=config.nb_alpha)
+    if method == "lr":
+        return FeatureTable(ds, ctx)
+    raise ValueError(f"unknown method {method!r}")
+
+
 def score_motion(
     method: str,
     ds: Dataset,
+    inputs,
     motion: Motion,
     config: EvalConfig,
     ctx: SimilarityContext,
     corpus: TopicSentenceCorpus | None = None,
-    fold: Dataset | None = None,
-    table: FeatureTable | None = None,
-    nb: clf.NBClassifier | None = None,
 ) -> np.ndarray:
     """Scores of ``motion`` against every CoPA of ``ds`` under one method,
     in ``ds.copa_ids`` order with NaN for abstentions.
 
-    Without ``fold`` the method trains on all of ``ds`` and ``motion`` is
-    a new query.  With ``fold`` (``ds`` minus ``motion``) it is a
-    leave-one-out fold: models train on the fold, the feature LR withholds
-    ``motion`` from its counts and c_t, and KNN skips ``motion``'s topic.
-    The feature LR reads its rows from ``table``, the ``FeatureTable`` of
-    ``ds``, and NB its counts from ``nb``, ``train_nb`` of ``ds``; each is
-    built here when not given, and a fold subtracts ``motion`` from them.
+    ``inputs`` is ``method_inputs(method, ds, ...)``, against which
+    ``motion`` is a new query, or its ``without_motion(motion.id)``, the
+    leave-one-out fold that holds ``motion`` out.  W2V and the feature LR
+    train on them here; the other methods only read them.
     """
-    loo = fold is not None
-    train = fold if loo else ds
     if method == "ba":
-        scores = clf.predict_ba(clf.train_ba(train, k=config.ba_k), motion)
+        scores = clf.predict_ba(inputs, motion)
     elif method == "knn":
         scores = clf.predict_knn(
-            train, motion, ctx, threshold=config.knn_threshold,
+            inputs.ds, motion, ctx, threshold=config.knn_threshold,
             min_neighbors=config.knn_min_neighbors, top=config.knn_top,
-            exclude_topic=motion.topic if loo else None,
+            exclude_topic=inputs.exclude_topic,
         )
     elif method == "w2v":
-        model = clf.train_w2v_lr(train, ctx, lam=config.l2_lambda, tol=config.tol,
+        model = clf.train_w2v_lr(inputs, lam=config.l2_lambda, tol=config.tol,
                                  max_iters=config.max_iters)
         scores = clf.predict_w2v(model, motion, ctx)
     elif method == "nb":
-        model = nb if nb is not None else clf.train_nb(ds, corpus, alpha=config.nb_alpha)
-        scores = clf.predict_nb(model.without_motion(motion.id) if loo else model, motion, corpus)
+        scores = clf.predict_nb(inputs, motion, corpus)
     elif method == "lr":
-        table = table if table is not None else FeatureTable(ds, ctx)
-        if loo:
-            values, labels, rows = table.fold(motion.id)
-        else:
-            values, labels, rows = table.values, table.labels, motion_features(motion, ds, ctx)
-        model = clf.train_feature_lr(values, labels, lam=config.l2_lambda, tol=config.tol,
-                                     max_iters=config.max_iters)
-        scores = clf.predict_feature_lr(model, rows, ds.copa_ids)
+        model = clf.train_feature_lr(inputs.values, inputs.labels, lam=config.l2_lambda,
+                                     tol=config.tol, max_iters=config.max_iters)
+        scores = clf.predict_feature_lr(model, inputs.query_rows(motion), ds.copa_ids)
     else:
         raise ValueError(f"unknown method {method!r}")
     return np.array([matrix_entry(scores[cid], cid) for cid in ds.copa_ids])

@@ -8,11 +8,12 @@ with a zero denominator and similarities with no representable pair are 0.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kb import ActionRegistry, CoPA, Dataset, Motion
+from .kb import ActionRegistry, CoPA, Dataset, LabelCounts, Motion
 from .textsim import (
     MAX_SET_PAIRS,
     DomainError,
@@ -31,8 +32,7 @@ _KINDS = (
     ("tfidf", SimilarityKind.TFIDF),
 )
 
-#: Fixed feature order; model files record this string so that saved
-#: weights stay interpretable if the order ever changes.
+#: Fixed feature order, the columns of every feature vector and table.
 FEATURE_NAMES: tuple[str, ...] = tuple(
     f"sim_{pair}_{kind}" for pair in _PAIRS for kind, _ in _KINDS
 ) + (
@@ -42,8 +42,6 @@ FEATURE_NAMES: tuple[str, ...] = tuple(
     "copa_share_of_action_motions",
     "action_share_of_copa_motions",
 )
-
-FEATURE_ORDERING = ",".join(FEATURE_NAMES)
 
 N_FEATURES = len(FEATURE_NAMES)
 
@@ -75,14 +73,9 @@ def motion_text_sets(motion: Motion, actions: ActionRegistry, ctx: SimilarityCon
 
 
 def copa_text_sets(copa: CoPA, ds: Dataset, loo_holdout: str | None = None) -> CopaTextSets:
-    member_ids = copa.motion_ids
-    holdout_topic = None
-    if loo_holdout is not None:
-        member_ids = member_ids - {loo_holdout}
-        holdout_topic = ds.motion(loo_holdout).topic
-    c_t = {ds.motion(mid).topic for mid in member_ids}
-    if holdout_topic is not None:
-        c_t.discard(holdout_topic)
+    c_t = {ds.motion(mid).topic for mid in copa.motion_ids}
+    if loo_holdout is not None:  # the held-out motion's topic goes, and with it the motion
+        c_t.discard(ds.motion(loo_holdout).topic)
     return CopaTextSets(c_m=copa.manual_titles, c_t=frozenset(c_t))
 
 
@@ -107,6 +100,13 @@ def count_ratios(n_all, n_action, n_copa, n_inter) -> np.ndarray:
     num = np.stack([n_action, n_inter, n_inter, n_inter], axis=-1)
     den = np.stack([n_all, n_action + n_copa - n_inter, n_action, n_copa], axis=-1)
     return np.divide(num, den, out=np.zeros(num.shape), where=den != 0)
+
+
+def _count_values(counts: LabelCounts) -> np.ndarray:
+    """The four count features of every motion of ``counts`` against
+    every CoPA, over the motions it counts."""
+    return count_ratios(counts.n_motions, counts.action_size[counts.action][:, None],
+                        counts.copa_size[None, :], counts.copa_action.T[counts.action])
 
 
 def _avg_idf(copa: CoPA, topic: str, ctx: SimilarityContext) -> float:
@@ -235,13 +235,9 @@ def motion_features(motion: Motion, ds: Dataset, ctx: SimilarityContext) -> np.n
     sim = _similarity_sums([motion], ds, ctx)
     values[:, _SIM_FEATURES] = mean_similarity(sim.sums[0], sim.counts[0])
     values[:, _IDF_FEATURE] = [_avg_idf(c, motion.topic, ctx) for c in ds.copas]
-    m_a = {m.id for m in ds.motions if m.action == motion.action}
-    values[:, _COUNT_FEATURES] = count_ratios(
-        len(ds.motions),
-        len(m_a),
-        np.array([len(c.motion_ids) for c in ds.copas], dtype=np.int64),
-        np.array([len(m_a & c.motion_ids) for c in ds.copas], dtype=np.int64),
-    )
+    counts = ds.label_counts
+    n_action, n_inter = counts.with_action(motion.action)
+    values[:, _COUNT_FEATURES] = count_ratios(counts.n_motions, n_action, counts.copa_size, n_inter)
     return values
 
 
@@ -254,28 +250,22 @@ class FeatureTable:
     motion h changes only two things.  The c_t of a CoPA loses h's topic
     (and h), which matters only to the CoPAs whose c_t holds that topic:
     a fold subtracts the topic's term column from their c_t sums and
-    counts, which is exact.  The count universes lose h: a fold computes
-    the four count features from integer size tables minus h.  Everything
-    else is reused, so ``fold_values(h)`` equals ``compute_features(...,
-    loo_holdout=h)`` for every pair, bit for bit.
+    counts, which is exact.  The count universes lose h: a fold reads the
+    four count features from the dataset's ``LabelCounts`` minus h.
+    Everything else is reused, so the fold ``without_motion(h)`` holds
+    ``compute_features(..., loo_holdout=h)`` of every pair, bit for bit:
+    h's row dropped from ``values`` and ``labels``, as the training rows,
+    and kept apart as the rows ``query_rows`` scores h from.  The table as
+    built trains on every row and scores a new query from
+    ``motion_features``.
     """
 
     def __init__(self, ds: Dataset, ctx: SimilarityContext):
         self._ds = ds
-        self.labels = np.array(
-            [[(m.id, c.id) in ds.labels for c in ds.copas] for m in ds.motions], dtype=float
-        ).reshape(len(ds.motions), len(ds.copas))
-        self._rows = {m.id: i for i, m in enumerate(ds.motions)}
-        actions = sorted({m.action for m in ds.motions})
-        action_col = {a: k for k, a in enumerate(actions)}
-        self._action = np.array([action_col[m.action] for m in ds.motions], dtype=np.int64)
-        self._member = self.labels.astype(bool)
-        self._copa_size = self._member.sum(axis=0)
-        self._action_size = np.bincount(self._action, minlength=len(actions))
-        # members of each CoPA per action: (CoPAs x actions)
-        one_hot = np.eye(len(actions), dtype=np.int64)[self._action]
-        self._copa_action_size = self._member.T.astype(np.int64) @ one_hot
-
+        self._ctx = ctx
+        self.holdout: str | None = None
+        self.counts = ds.label_counts
+        self.labels = self.counts.member.astype(float)
         sim = _similarity_sums(ds.motions, ds, ctx)
         self._sim = sim
         self.values = np.empty((len(ds.motions), len(ds.copas), N_FEATURES))
@@ -283,52 +273,33 @@ class FeatureTable:
         self.values[..., _IDF_FEATURE] = [
             [_avg_idf(c, m.topic, ctx) for c in ds.copas] for m in ds.motions
         ]
-        self.values[..., _COUNT_FEATURES] = self._count_values(None)
+        self.values[..., _COUNT_FEATURES] = _count_values(self.counts)
 
-    def _count_values(self, h: int | None) -> np.ndarray:
-        """The four count features of every pair, without motion row ``h``
-        when it is given."""
-        n_all = len(self._action)
-        same_action = np.zeros(n_all, dtype=np.int64)
-        in_copa = np.zeros(len(self._copa_size), dtype=np.int64)
-        if h is not None:
-            n_all -= 1
-            same_action = (self._action == self._action[h]).astype(np.int64)
-            in_copa = self._member[h].astype(np.int64)
-        n_action = self._action_size[self._action] - same_action
-        n_copa = self._copa_size - in_copa
-        n_inter = self._copa_action_size.T[self._action] - np.outer(same_action, in_copa)
-        return count_ratios(n_all, n_action[:, None], n_copa[None, :], n_inter)
-
-    def fold_values(self, holdout: str) -> np.ndarray:
-        """(motions x CoPAs x features) array of the fold without
-        ``holdout``: every row, the held-out motion's own included, as
-        ``compute_features(m, c, ds, ctx, loo_holdout=holdout)``."""
-        h = self._rows[holdout]
+    def without_motion(self, motion_id: str) -> "FeatureTable":
+        """The leave-one-out fold without ``motion_id``."""
         values = self.values.copy()
         sim = self._sim
-        t = sim.term_index.get(self._ds.motions[h].topic)
+        t = sim.term_index.get(self._ds.motion(motion_id).topic)
         if t is not None:
             for j in np.flatnonzero(sim.ct[:, t]):
                 values[:, j, _CT_FEATURES] = mean_similarity(
                     sim.sums[:, j, _CT_FEATURES] - sim.term_sums[:, t],
                     sim.counts[:, j, _CT_FEATURES] - sim.term_counts[:, t],
                 )
-        values[..., _COUNT_FEATURES] = self._count_values(h)
-        return values
-
-    def fold(self, holdout: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The leave-one-out fold without ``holdout``: the values and
-        labels of every other motion (the training rows), and the
-        held-out motion's own (CoPAs x features) rows."""
-        h = self._rows[holdout]
-        values = self.fold_values(holdout)
+        values[..., _COUNT_FEATURES] = _count_values(self.counts.without_motion(motion_id))
+        h = self.counts.rows[motion_id]
         keep = np.arange(len(values)) != h
-        return values[keep], self.labels[keep], values[h]
+        fold = copy.copy(self)
+        fold.values, fold.labels = values[keep], self.labels[keep]
+        fold.holdout, fold._held_rows = motion_id, values[h]
+        return fold
 
-
-def feature_dict(vector: np.ndarray) -> dict[str, float]:
-    return dict(zip(FEATURE_NAMES, (float(v) for v in vector)))
+    def query_rows(self, motion: Motion) -> np.ndarray:
+        """(CoPAs x features) rows of ``motion``: in a fold, the held-out
+        motion's own; otherwise ``motion_features`` of a new query."""
+        if motion.id == self.holdout:
+            return self._held_rows
+        return motion_features(motion, self._ds, self._ctx)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ pure and safe for concurrent reads.
 from __future__ import annotations
 
 import enum
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -194,9 +195,15 @@ class Dataset:
             return self.copa_ids
         return tuple(c.id for c in self.copas if c.id not in self.general_copa_ids)
 
+    @functools.cached_property
+    def label_counts(self) -> "LabelCounts":
+        """The label relation of every motion as integer counts, built once."""
+        return LabelCounts.of(self)
+
     def without_motion(self, motion_id: str) -> "Dataset":
-        """A copy with one motion (and its labels) removed; the basis of
-        leave-one-out folds."""
+        """A copy with one motion (and its labels) removed: the reference
+        that leave-one-out folds, derived by subtraction, are checked
+        against."""
         if motion_id not in self._motion_by_id:
             raise KeyError(motion_id)
         motions = tuple(m for m in self.motions if m.id != motion_id)
@@ -214,6 +221,60 @@ class Dataset:
         )
         flags = {p: v for p, v in self.label_flags.items() if p[0] != motion_id}
         return Dataset(self.actions, motions, copas, labels, self.general_copa_ids, flags)
+
+
+@dataclass(frozen=True, eq=False)
+class LabelCounts:
+    """The label relation as integer counts, read by BA, both blacklists,
+    the count features and the statistics.  Per motion (row ``rows[id]``):
+    its action's registry column and its CoPA rows (``member``).  Over the
+    motions counted: their number, per action, the members of each CoPA
+    and those with each action.  ``without_motion(id)`` subtracts one."""
+
+    copa_ids: tuple[str, ...]
+    actions: dict[str, int]
+    rows: dict[str, int]
+    action: np.ndarray
+    member: np.ndarray
+    n_motions: int
+    action_size: np.ndarray
+    copa_size: np.ndarray
+    copa_action: np.ndarray
+
+    @classmethod
+    def of(cls, ds: Dataset) -> "LabelCounts":
+        actions = {a.id: j for j, a in enumerate(ds.actions)}
+        rows = {m.id: i for i, m in enumerate(ds.motions)}
+        action = np.array([actions[m.action] for m in ds.motions], dtype=np.intp)
+        member = np.zeros((len(ds.motions), len(ds.copas)), dtype=bool)
+        for j, c in enumerate(ds.copas):
+            member[np.array([rows[mid] for mid in c.motion_ids], dtype=np.intp), j] = True
+        one_hot = np.eye(len(actions), dtype=np.int64)[action]
+        return cls(ds.copa_ids, actions, rows, action, member, len(ds.motions),
+                   one_hot.sum(axis=0), member.sum(axis=0), member.T.astype(np.int64) @ one_hot)
+
+    def without_motion(self, motion_id: str) -> "LabelCounts":
+        """The counts less motion ``motion_id``, which must be counted here."""
+        i = self.rows[motion_id]
+        a, copas = self.action[i], self.member[i]
+        action_size, copa_action = self.action_size.copy(), self.copa_action.copy()
+        action_size[a] -= 1
+        copa_action[copas, a] -= 1
+        return replace(self, n_motions=self.n_motions - 1, action_size=action_size,
+                       copa_size=self.copa_size - copas, copa_action=copa_action)
+
+    def with_action(self, action: str) -> tuple[int, np.ndarray]:
+        """The counted motions with ``action``, and per CoPA its counted
+        members with it; 0 for an action outside the registry."""
+        col = self.actions.get(action)
+        if col is None:
+            return 0, np.zeros(len(self.copa_ids), dtype=np.int64)
+        return int(self.action_size[col]), self.copa_action[:, col]
+
+    def blacklisted(self, action: str) -> np.ndarray:
+        """Per CoPA, whether no counted member has the registry action
+        ``action``: the W2V and NB blacklists force the score there to 0."""
+        return (self.with_action(action)[1] == 0) & (action in self.actions)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +423,7 @@ def load_dataset(path) -> Dataset:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long integer
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, long integer, nesting
             raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     return dataset_from_dict(doc, source=str(path))
 
@@ -436,31 +497,18 @@ def copa_stats(ds: Dataset, exclude_general: bool = False) -> CopaStats:
     every count; motion denominators still cover the whole dataset.
     """
     copa_ids = ds.included_copa_ids(exclude_general)
-    included = set(copa_ids)
-    labels = [(m, c) for (m, c) in ds.labels if c in included]
-
-    members = {cid: set() for cid in copa_ids}
-    per_motion: dict[str, int] = {m.id: 0 for m in ds.motions}
-    for mid, cid in labels:
-        members[cid].add(mid)
-        per_motion[mid] += 1
-
+    cols = [j for j, cid in enumerate(ds.copa_ids) if cid in copa_ids]
+    member = ds.label_counts.member[:, cols].astype(np.int64)
+    sizes, per_motion = member.sum(axis=0), member.sum(axis=1)
+    both = member.T @ member
+    overlap = np.divide(both, sizes[:, None], out=np.zeros(both.shape), where=sizes[:, None] > 0)
     n_motions = len(ds.motions)
-    covered = sum(1 for n in per_motion.values() if n > 0)
-    k = len(copa_ids)
-    overlap = np.zeros((k, k))
-    for i, ci in enumerate(copa_ids):
-        if not members[ci]:
-            continue
-        for j, cj in enumerate(copa_ids):
-            overlap[i, j] = len(members[ci] & members[cj]) / len(members[ci])
-
     return CopaStats(
         copa_ids=copa_ids,
-        sizes={cid: len(members[cid]) for cid in copa_ids},
-        covered_fraction=covered / n_motions if n_motions else 0.0,
-        mean_copas_per_motion=len(labels) / n_motions if n_motions else 0.0,
-        max_copas_per_motion=max(per_motion.values(), default=0),
+        sizes=dict(zip(copa_ids, sizes.tolist())),
+        covered_fraction=np.count_nonzero(per_motion) / n_motions if n_motions else 0.0,
+        mean_copas_per_motion=int(per_motion.sum()) / n_motions if n_motions else 0.0,
+        max_copas_per_motion=int(per_motion.max(initial=0)),
         overlap=overlap,
     )
 

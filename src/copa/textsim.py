@@ -56,10 +56,15 @@ class EmbeddingStore:
         for word, vec in converted.items():
             if vec.shape != (dimension,):
                 raise DomainError(f"vector for {word!r} has wrong dimension")
-        # one vectorized pass: a check per vector made file loading ~40% slower
-        if converted and not np.isfinite(np.concatenate(list(converted.values()))).all():
-            word = next(w for w, v in converted.items() if not np.isfinite(v).all())
-            raise DomainError(f"vector for {word!r} has a non-finite component")
+        # one vectorized pass: a check per vector made file loading ~40% slower;
+        # a NaN or infinite component makes the squared norm non-finite too
+        if converted:
+            vectors = np.concatenate(list(converted.values())).reshape(len(converted), dimension)
+            with np.errstate(over="ignore"):
+                squared = np.einsum("ij,ij->i", vectors, vectors)
+            if not np.isfinite(squared).all():
+                word = list(converted)[int(np.argmin(np.isfinite(squared)))]
+                raise DomainError(f"vector for {word!r} has a non-finite component or norm")
         self.dimension = dimension
         self._table = converted
 
@@ -124,8 +129,11 @@ def embed_term(store: EmbeddingStore, term: str) -> np.ndarray | None:
     vectors = [v for w in term.split() if (v := store.get(w)) is not None]
     if not vectors:
         return None
-    total = np.sum(vectors, axis=0)
-    length = float(np.linalg.norm(total))
+    with np.errstate(over="ignore"):
+        total = np.sum(vectors, axis=0)
+        length = float(np.linalg.norm(total))
+    if not math.isfinite(length):
+        raise DomainError(f"embedding of {term!r}: the norm of its word vectors' sum is not finite")
     if length == 0.0:
         return None
     return total / length
@@ -229,10 +237,10 @@ class WikiCorpus:
         with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DomainError(f"{path}: not valid JSON ({exc})") from None
             except UnicodeDecodeError as exc:
                 raise DomainError(f"{path}: not UTF-8 text ({exc})") from None
+            except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
+                raise DomainError(f"{path}: not valid JSON ({exc})") from None
         try:
             doc = _json_object(doc, "top level")
             articles = {}

@@ -86,6 +86,18 @@ def ba_scores(ds_train, motion, k):
     return out
 
 
+# --- blacklists --------------------------------------------------------------
+
+
+def build_blacklist(ds):
+    """{copa id: the registry actions that no member of the CoPA has}; W2V
+    and NB force the score of such an action to 0."""
+    all_actions = {a.id for a in ds.actions}
+    return {
+        c.id: all_actions - {ds.motion(mid).action for mid in c.motion_ids} for c in ds.copas
+    }
+
+
 # --- count features ----------------------------------------------------------
 
 

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from copa import classifiers as clfmod
 from copa.classifiers import (
-    Blacklist,
     DimensionMismatch,
     LogRegModel,
     NBModel,
     TopicSentenceCorpus,
     W2VClassifier,
+    W2VTable,
     _logreg_gradient,
-    build_blacklist,
     ensemble,
     logreg_fit,
     logreg_objective,
@@ -46,7 +45,7 @@ from helpers import (
     score_matrix,
     topic_words,
 )
-from oracles import ba_scores, elementwise_max, knn_scores
+from oracles import ba_scores, build_blacklist, elementwise_max, knn_scores
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +392,7 @@ def _separable_fixture():
 class TestW2V:
     def test_separable_toy_converges(self):
         ds, ctx = _separable_fixture()
-        clf = train_w2v_lr(ds, ctx)
+        clf = train_w2v_lr(W2VTable(ds, ctx))
         model = clf.per_copa["c"]
         X = np.array([[1, 0, 0, 0]] * 4 + [[-1, 0, 0, 0]] * 4, dtype=float)
         y = np.array([1.0] * 4 + [0.0] * 4)
@@ -406,20 +405,21 @@ class TestW2V:
 
     def test_blacklisted_action_forces_zero(self):
         ds, ctx = _separable_fixture()
-        clf = train_w2v_lr(ds, ctx)
-        assert clf.blacklist.blocks("c", "legalize")
+        clf = train_w2v_lr(W2VTable(ds, ctx))
+        assert clf.counts.blacklisted("legalize").tolist() == [True]
         score = predict_w2v(clf, Motion("q", "legalize", "plus0"), ctx)["c"]
         assert score == 0.0
 
     def test_unembeddable_topic_abstains(self):
         ds, ctx = _separable_fixture()
-        clf = train_w2v_lr(ds, ctx)
+        clf = train_w2v_lr(W2VTable(ds, ctx))
         scores = predict_w2v(clf, Motion("q", "ban", "zzz unknown"), ctx)
         assert scores == {"c": None}
 
     def test_zero_weight_model_scores_sigmoid_bias(self):
         model = LogRegModel(weights=np.zeros(4), bias=0.7)
-        clf = W2VClassifier(per_copa={"c": model}, blacklist=Blacklist({"c": frozenset()}))
+        ds = build_dataset([("m0", "ban", "t")], [("c", "theme")], [("m0", "c")])
+        clf = W2VClassifier(per_copa={"c": model}, counts=ds.label_counts)  # no ban veto
         store = EmbeddingStore({"t": np.array([1.0, 0, 0, 0])}, 4)
         ctx = SimilarityContext(embeddings=store)
         got = predict_w2v(clf, Motion("q", "ban", "t"), ctx)["c"]
@@ -427,8 +427,8 @@ class TestW2V:
 
     def test_training_is_deterministic(self):
         ds, ctx = _separable_fixture()
-        a = train_w2v_lr(ds, ctx)
-        b = train_w2v_lr(ds, ctx)
+        a = train_w2v_lr(W2VTable(ds, ctx))
+        b = train_w2v_lr(W2VTable(ds, ctx))
         assert np.array_equal(a.per_copa["c"].weights, b.per_copa["c"].weights)
         assert a.per_copa["c"].bias == b.per_copa["c"].bias
 
@@ -548,7 +548,7 @@ class TestNB:
     def test_blacklist_forces_zero(self):
         ds, corpus = _nb_fixture()
         clf = train_nb(ds, corpus)
-        assert "c" in clf.blocked_copas("legalize")
+        assert clf.counts.blacklisted("legalize").tolist() == [True]
         got = predict_nb(clf, Motion("q", "legalize", "t1"), corpus)["c"]
         assert got == 0.0
 
@@ -592,16 +592,16 @@ class TestNB:
         full = _nb_reference(ds, corpus, ds.copa("solo"), alpha)
         fold = _nb_reference(ds.without_motion("m2"), corpus, ds.copa("solo"), alpha)
         assert "lonely" in full.log_prob_pos and "lonely" not in fold.log_prob_pos
-        assert not build_blacklist(ds).blocks("solo", "limit")
-        assert build_blacklist(ds.without_motion("m2")).blocks("solo", "limit")
-        assert not build_blacklist(ds.without_motion("m2")).blocks("c0", "limit")
+        assert "limit" not in build_blacklist(ds)["solo"]
+        assert "limit" in build_blacklist(ds.without_motion("m2"))["solo"]
+        assert "limit" not in build_blacklist(ds.without_motion("m2"))["c0"]
 
         config = EvalConfig(methods=("nb",), nb_alpha=alpha)
         model = train_nb(ds, corpus, alpha=alpha)
         for m in ds.motions:
             fold_ds = ds.without_motion(m.id)
-            got = score_motion("nb", ds, m, config, SimilarityContext(), corpus,
-                               fold=fold_ds, nb=model)
+            got = score_motion("nb", ds, model.without_motion(m.id), m, config,
+                               SimilarityContext(), corpus)
             want = _reference_scores(fold_ds, corpus, m, alpha)
             assert np.array_equal(got, want, equal_nan=True), m.id
 
@@ -642,7 +642,7 @@ def _reference_scores(ds, corpus, motion, alpha):
     for c in ds.copas:
         if not sentences:
             scores.append(math.nan)
-        elif blacklist.blocks(c.id, motion.action):
+        elif motion.action in blacklist[c.id]:
             scores.append(0.0)
         else:
             model = _nb_reference(ds, corpus, c, alpha)
@@ -778,7 +778,15 @@ def test_build_blacklist_exact_definition():
         [("m0", "c1"), ("m1", "c1")],
     )
     bl = build_blacklist(ds)
-    assert not bl.blocks("c1", "ban")
-    assert not bl.blocks("c1", "legalize")
-    assert bl.blocks("c1", "subsidize")
-    assert bl.blocks("c1", "promote")  # registry action never seen in c1
+    assert "ban" not in bl["c1"]
+    assert "legalize" not in bl["c1"]
+    assert "subsidize" in bl["c1"]
+    assert "promote" in bl["c1"]  # registry action never seen in c1
+    # the label counts that the W2V and NB blacklists read agree, in
+    # the dataset and in every fold of it
+    for counts, fold in [(ds.label_counts, ds)] + [
+        (ds.label_counts.without_motion(m.id), ds.without_motion(m.id)) for m in ds.motions
+    ]:
+        for action in ("ban", "legalize", "subsidize", "promote", "limit", "unregistered"):
+            want = [action in build_blacklist(fold)[c.id] for c in fold.copas]
+            assert counts.blacklisted(action).tolist() == want, action

@@ -233,6 +233,47 @@ class TestExitCodes:
         assert str(bad) in result.output and "UTF-8" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("loader, args, code", [
+        ("dataset", ["stats"], 4),
+        ("wiki_corpus", ["features"], 4),
+        ("config", ["stats"], 2),
+    ])
+    def test_deeply_nested_json_exits_cleanly(self, runner, workspace, tmp_path, loader, args,
+                                              code):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 200_000)
+        cfg = workspace / "config.json"
+        if loader == "config":
+            cfg = nested
+        elif loader == "dataset":
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"dataset": str(nested)}))
+        result = runner.invoke(main, ["--config", str(cfg), *args],
+                               env={"COPA_WIKI_CORPUS": str(nested)} if loader == "wiki_corpus" else {})
+        assert result.exit_code == code, result.output
+        assert str(nested) in result.output and "recursion" in result.output
+        assert "Traceback" not in result.output
+
+    def test_embedding_norm_overflow_exits_4_without_a_warning(self, tmp_path):
+        lines = (ROOT / "data" / "toy_embeddings.txt").read_text().splitlines()
+        assert lines[1].startswith("smoking 0.90 ")
+        lines[1] = lines[1].replace("smoking 0.90 ", "smoking 1e200 ")
+        emb = tmp_path / "emb.txt"
+        emb.write_text("\n".join(lines) + "\n")
+        env = {**os.environ, "COPA_EMBEDDINGS": str(emb)}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "copa.cli", "--config", "data/config.json", "match", "ban",
+             "smoking", "--method", "knn"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 4, result.stderr
+        assert result.stdout == ""
+        assert str(emb) in result.stderr and "'smoking'" in result.stderr
+        assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("record", [
         {"topic": "smoking", "sentence": None},
         {"topic": "smoking", "sentence": ["a"]},
@@ -269,10 +310,10 @@ class TestExitCodes:
             assert str(broken) in result.output
 
     def test_fold_error_names_held_out_motion(self, runner, workspace, tmp_path, monkeypatch):
-        def broken(ds, k=5):
+        def broken(model, motion):
             raise RuntimeError("trainer failed")
 
-        monkeypatch.setattr(clfmod, "train_ba", broken)
+        monkeypatch.setattr(clfmod, "predict_ba", broken)
         result = runner.invoke(
             main,
             ["--config", str(workspace / "config_ba.json"), "eval", "--out", str(tmp_path)],

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copa import classifiers as clfmod
 from copa.classifiers import TopicSentenceCorpus
 from copa.evaluation import (
     EvalConfig,
@@ -12,12 +13,14 @@ from copa.evaluation import (
     cohen_kappa,
     default_threshold_grid,
     leave_one_out,
+    method_inputs,
     p_at_1_curve,
     pr_curve,
+    score_motion,
     topic_method_copas,
 )
 from copa.kb import Motion
-from copa.textsim import SimilarityContext
+from copa.textsim import SimilarityContext, SimilarityKind
 from helpers import (
     build_dataset,
     matrix_entries,
@@ -28,6 +31,7 @@ from helpers import (
 )
 from oracles import (
     ba_scores,
+    build_blacklist,
     kappa_from_confusion,
     knn_scores,
     p_at_1_points,
@@ -159,13 +163,27 @@ class TestLeaveOneOut:
             assert matrix_entries(first[name]) == matrix_entries(second[name])
         assert set(first) == {"ba", "knn", "w2v", "nb", "lr", "ensemble"}
 
-    def test_fold_errors_carry_fold_id(self):
+    def test_fold_errors_carry_fold_id(self, monkeypatch):
+        ds = build_dataset(
+            [("m1", "ban", "a"), ("m2", "ban", "b")], [("c1", "one", True, ("x",))],
+            [("m1", "c1"), ("m2", "c1")],
+        )
+
+        def broken(model, motion):
+            raise RuntimeError("scoring failed")
+
+        monkeypatch.setattr(clfmod, "predict_ba", broken)
+        config = EvalConfig(methods=("ba",), topic_min_motions=1)
+        with pytest.raises(FoldError, match="m1"):
+            leave_one_out(ds, config, SimilarityContext())
+
+    def test_w2v_needs_embeddings_before_the_first_fold(self):
         ds = build_dataset(
             [("m1", "ban", "a"), ("m2", "ban", "b")], [("c1", "one", True, ("x",))],
             [("m1", "c1"), ("m2", "c1")],
         )
         config = EvalConfig(methods=("w2v",), topic_min_motions=1)
-        with pytest.raises(FoldError, match="m1"):
+        with pytest.raises(ValueError, match="embedding store"):
             leave_one_out(ds, config, SimilarityContext())  # no embeddings
 
     def test_needs_two_motions(self):
@@ -179,6 +197,71 @@ class TestLeaveOneOut:
         )
         with pytest.raises(ValueError, match="corpus"):
             leave_one_out(ds, EvalConfig(methods=("nb",)), SimilarityContext())
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_folds_equal_scoring_against_the_fold_dataset(self, seed):
+        """Every fold derived by subtraction scores its held-out motion as
+        the match path scores a new query against ``ds.without_motion``:
+        BA, W2V and NB exactly, after the same eligibility mask, and KNN as
+        the brute-force oracle on that fold without the held-out topic."""
+        rng = np.random.default_rng(seed)
+        ds, store, corpus = _fold_fixture(rng)
+        ctx = SimilarityContext(embeddings=store)
+        # the planted cases a fold must follow
+        assert ds.motion("m0").topic == ds.motion("m1").topic
+        assert "promote" not in {m.action for m in ds.motions}
+        assert ctx.term_vector(SimilarityKind.EMBEDDING, "silent") is None
+        assert "limit" not in build_blacklist(ds)["solo"]
+        assert "limit" in build_blacklist(ds.without_motion("m2"))["solo"]
+
+        config = EvalConfig(methods=("ba", "knn", "w2v", "nb"), ba_k=int(rng.integers(1, 3)),
+                            knn_min_neighbors=1, topic_min_motions=1)
+        out = leave_one_out(ds, config, ctx, corpus)
+        assert out["w2v"].get("m2", "solo") == 0.0 and out["nb"].get("m2", "solo") == 0.0
+        eligible = topic_method_copas(ds, config.topic_min_motions)
+        ineligible = np.array([cid not in eligible for cid in ds.copa_ids])
+        for i, m in enumerate(ds.motions):
+            fold = ds.without_motion(m.id)
+            for method in ("ba", "w2v", "nb"):
+                inputs = method_inputs(method, fold, config, ctx, corpus)
+                want = score_motion(method, fold, inputs, m, config, ctx, corpus)
+                if method != "ba":
+                    want[ineligible] = np.nan
+                assert np.array_equal(out[method].scores[i], want, equal_nan=True), (method, m.id)
+            knn = knn_scores(fold, m, store, min_neighbors=1, top=5, exclude_topic=m.topic)
+            want = np.array([np.nan if knn[cid] is None else knn[cid] for cid in ds.copa_ids])
+            want[ineligible] = np.nan
+            assert np.array_equal(out["knn"].scores[i], want, equal_nan=True), ("knn", m.id)
+
+
+def _fold_fixture(rng):
+    """A random dataset, embedding store and sentence corpus with planted
+    cases: motions m0 and m1 share a topic, no motion has the registry
+    action "promote", m3's topic has no embedding and no sentences, and m2
+    is CoPA "solo"'s only member with the action "limit", which m4 in CoPA
+    "c0" also has, so both blacklists of "solo" flip in m2's fold."""
+    n = int(rng.integers(5, 10))
+    topics = ["shared", "shared", "private", "silent"]
+    topics += [str(rng.choice(["shared", "t4", "t5", "t6"])) for _ in range(n - 4)]
+    actions = [str(rng.choice(["ban", "legalize", "subsidize"])) for _ in range(n)]
+    actions[2] = actions[4] = "limit"
+    motions = [(f"m{i}", actions[i], topics[i]) for i in range(n)]
+    copas = [("solo", "solo theme", True, ("x",))]
+    copas += [(f"c{j}", f"theme {j}", True, ("y",)) for j in range(int(rng.integers(1, 4)))]
+    labels = [("m2", "solo"), ("m4", "c0")] + [
+        (mid, copa[0]) for mid, _, _ in motions for copa in copas
+        if mid not in ("m2", "m4") and rng.random() < 0.4
+    ]
+    ds = build_dataset(motions, copas, labels)
+    store = random_embeddings(rng, set(topics) - {"silent"})
+    words = ["x", "y", "z", "w"]
+    corpus = TopicSentenceCorpus({
+        topic: [" ".join(rng.choice(words, size=int(rng.integers(1, 5))))
+                for _ in range(int(rng.integers(1, 4)))]
+        for topic in sorted(set(topics) - {"silent"})
+    })
+    return ds, store, corpus
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,10 @@ import pytest
 
 from copa.features import (
     FEATURE_NAMES,
-    FEATURE_ORDERING,
     EmptyTrainingSet,
     FeatureTable,
     compute_features,
     copa_text_sets,
-    feature_dict,
     motion_text_sets,
     standardize,
 )
@@ -33,7 +31,6 @@ EMPTY_CTX = SimilarityContext()
 
 def test_feature_vector_is_17_dimensional():
     assert len(FEATURE_NAMES) == 17
-    assert FEATURE_ORDERING.count(",") == 16
     # pair-major, similarity-kind-minor ordering of the 12 sim features
     assert FEATURE_NAMES[:6] == (
         "sim_mt_cm_embed",
@@ -179,13 +176,6 @@ class TestSimilarityFeatures:
             sims = vec[:12]
             assert np.all(sims >= 0.0) and np.all(sims <= 1.0)
 
-    def test_feature_dict_round_trip(self):
-        ds = _toy_ds()
-        vec = compute_features(ds.motion("m0"), ds.copa("c"), ds, EMPTY_CTX)
-        named = feature_dict(vec)
-        assert list(named) == list(FEATURE_NAMES)
-        assert named["action_share_of_all_motions"] == vec[IDX["action_share_of_all_motions"]]
-
 
 class TestStandardizer:
     def test_single_vector_maps_to_zero(self):
@@ -240,12 +230,15 @@ def _assert_table_exact(ds, ctx):
     assert np.array_equal(table.values, _reference(ds, ctx))
     for h, held in enumerate(ds.motions):
         expected = _reference(ds, ctx, holdout=held.id)
-        assert np.array_equal(table.fold_values(held.id), expected), held.id
-        values, labels, rows = table.fold(held.id)
+        fold = table.without_motion(held.id)
         keep = [i for i in range(len(ds.motions)) if i != h]
-        assert np.array_equal(values, expected[keep])
-        assert np.array_equal(labels, table.labels[keep])
-        assert np.array_equal(rows, expected[h])
+        assert np.array_equal(fold.values, expected[keep]), held.id
+        assert np.array_equal(fold.labels, table.labels[keep])
+        assert np.array_equal(fold.query_rows(held), expected[h])
+        # a new query with the held-out motion's action and topic, scored
+        # against the table as built, has that motion's unheld rows
+        query = Motion("@query", held.action, held.topic)
+        assert np.array_equal(table.query_rows(query), table.values[h]), held.id
 
 
 def _full_context(ds, rng):
@@ -296,7 +289,9 @@ class TestFeatureTable:
         )
         ctx = _full_context(ds, np.random.default_rng(51))
         table = FeatureTable(ds, ctx)
-        changed = table.fold_values("h") != table.values
+        fold = table.without_motion("h")  # h is row 0
+        fold_values = np.concatenate([fold.query_rows(ds.motion("h"))[None], fold.values])
+        changed = fold_values != table.values
         ct = [IDX[name] for name in FEATURE_NAMES if "_ct_" in name]
         assert changed[:, :, ct].any(axis=(0, 2)).tolist() == [True, True, True]
         _assert_table_exact(ds, ctx)

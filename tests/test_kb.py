@@ -94,7 +94,8 @@ class TestLoadDataset:
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        for raw in (b"{not json", b'{"actions": \xff}', b'{"actions": ' + b"1" * 5000 + b"}"):
+        for raw in (b"{not json", b'{"actions": \xff}', b'{"actions": ' + b"1" * 5000 + b"}",
+                    b"[" * 200_000):
             path.write_bytes(raw)
             with pytest.raises(ParseError):
                 load_dataset(path)

@@ -97,13 +97,21 @@ class TestEmbeddingFile:
             EmbeddingStore.from_file(path)
 
     def test_non_finite_component_rejected(self, tmp_path):
-        for bad in ("nan", "inf", "-inf"):
+        for bad in ("nan", "inf", "-inf", "1e200", "1e308"):
             path = tmp_path / "emb.txt"
             path.write_text(f"foo 1 2\nbar 3 {bad}\n")
             with pytest.raises(DomainError, match="'bar'"):
                 EmbeddingStore.from_file(path)
         with pytest.raises(DomainError):
             EmbeddingStore({"a": [1.0, math.nan]}, 2)
+        with pytest.raises(DomainError, match="'a'"):
+            EmbeddingStore({"a": [1e200, 0.0]}, 2)
+
+    def test_overflowing_sum_of_word_vectors_names_the_term(self):
+        store = EmbeddingStore({"big": [1.2e154, 0.0], "huge": [1.2e154, 1.0]}, 2)
+        assert embed_term(store, "big") is not None
+        with pytest.raises(DomainError, match="'big huge'"):
+            embed_term(store, "big huge")
 
     @staticmethod
     def _per_token_parse(path):
@@ -437,9 +445,11 @@ class TestWikiFile:
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "wiki.json"
-        path.write_text('{"articles": {')
-        with pytest.raises(DomainError):
-            WikiCorpus.from_file(path)
+        for raw in ('{"articles": {', '{"background": {"total_links": ' + "1" * 5000 + "}}",
+                    "[" * 200_000):
+            path.write_text(raw)
+            with pytest.raises(DomainError, match="not valid JSON"):
+                WikiCorpus.from_file(path)
 
     @pytest.mark.parametrize(
         "doc, message",
