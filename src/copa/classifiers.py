@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .features import N_FEATURES, Standardizer, standardize
-from .kb import Dataset, LabelCounts, Motion
-from .textsim import DomainError, SimilarityContext, SimilarityKind, read_lines, term_similarity
+from .kb import Dataset, LabelCounts, Motion, topic_key
+from .textsim import DomainError, SimilarityContext, SimilarityKind, read_lines, similarity_block
 
 Score = float | None
 
@@ -286,8 +286,9 @@ def predict_ba(model: BAModel, motion: Motion) -> dict[str, Score]:
 
 @dataclass(frozen=True)
 class KNNCandidates:
-    """KNN's training motions: those of ``ds`` not on ``exclude_topic``.
-    The fold without motion h excludes h's topic, and with it h."""
+    """KNN's training motions: those of ``ds`` not on ``exclude_topic``
+    (by ``topic_key``).  The fold without motion h excludes h's topic, and
+    with it h."""
 
     ds: Dataset
     exclude_topic: str | None = None
@@ -311,28 +312,26 @@ def predict_knn(
     Candidates are training motions whose topic embedding similarity exceeds
     ``threshold``; with fewer than ``min_neighbors`` of them the method
     abstains entirely, otherwise the best ``top`` (ties broken by motion
-    id) vote.  ``exclude_topic`` drops same-topic training motions, used
-    by leave-one-out evaluation.
+    id) vote.  The similarities are one ``similarity_block`` row, each
+    rounded to a multiple of SIMILARITY_STEP (2⁻⁴⁰), so candidates whose
+    similarities differ by less than 2⁻⁴¹ may tie and fall to the motion
+    id order.  ``exclude_topic`` drops training motions on that topic
+    (``topic_key``), used by leave-one-out evaluation.
     """
-    skip = exclude_topic.lower() if exclude_topic is not None else None
-    candidates: list[tuple[float, Motion]] = []
-    for m in ds_train.motions:
-        if m.id == motion.id:
-            continue
-        if skip is not None and m.topic.lower() == skip:
-            continue
-        sim = term_similarity(SimilarityKind.EMBEDDING, motion.topic, m.topic, ctx)
-        if sim is not None and sim > threshold:
-            candidates.append((sim, m))
+    topics = [m.topic for m in ds_train.motions]
+    sims, present = similarity_block(SimilarityKind.EMBEDDING, [motion.topic], topics, ctx)
+    ids = np.array(ds_train.motion_ids, dtype=object)
+    eligible = present[0] & (sims[0] > threshold) & (ids != motion.id)
+    if exclude_topic is not None:
+        skip = topic_key(exclude_topic)
+        eligible &= np.array([topic_key(t) != skip for t in topics], dtype=bool)
+    candidates = np.flatnonzero(eligible)
     if len(candidates) < min_neighbors:
         return {cid: None for cid in ds_train.copa_ids}
-    candidates.sort(key=lambda pair: (-pair[0], pair[1].id))
-    neighbours = [m for _, m in candidates[:top]]
-    scores: dict[str, Score] = {}
-    for c in ds_train.copas:
-        inside = sum(1 for m in neighbours if m.id in c.motion_ids)
-        scores[c.id] = inside / len(neighbours)
-    return scores
+    # similarity descending, then motion id (Python string order)
+    chosen = candidates[np.lexsort((ids[candidates], -sims[0, candidates]))[:top]]
+    votes = ds_train.label_counts.member[chosen].sum(axis=0)
+    return dict(zip(ds_train.copa_ids, (votes / len(chosen)).tolist()))
 
 
 # ---------------------------------------------------------------------------

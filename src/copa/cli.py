@@ -210,6 +210,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
+def _finite(ctx, param, value: float) -> float:
+    """Option callback: a NaN or infinite number is a usage error (exit 2)."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -263,7 +270,8 @@ def stats(ctx):
 @click.option("--method", default="ensemble",
               type=click.Choice(tuple(evalmod.KNOWN_METHODS) + ("ensemble",)),
               help="Scoring method.")
-@click.option("--threshold", default=0.0, type=float, help="Minimum score to report.")
+@click.option("--threshold", default=0.0, type=float, callback=_finite,
+              help="Minimum score to report.")
 @click.pass_context
 def match(ctx, action, topic, method, threshold):
     """Rank CoPAs for the motion (ACTION, TOPIC) and show their claims."""

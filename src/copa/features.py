@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kb import ActionRegistry, CoPA, Dataset, LabelCounts, Motion
+from .kb import ActionRegistry, CoPA, Dataset, LabelCounts, Motion, topic_key
 from .textsim import (
     MAX_SET_PAIRS,
     DomainError,
@@ -60,8 +60,8 @@ class MotionTextSets:
 
 @dataclass(frozen=True)
 class CopaTextSets:
-    """c_m: the manual title list; c_t: member-motion topics (minus the
-    held-out motion's topic in leave-one-out mode)."""
+    """c_m: the manual title list; c_t: member-motion topics (minus every
+    topic with the held-out motion's ``topic_key`` in leave-one-out mode)."""
 
     c_m: tuple[str, ...]
     c_t: frozenset[str]
@@ -75,7 +75,8 @@ def motion_text_sets(motion: Motion, actions: ActionRegistry, ctx: SimilarityCon
 def copa_text_sets(copa: CoPA, ds: Dataset, loo_holdout: str | None = None) -> CopaTextSets:
     c_t = {ds.motion(mid).topic for mid in copa.motion_ids}
     if loo_holdout is not None:  # the held-out motion's topic goes, and with it the motion
-        c_t.discard(ds.motion(loo_holdout).topic)
+        held = topic_key(ds.motion(loo_holdout).topic)
+        c_t = {t for t in c_t if topic_key(t) != held}
     return CopaTextSets(c_m=copa.manual_titles, c_t=frozenset(c_t))
 
 
@@ -160,14 +161,14 @@ class _SimilaritySums:
     ``term_sums``/``term_counts`` of each motion's m_t and m_w against
     each single CoPA-side term (motions x terms x 6, in the c_t features'
     order).  ``ct`` is the (CoPAs x terms) incidence of the c_t sets and
-    ``term_index`` the terms' columns."""
+    ``topic_columns`` the columns of the terms under each ``topic_key``."""
 
     sums: np.ndarray
     counts: np.ndarray
     term_sums: np.ndarray
     term_counts: np.ndarray
     ct: np.ndarray
-    term_index: dict[str, int]
+    topic_columns: dict[str, list[int]]
 
 
 def _incidence(term_lists, index: dict[str, int]) -> np.ndarray:
@@ -225,7 +226,10 @@ def _similarity_sums(motions, ds: Dataset, ctx: SimilarityContext) -> _Similarit
                 f = FEATURE_NAMES.index(f"sim_{m_name}_{c_name}_{kind_name}")
                 sums[..., f] = row_sums @ b.T
                 counts[..., f] = row_counts @ b.T
-    return _SimilaritySums(sums, counts, term_sums, term_counts, copa_side["ct"] > 0, term_index)
+    topic_columns: dict[str, list[int]] = {}
+    for column, term in enumerate(cols):
+        topic_columns.setdefault(topic_key(term), []).append(column)
+    return _SimilaritySums(sums, counts, term_sums, term_counts, copa_side["ct"] > 0, topic_columns)
 
 
 def motion_features(motion: Motion, ds: Dataset, ctx: SimilarityContext) -> np.ndarray:
@@ -248,10 +252,11 @@ class FeatureTable:
     The twelve similarity features come from ``_similarity_sums``: exact
     sums and counts of pair similarities, divided once.  Holding out
     motion h changes only two things.  The c_t of a CoPA loses h's topic
-    (and h), which matters only to the CoPAs whose c_t holds that topic:
-    a fold subtracts the topic's term column from their c_t sums and
-    counts, which is exact.  The count universes lose h: a fold reads the
-    four count features from the dataset's ``LabelCounts`` minus h.
+    under every spelling with its ``topic_key`` (and h), which matters
+    only to the CoPAs whose c_t holds such a topic: a fold subtracts those
+    term columns from their c_t sums and counts, which is exact.  The
+    count universes lose h: a fold reads the four count features from the
+    dataset's ``LabelCounts`` minus h.
     Everything else is reused, so the fold ``without_motion(h)`` holds
     ``compute_features(..., loo_holdout=h)`` of every pair, bit for bit:
     h's row dropped from ``values`` and ``labels``, as the training rows,
@@ -279,13 +284,14 @@ class FeatureTable:
         """The leave-one-out fold without ``motion_id``."""
         values = self.values.copy()
         sim = self._sim
-        t = sim.term_index.get(self._ds.motion(motion_id).topic)
-        if t is not None:
-            for j in np.flatnonzero(sim.ct[:, t]):
-                values[:, j, _CT_FEATURES] = mean_similarity(
-                    sim.sums[:, j, _CT_FEATURES] - sim.term_sums[:, t],
-                    sim.counts[:, j, _CT_FEATURES] - sim.term_counts[:, t],
-                )
+        key = topic_key(self._ds.motion(motion_id).topic)
+        columns = np.array(sim.topic_columns.get(key, []), dtype=np.intp)
+        for j in np.flatnonzero(sim.ct[:, columns].any(axis=1)):
+            held = columns[sim.ct[j, columns]]
+            values[:, j, _CT_FEATURES] = mean_similarity(
+                sim.sums[:, j, _CT_FEATURES] - sim.term_sums[:, held].sum(axis=1),
+                sim.counts[:, j, _CT_FEATURES] - sim.term_counts[:, held].sum(axis=1),
+            )
         values[..., _COUNT_FEATURES] = _count_values(self.counts.without_motion(motion_id))
         h = self.counts.rows[motion_id]
         keep = np.arange(len(values)) != h

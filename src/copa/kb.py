@@ -106,6 +106,13 @@ class Motion:
     topic: str
 
 
+def topic_key(topic: str) -> str:
+    """What two motion topics must share to be one topic: equal ignoring
+    case.  A leave-one-out fold drops every topic with the held-out
+    motion's key, from KNN's candidates and from each CoPA's c_t."""
+    return topic.lower()
+
+
 @dataclass(frozen=True)
 class Claim:
     """One claim template; ``[TOPIC]`` is substituted at instantiation

@@ -232,8 +232,8 @@ class WikiCorpus:
     @classmethod
     def from_file(cls, path) -> "WikiCorpus":
         """Read the JSON corpus; malformed JSON, a record that is not an
-        object or a link count that is not a non-negative integer raises
-        DomainError."""
+        object, ``body_terms`` that are not a list of strings or a link
+        count that is not a non-negative integer raises DomainError."""
         with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
@@ -249,9 +249,14 @@ class WikiCorpus:
                 link_counts = _json_object(
                     rec.get("link_counts", {}), f"article {topic!r}: 'link_counts'"
                 )
+                body_terms = rec.get("body_terms", [])
+                if not isinstance(body_terms, list) or not all(
+                    isinstance(t, str) for t in body_terms
+                ):
+                    raise DomainError(f"article {topic!r}: 'body_terms' must be a list of strings")
                 articles[_norm(topic)] = ArticleRecord(
                     link_counts={_norm(t): c for t, c in link_counts.items()},
-                    body_terms=frozenset(_norm(t) for t in rec.get("body_terms", [])),
+                    body_terms=frozenset(_norm(t) for t in body_terms),
                 )
             background = _json_object(doc.get("background", {}), "'background'")
             link_counts = _json_object(
@@ -322,16 +327,14 @@ class SimilarityContext:
     None; similarities whose store is missing come back Absent.
 
     Term vectors and related titles are memoized per context (they are
-    pure in the stores, and every kernel call and KNN fold reads them
-    again); each memo is bounded by the distinct terms seen.  The scalar
-    ``term_similarity`` memoizes its pairs too; only KNN calls it, since
-    set similarities go through ``similarity_block``."""
+    pure in the stores, and every ``similarity_block`` call, one per KNN
+    query, reads them again); each memo is bounded by the distinct terms
+    seen.  No term pair is memoized."""
 
     embeddings: EmbeddingStore | None = None
     alt_embeddings: EmbeddingStore | None = None
     tfidf: TfIdfModel | None = None
     wiki: WikiCorpus | None = None
-    _term_cache: dict = field(default_factory=dict, repr=False)
     _vector_cache: dict = field(default_factory=dict, repr=False)
     _title_cache: dict = field(default_factory=dict, repr=False)
 
@@ -395,22 +398,11 @@ def _dict_cosine(a: dict[str, float], b: dict[str, float]) -> float:
     return dot / (na * nb)
 
 
-_MISSING = object()
-
-
 def term_similarity(kind: SimilarityKind, a: str, b: str, ctx: SimilarityContext) -> float | None:
     """Similarity of two terms in [0, 1], or None when either side is
-    unrepresentable under the requested measure."""
-    # symmetric cache key: sim(a, b) == sim(b, a) exactly, so share entries
-    key = (kind, a, b) if a <= b else (kind, b, a)
-    value = ctx._term_cache.get(key, _MISSING)
-    if value is _MISSING:
-        value = _term_similarity(kind, a, b, ctx)
-        ctx._term_cache[key] = value
-    return value
-
-
-def _term_similarity(kind: SimilarityKind, a: str, b: str, ctx: SimilarityContext) -> float | None:
+    unrepresentable under the requested measure: the per-pair reference
+    of ``similarity_block`` (embedding cosines through a BLAS ``np.dot``,
+    not rounded)."""
     va = ctx.term_vector(kind, a)
     vb = ctx.term_vector(kind, b)
     if va is None or vb is None:
@@ -443,7 +435,9 @@ def similarity_block(kind: SimilarityKind, terms_a, terms_b, ctx: SimilarityCont
     Each entry depends only on its own two terms, never on the block's
     shape or order: no BLAS reduction is involved.  Embedding entries are
     the mapped cosine of ``term_similarity`` with the dot product taken as
-    ``np.sum(u * v)``; tf-idf entries are ``term_similarity`` exactly."""
+    ``np.sum(u * v)``; tf-idf entries are ``term_similarity`` exactly.
+    Every similarity in the package goes through this kernel: the set
+    similarities of the feature table and KNN's candidate row."""
     va = [ctx.term_vector(kind, t) for t in terms_a]
     vb = [ctx.term_vector(kind, t) for t in terms_b]
     present = np.outer(

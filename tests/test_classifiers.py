@@ -36,7 +36,13 @@ from copa.cli import main
 from copa.evaluation import EvalConfig, score_motion
 from copa.features import N_FEATURES, FeatureTable, motion_features
 from copa.kb import Motion
-from copa.textsim import DomainError, EmbeddingStore, SimilarityContext
+from copa.textsim import (
+    DomainError,
+    EmbeddingStore,
+    SimilarityContext,
+    SimilarityKind,
+    term_similarity,
+)
 from helpers import (
     build_dataset,
     matrix_entries,
@@ -154,6 +160,30 @@ class TestKNN:
         # all sims equal; ids m1 and m2 win the two slots
         assert scores == {"c1": 0.5, "c2": 0.5}
 
+    def test_kernel_rounding_ties_fall_to_motion_id_order(self):
+        # "near" is closer to q than "next" by about 1e-15, far below the
+        # kernel's 2**-41, so both round to one similarity and m1 wins on
+        # its id although it is listed second
+        table = {"q": np.array([1.0, 0.0]), "near": np.array([1.0, 1e-7]),
+                 "next": np.array([1.0, 1.1e-7])}
+        ctx = SimilarityContext(embeddings=EmbeddingStore(table, 2))
+        ds = build_dataset([("m2", "ban", "near"), ("m1", "ban", "next")],
+                           [("c1", "one"), ("c2", "two")], [("m1", "c1"), ("m2", "c2")])
+        query = Motion("q", "ban", "q")
+        assert (term_similarity(SimilarityKind.EMBEDDING, "q", "near", ctx)
+                > term_similarity(SimilarityKind.EMBEDDING, "q", "next", ctx))
+        assert predict_knn(ds, query, ctx, min_neighbors=1, top=1) == {"c1": 1.0, "c2": 0.0}
+
+    def test_threshold_is_strict_and_own_motion_is_no_candidate(self):
+        ds, ctx = _knn_fixture()
+        orthogonal = EmbeddingStore({"q": np.array([1.0, 0.0]), "a": np.array([0.0, 1.0])}, 2)
+        # similarity exactly 0.5 does not exceed the threshold 0.5
+        assert predict_knn(ds, Motion("q", "ban", "q"), SimilarityContext(embeddings=orthogonal),
+                           min_neighbors=1) == {"c1": None, "c2": None}
+        m1 = ds.motion("m1")
+        assert predict_knn(ds, m1, ctx, min_neighbors=1) == predict_knn(
+            ds.without_motion("m1"), m1, ctx, min_neighbors=1)
+
     def test_exclude_topic_drops_same_topic_candidates(self):
         ds, ctx = _knn_fixture()
         query = Motion("q", "ban", "a")
@@ -166,6 +196,8 @@ class TestKNN:
         oracle = knn_scores(ds, query, ctx.embeddings, min_neighbors=4, top=5,
                             exclude_topic="a")
         assert dropped == oracle
+        # the same topic in another case (topic_key) is the same topic
+        assert predict_knn(ds, query, ctx, min_neighbors=4, top=5, exclude_topic="A") == dropped
 
     def test_matches_bruteforce_oracle_distinct_sims(self):
         rng = np.random.default_rng(61)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from copa import classifiers as clfmod
 from copa.classifiers import TopicSentenceCorpus
 from copa.cli import AppConfig, ConfigError, main
-from copa.textsim import DomainError, EmbeddingStore
+from copa.kb import ParseError, ValidationError, load_dataset
+from copa.textsim import DomainError, EmbeddingStore, WikiCorpus
 from helpers import load_bench_generator
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -290,6 +291,19 @@ class TestExitCodes:
         assert f"{bad}:2" in result.output and "string 'sentence'" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("body_terms", [5, [1, 2], "solar panel"])
+    def test_wiki_body_terms_not_a_list_of_strings_is_io_error(self, runner, tmp_path,
+                                                               monkeypatch, body_terms):
+        monkeypatch.chdir(ROOT)
+        bad = tmp_path / "wiki.json"
+        bad.write_text(json.dumps({"articles": {"smoking": {"body_terms": body_terms}}}))
+        result = runner.invoke(main, ["--config", "data/config.json", "match", "ban", "smoking",
+                                      "--method", "lr"], env={"COPA_WIKI_CORPUS": str(bad)})
+        assert result.exit_code == 4, result.output
+        assert str(bad) in result.output
+        assert "'body_terms' must be a list of strings" in result.output
+        assert "Traceback" not in result.output
+
     def test_stores_no_method_reads_are_not_loaded(self, runner, workspace, tmp_path):
         broken = tmp_path / "broken.txt"
         broken.write_text("{oops")
@@ -332,6 +346,17 @@ class TestMatchCommand:
         )
         assert result.exit_code == 0
         assert result.output.strip() == ""
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_is_a_usage_error(self, runner, workspace, threshold):
+        result = runner.invoke(
+            main,
+            ["--config", str(workspace / "config.json"), "match", "ban", "t0",
+             "--method", "ba", "--threshold", threshold],
+        )
+        assert result.exit_code == 2, result.output
+        assert "'--threshold'" in result.output and "not a finite number" in result.output
+        assert "Traceback" not in result.output
 
     def test_ba_scores_ranked(self, runner, workspace):
         result = runner.invoke(
@@ -675,3 +700,99 @@ def test_any_embedding_file_loads_or_is_a_domain_error(workspace, lines, raw):
         pass
     _assert_documented_exit(workspace, ["match", "ban", "t0", "--method", "ensemble"],
                             {"COPA_EMBEDDINGS": str(path)})
+
+
+# dataset and wiki documents: well-formed ones, which reach validation and
+# often load, ones with any JSON value in a field one time in eight, and
+# files that are not such documents at all
+
+
+def _mostly(valid, other=JSON_VALUES):
+    """``valid`` seven draws in eight, ``other`` otherwise."""
+    return st.integers(0, 7).flatmap(lambda i: other if i == 5 else valid)
+
+
+ACTION_IDS = st.sampled_from(["ban", "legalize", "fight"])
+MOTION_IDS = st.sampled_from(["m0", "m1", "m2", "m3"])
+COPA_IDS = st.sampled_from(["c1", "c2", "c3"])
+TOPICS = st.sampled_from(["t0", "T0", "u1", "t0 u1", "alpha", "qzx", " "])
+CLAIMS = st.just([{"stance": "pro", "template": "[TOPIC] helps"},
+                  {"stance": "con", "template": "[TOPIC] hurts"}])
+BAD_CLAIMS = st.lists(st.fixed_dictionaries(
+    {"stance": st.sampled_from(["pro", "con", " Con", "maybe"]) | JSON_VALUES,
+     "template": JSON_VALUES | TEXT}), max_size=3) | JSON_VALUES
+
+
+def _record_key(record):
+    # unique ids (or unique records, for labels) in most lists, so that
+    # validation gets past the duplicate-id checks
+    return repr(record.get("id", record) if isinstance(record, dict) else record)
+
+
+def _dataset_docs(field, claims):
+    """Dataset documents whose every list, record and field is drawn
+    through ``field`` (a strategy -> strategy map)."""
+
+    def records(fields, optional=None, **kwargs):
+        record = field(st.fixed_dictionaries(fields, optional=optional or {}))
+        return field(st.lists(record, unique_by=_record_key, **kwargs))
+
+    return st.fixed_dictionaries(
+        {
+            "actions": records({"id": field(ACTION_IDS), "surface": field(TEXT)},
+                               {"conclusion": field(TEXT)}, min_size=1, max_size=3),
+            "copas": records({
+                "id": field(COPA_IDS), "name": field(TEXT), "topic_related": field(st.booleans()),
+                "manual_titles": field(st.lists(field(TOPICS), max_size=3)),
+                "claims": claims,
+            }, max_size=3),
+            "motions": records({"id": field(MOTION_IDS), "action": field(ACTION_IDS),
+                                "topic": field(TOPICS)}, min_size=1, max_size=4),
+            "labels": records({"motion": field(MOTION_IDS), "copa": field(COPA_IDS)},
+                              {"claim_stance_pro_means_support": field(st.booleans())},
+                              max_size=5),
+        },
+        optional={"general_copas": field(st.lists(field(COPA_IDS), max_size=2))},
+    )
+
+
+DATASET_DOCS = (_dataset_docs(lambda strategy: strategy, CLAIMS)
+                | _dataset_docs(_mostly, _mostly(CLAIMS, BAD_CLAIMS)))
+COUNTS = _mostly(st.integers(0, 5))
+WIKI_DOCS = st.fixed_dictionaries({}, optional={
+    "articles": _mostly(st.dictionaries(
+        st.sampled_from(["t0", " T1", "u2", "alpha"]) | TEXT,
+        _mostly(st.fixed_dictionaries({}, optional={
+            "link_counts": _mostly(st.dictionaries(TOPICS | TEXT, COUNTS, max_size=3)),
+            "body_terms": _mostly(st.lists(_mostly(TOPICS), max_size=3)),
+        })),
+        max_size=3,
+    )),
+    "background": _mostly(st.fixed_dictionaries({}, optional={
+        "link_counts": _mostly(st.dictionaries(TOPICS, COUNTS, max_size=3)),
+        "total_links": COUNTS,
+    })),
+})
+
+
+@given(doc=DATASET_DOCS | JSON_VALUES, raw=st.none() | st.binary(max_size=16))
+@settings(max_examples=150, deadline=None)
+def test_any_dataset_file_loads_or_is_a_parse_or_validation_error(workspace, doc, raw):
+    path = _fuzz_file(workspace, "fuzz_dataset.json", [json.dumps(doc)], raw)
+    try:
+        load_dataset(path)
+    except (ParseError, ValidationError):
+        pass
+    for command in ("stats", "features"):
+        _assert_documented_exit(workspace, [command], {"COPA_DATASET": str(path)})
+
+
+@given(doc=WIKI_DOCS | JSON_VALUES, raw=st.none() | st.binary(max_size=16))
+@settings(max_examples=150, deadline=None)
+def test_any_wiki_file_loads_or_is_a_domain_error(workspace, doc, raw):
+    path = _fuzz_file(workspace, "fuzz_wiki.json", [json.dumps(doc)], raw)
+    try:
+        WikiCorpus.from_file(path)
+    except DomainError:
+        pass
+    _assert_documented_exit(workspace, ["features"], {"COPA_WIKI_CORPUS": str(path)})

@@ -18,6 +18,7 @@ from copa.textsim import (
     SimilarityKind,
     TfIdfModel,
     WikiCorpus,
+    set_similarity,
     term_similarity,
 )
 from helpers import build_dataset, random_dataset, random_embeddings, topic_words
@@ -153,6 +154,23 @@ class TestTextSets:
         assert sets.c_t == {"other"}
         full = copa_text_sets(ds.copa("c"), ds)
         assert full.c_t == {"shared", "other"}
+
+    def test_c_t_excludes_heldout_topic_in_any_case(self):
+        # "smoking" is the held-out "Smoking" under topic_key: it leaves c_t
+        sets = copa_text_sets(_CASE_DS.copa("c1"), _CASE_DS, loo_holdout="m0")
+        assert sets.c_t == {"tax"}
+        assert copa_text_sets(_CASE_DS.copa("c1"), _CASE_DS, loo_holdout="m2").c_t == {
+            "Smoking", "smoking"
+        }
+
+
+#: two members of c1 whose topics differ only in case
+_CASE_DS = build_dataset(
+    motions=[("m0", "ban", "Smoking"), ("m1", "legalize", "smoking"), ("m2", "ban", "tax"),
+             ("m3", "subsidize", "alcohol")],
+    copas=[("c1", "one", True, ("health",)), ("c2", "two", True, ("money",))],
+    labels=[("m0", "c1"), ("m1", "c1"), ("m2", "c1"), ("m3", "c2"), ("m1", "c2")],
+)
 
 
 class TestSimilarityFeatures:
@@ -295,6 +313,18 @@ class TestFeatureTable:
         ct = [IDX[name] for name in FEATURE_NAMES if "_ct_" in name]
         assert changed[:, :, ct].any(axis=(0, 2)).tolist() == [True, True, True]
         _assert_table_exact(ds, ctx)
+
+    def test_fold_drops_case_variants_of_the_held_out_topic(self):
+        ctx = _full_context(_CASE_DS, np.random.default_rng(54))
+        _assert_table_exact(_CASE_DS, ctx)
+        held = _CASE_DS.motion("m0")
+        rows = FeatureTable(_CASE_DS, ctx).without_motion("m0").query_rows(held)
+        sets = motion_text_sets(held, _CASE_DS.actions, ctx)
+        for name, kind in (("embed", SimilarityKind.EMBEDDING),
+                           ("embed_alt", SimilarityKind.EMBEDDING_ALT),
+                           ("tfidf", SimilarityKind.TFIDF)):
+            assert rows[0, IDX[f"sim_mt_ct_{name}"]] == set_similarity(kind, sets.m_t, ["tax"], ctx)
+            assert rows[0, IDX[f"sim_mw_ct_{name}"]] == set_similarity(kind, sets.m_w, ["tax"], ctx)
 
     def test_random_datasets_with_shared_topics(self):
         rng = np.random.default_rng(52)
