@@ -54,8 +54,9 @@ scores = {"ba": predict_ba(ba, query)}
 scores["knn"] = predict_knn(ds, query, ctx, min_neighbors=2, top=5)
 
 # --- logistic regression on the topic embedding, with action blacklists -----
-w2v = train_w2v_lr(W2VTable(ds, ctx))  # the topic vectors and labels, built once
-scores["w2v"] = predict_w2v(w2v, query, ctx)
+w2v_table = W2VTable(ds, ctx)  # the topic vectors and labels, built once
+w2v = train_w2v_lr(w2v_table)  # one fit per CoPA
+scores["w2v"] = predict_w2v(w2v, w2v_table.counts, query, ctx)
 
 # --- Naive Bayes over sentences mentioning the topic ------------------------
 nb = train_nb(ds, sentences, alpha=1.0)
@@ -89,5 +90,5 @@ print()
 # action "ban", so W2V and NB refuse to predict it for a ban motion.
 banned = Motion("query2", "ban", "solar energy")
 print("blacklist effect for (ban, solar energy):")
-print(f"  w2v clean_energy score: {predict_w2v(w2v, banned, ctx)['clean_energy']}")
+print(f"  w2v clean_energy score: {predict_w2v(w2v, w2v_table.counts, banned, ctx)['clean_energy']}")
 print(f"  nb  clean_energy score: {predict_nb(nb, banned, sentences)['clean_energy']}")

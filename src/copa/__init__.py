@@ -53,12 +53,9 @@ from .features import (
 from .classifiers import (
     BAModel,
     DimensionMismatch,
-    LogRegModel,
     NBClassifier,
-    NBModel,
     ScoreMatrix,
     TopicSentenceCorpus,
-    W2VClassifier,
     W2VTable,
     ensemble,
     logreg_fit,

@@ -146,6 +146,11 @@ class LogRegFit(tuple):
         fit.converged = grad_norm < tol
         return fit
 
+    def score(self, x: np.ndarray) -> float:
+        """The sigmoid of ``weights @ x + bias``."""
+        weights, bias = self
+        return float(sigmoid(float(weights @ x) + bias))
+
 
 def logreg_fit(
     X,
@@ -220,32 +225,6 @@ def logreg_fit(
         if on_step is not None:
             on_step(iteration, value)
     return LogRegFit(w, b, n_iters, math.sqrt(grad_sq), tol)
-
-
-@dataclass
-class LogRegModel:
-    """A trained logistic regression scorer (optionally standardizing its
-    inputs first).  ``n_iters``, ``converged`` and ``grad_norm`` say how
-    its fit ended (None when not recorded)."""
-
-    weights: np.ndarray
-    bias: float
-    standardizer: Standardizer | None = None
-    n_iters: int | None = None
-    converged: bool | None = None
-    grad_norm: float | None = None
-
-    @classmethod
-    def from_fit(cls, fit: LogRegFit, standardizer: Standardizer | None) -> "LogRegModel":
-        weights, bias = fit
-        return cls(weights=weights, bias=bias, standardizer=standardizer,
-                   n_iters=fit.n_iters, converged=fit.converged, grad_norm=fit.grad_norm)
-
-    def score(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if self.standardizer is not None:
-            x = self.standardizer.transform(x)
-        return float(sigmoid(float(self.weights @ x) + self.bias))
 
 
 # ---------------------------------------------------------------------------
@@ -364,48 +343,32 @@ class W2VTable:
         return fold
 
 
-@dataclass
-class W2VClassifier:
-    """A logistic regression per CoPA (none when no training motion has
-    an embedding) and the label counts of the action blacklist."""
-
-    per_copa: dict[str, LogRegModel]
-    counts: LabelCounts
-
-
 def train_w2v_lr(
     table: W2VTable,
     lam: float = 1e-3,
     tol: float = 1e-6,
     max_iters: int = 10000,
-) -> W2VClassifier:
+) -> list[LogRegFit]:
     """One-vs-rest logistic regression per CoPA over the table's unit
-    topic vectors."""
-    per_copa: dict[str, LogRegModel] = {}
-    if len(table.X):
-        for cid, y in zip(table.counts.copa_ids, table.labels.T):
-            fit = logreg_fit(table.X, y, lam=lam, tol=tol, max_iters=max_iters)
-            per_copa[cid] = LogRegModel.from_fit(fit, None)
-    return W2VClassifier(per_copa=per_copa, counts=table.counts)
+    topic vectors, in ``copa_ids`` order; none when no training motion
+    has an embedding."""
+    if not len(table.X):
+        return []
+    return [logreg_fit(table.X, y, lam=lam, tol=tol, max_iters=max_iters)
+            for y in table.labels.T]
 
 
-def predict_w2v(clf: W2VClassifier, motion: Motion, ctx: SimilarityContext) -> dict[str, Score]:
-    """Each CoPA's model score of the topic vector; abstains when the
-    topic has no embedding, 0 where the blacklist vetoes the action."""
-    copa_ids = clf.counts.copa_ids
+def predict_w2v(fits: list[LogRegFit], counts: LabelCounts, motion: Motion,
+                ctx: SimilarityContext) -> dict[str, Score]:
+    """Each CoPA's fit's score of the topic vector; abstains when the
+    topic has no embedding or there are no fits, 0 where the blacklist of
+    ``counts`` vetoes the action."""
     x = ctx.term_vector(SimilarityKind.EMBEDDING, motion.topic)
-    if x is None:
-        return {cid: None for cid in copa_ids}
-    scores: dict[str, Score] = {}
-    for cid, vetoed in zip(copa_ids, clf.counts.blacklisted(motion.action)):
-        model = clf.per_copa.get(cid)
-        if model is None:
-            scores[cid] = None
-        elif vetoed:
-            scores[cid] = 0.0
-        else:
-            scores[cid] = model.score(x)
-    return scores
+    if x is None or not fits:
+        return {cid: None for cid in counts.copa_ids}
+    return {cid: 0.0 if vetoed else fit.score(x)
+            for cid, fit, vetoed in zip(counts.copa_ids, fits,
+                                        counts.blacklisted(motion.action), strict=True)}
 
 
 # ---------------------------------------------------------------------------
@@ -458,33 +421,6 @@ class TopicSentenceCorpus:
         return cls(table)
 
 
-@dataclass
-class NBModel:
-    """One CoPA's Naive Bayes log tables: the log-priors of its positive
-    and negative sentence classes and their Laplace-smoothed unigram
-    log-probabilities, over the training vocabulary or the part of it a
-    query needs."""
-
-    alpha: float
-    log_prior_pos: float
-    log_prior_neg: float
-    log_prob_pos: dict[str, float]
-    log_prob_neg: dict[str, float]
-
-    def sentence_posterior(self, sentence: str) -> float:
-        """P(positive | sentence); words outside the tables are skipped."""
-        lp = self.log_prior_pos
-        ln = self.log_prior_neg
-        for w in tokenize(sentence):
-            if w in self.log_prob_pos:
-                lp += self.log_prob_pos[w]
-                ln += self.log_prob_neg[w]
-        if lp == -math.inf and ln == -math.inf:
-            return 0.5
-        # sigmoid of the log-odds: exact 0.5 under perfect symmetry
-        return float(sigmoid(lp - ln))
-
-
 class _MotionCounts(NamedTuple):
     """One training motion's share of the NB word tables."""
 
@@ -532,42 +468,6 @@ class NBClassifier:
         fold._add(motion_id, -1)
         return fold
 
-    def copa_models(self, words) -> list[NBModel]:
-        """Each CoPA's model, in ``copa_ids`` order, with log-probabilities
-        for those of ``words`` that are in the vocabulary."""
-        known = [w for w in words if (j := self.vocab.get(w)) is not None and self.totals[j] > 0]
-        cols = [self.vocab[w] for w in known]
-        totals = self.totals[cols].tolist()
-        n_vocab = int(np.count_nonzero(self.totals))
-        n_words = int(self.totals.sum())
-        n, alpha = self.sentences, self.alpha
-        models = []
-        for pos_counts, pos_words, pos_sentences in zip(
-            self.positive[:, cols].tolist(), self.positive.sum(axis=1).tolist(),
-            self.positive_sentences.tolist(),
-        ):
-            denom_pos = pos_words + alpha * n_vocab
-            denom_neg = (n_words - pos_words) + alpha * n_vocab
-            models.append(NBModel(
-                alpha=alpha,
-                log_prior_pos=_log_or_neg_inf(pos_sentences / n if n else 0.0),
-                log_prior_neg=_log_or_neg_inf((n - pos_sentences) / n if n else 0.0),
-                log_prob_pos={w: math.log((k + alpha) / denom_pos)
-                              for w, k in zip(known, pos_counts)},
-                log_prob_neg={w: math.log((t - k + alpha) / denom_neg)
-                              for w, k, t in zip(known, pos_counts, totals)},
-            ))
-        return models
-
-    @property
-    def per_copa(self) -> dict[str, NBModel]:
-        """Each CoPA's model over the whole vocabulary."""
-        return dict(zip(self.counts.copa_ids, self.copa_models(self.vocab)))
-
-
-def _log_or_neg_inf(x: float) -> float:
-    return math.log(x) if x > 0 else -math.inf
-
 
 def train_nb(ds: Dataset, corpus: TopicSentenceCorpus | None, alpha: float = 1.0) -> NBClassifier:
     """The count tables of ``ds``, each motion's sentences tokenized once."""
@@ -598,20 +498,53 @@ def train_nb(ds: Dataset, corpus: TopicSentenceCorpus | None, alpha: float = 1.0
 
 def predict_nb(clf: NBClassifier, motion: Motion, corpus: TopicSentenceCorpus) -> dict[str, Score]:
     """Mean per-sentence posterior over the topic's sentences; abstains
-    when the corpus has none, 0 where the blacklist vetoes the action."""
-    sentences = corpus.get(motion.topic)
+    when the corpus has none, 0 where the blacklist vetoes the action.
+
+    Each CoPA's positive and negative classes get log-priors from the
+    sentence counts and Laplace-smoothed unigram log-probabilities over
+    the vocabulary (words with a positive total); a sentence's words
+    outside it are skipped, and a sentence whose two log-posteriors are
+    both -inf (no training sentences) scores 0.5."""
+    copa_ids = clf.counts.copa_ids
+    sentences = [tokenize(s) for s in corpus.get(motion.topic)]
     if not sentences:
-        return {cid: None for cid in clf.counts.copa_ids}
+        return {cid: None for cid in copa_ids}
+    vocab_cols = {w: j for tokens in sentences for w in tokens
+                  if (j := clf.vocab.get(w)) is not None and clf.totals[j] > 0}
+    known = {w: i for i, w in enumerate(vocab_cols)}  # query word -> log-table column
+    cols = list(vocab_cols.values())
+    n, alpha = clf.sentences, clf.alpha
+    n_vocab = int(np.count_nonzero(clf.totals))
+    n_words = int(clf.totals.sum())
+    totals = clf.totals[cols].tolist()
+    # CoPA x query-word log tables and log-priors, with math.log
+    shape = (len(copa_ids), len(known))
+    log_pos, log_neg = np.empty(shape), np.empty(shape)
+    prior_pos, prior_neg = np.empty(len(copa_ids)), np.empty(len(copa_ids))
+    for c, (pos_counts, pos_words, pos_sentences) in enumerate(zip(
+        clf.positive[:, cols].tolist(), clf.positive.sum(axis=1).tolist(),
+        clf.positive_sentences.tolist(),
+    )):
+        denom_pos = pos_words + alpha * n_vocab
+        denom_neg = (n_words - pos_words) + alpha * n_vocab
+        prior_pos[c] = math.log(pos_sentences / n) if pos_sentences else -math.inf
+        prior_neg[c] = math.log((n - pos_sentences) / n) if n - pos_sentences else -math.inf
+        log_pos[c] = [math.log((k + alpha) / denom_pos) for k in pos_counts]
+        log_neg[c] = [math.log((t - k + alpha) / denom_neg) for k, t in zip(pos_counts, totals)]
+    total = np.zeros(len(copa_ids))
+    for tokens in sentences:
+        lp, ln = prior_pos.copy(), prior_neg.copy()
+        for w in tokens:
+            if (i := known.get(w)) is not None:
+                lp += log_pos[:, i]
+                ln += log_neg[:, i]
+        both_inf = (lp == -math.inf) & (ln == -math.inf)
+        lp[both_inf] = ln[both_inf] = 0.0
+        total += sigmoid(lp - ln)  # sigmoid of the log-odds: exact 0.5 under symmetry
+    posterior = np.minimum(1.0, np.maximum(0.0, total / len(sentences)))
     blocked = clf.counts.blacklisted(motion.action)
-    models = clf.copa_models({w for s in sentences for w in tokenize(s)})
-    scores: dict[str, Score] = {}
-    for cid, model, vetoed in zip(clf.counts.copa_ids, models, blocked):
-        if vetoed:
-            scores[cid] = 0.0
-            continue
-        posterior = sum(model.sentence_posterior(s) for s in sentences) / len(sentences)
-        scores[cid] = min(1.0, max(0.0, posterior))
-    return scores
+    return {cid: 0.0 if vetoed else p
+            for cid, p, vetoed in zip(copa_ids, posterior.tolist(), blocked)}
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +558,9 @@ def train_feature_lr(
     lam: float = 1e-3,
     tol: float = 1e-6,
     max_iters: int = 10000,
-) -> LogRegModel:
-    """A single pair classifier over standardized 17-feature vectors.
+) -> tuple[Standardizer, LogRegFit]:
+    """A single pair classifier over standardized 17-feature vectors: the
+    standardizer and the fit over its outputs.
 
     ``values`` is a (motions x CoPAs x features) block of a
     ``FeatureTable`` (a whole table or a fold's training rows) and
@@ -638,10 +572,13 @@ def train_feature_lr(
     scaler = standardize(X)
     fit = logreg_fit(scaler.transform(X), np.asarray(labels, dtype=float).reshape(-1),
                      lam=lam, tol=tol, max_iters=max_iters)
-    return LogRegModel.from_fit(fit, scaler)
+    return scaler, fit
 
 
-def predict_feature_lr(model: LogRegModel, rows: np.ndarray, copa_ids) -> dict[str, Score]:
+def predict_feature_lr(model: tuple[Standardizer, LogRegFit], rows: np.ndarray,
+                       copa_ids) -> dict[str, Score]:
     """Sigmoid score per CoPA from one motion's (CoPAs x features) rows,
-    in ``copa_ids`` order; this method never abstains."""
-    return {cid: model.score(x) for cid, x in zip(copa_ids, rows, strict=True)}
+    standardized one by one, in ``copa_ids`` order; this method never
+    abstains."""
+    scaler, fit = model
+    return {cid: fit.score(scaler.transform(x)) for cid, x in zip(copa_ids, rows, strict=True)}

@@ -181,9 +181,9 @@ def score_motion(
             exclude_topic=inputs.exclude_topic,
         )
     elif method == "w2v":
-        model = clf.train_w2v_lr(inputs, lam=config.l2_lambda, tol=config.tol,
-                                 max_iters=config.max_iters)
-        scores = clf.predict_w2v(model, motion, ctx)
+        fits = clf.train_w2v_lr(inputs, lam=config.l2_lambda, tol=config.tol,
+                                max_iters=config.max_iters)
+        scores = clf.predict_w2v(fits, inputs.counts, motion, ctx)
     elif method == "nb":
         scores = clf.predict_nb(inputs, motion, corpus)
     elif method == "lr":

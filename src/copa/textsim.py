@@ -194,7 +194,9 @@ class WikiCorpus:
 
     ``link_counts`` are occurrences of linked titles inside one article;
     the background aggregates link counts over a pool of random articles
-    (excluding the topic articles themselves).
+    (excluding the topic articles themselves).  Article topics are
+    case-insensitive: keys that differ only in case or surrounding space
+    name one article, the later record winning.
     """
 
     def __init__(
@@ -209,11 +211,11 @@ class WikiCorpus:
         for title, count in background_link_counts.items():
             if type(count) is not int or count < 0 or count > background_total_links:
                 raise DomainError(f"background count {count!r} for {title!r} out of range")
-        for topic, rec in articles.items():
+        self._articles = {_norm(topic): rec for topic, rec in articles.items()}
+        for topic, rec in self._articles.items():
             for title, count in rec.link_counts.items():
                 if type(count) is not int or count < 0:
                     raise DomainError(f"article {topic!r}: bad count {count!r} for {title!r}")
-        self._articles = articles
         self.background_link_counts = background_link_counts
         self.background_total_links = background_total_links
 
@@ -254,7 +256,7 @@ class WikiCorpus:
                     isinstance(t, str) for t in body_terms
                 ):
                     raise DomainError(f"article {topic!r}: 'body_terms' must be a list of strings")
-                articles[_norm(topic)] = ArticleRecord(
+                articles[topic] = ArticleRecord(
                     link_counts={_norm(t): c for t, c in link_counts.items()},
                     body_terms=frozenset(_norm(t) for t in body_terms),
                 )

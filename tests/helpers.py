@@ -100,10 +100,15 @@ def matrix_entries(matrix: ScoreMatrix) -> dict:
     }
 
 
-def load_bench_generator():
-    """The benchmark's workload generator, imported from its file."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "generate.py"
-    spec = importlib.util.spec_from_file_location("bench_generate", path)
+def load_bench_module(name: str):
+    """A benchmark script, imported from its file ``bench/<name>.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_bench_generator():
+    """The benchmark's workload generator."""
+    return load_bench_module("generate")

@@ -24,6 +24,7 @@ from copa.classifiers import (
     logreg_objective,
     predict_ba,
     predict_knn,
+    predict_nb,
     train_ba,
     train_nb,
 )
@@ -183,7 +184,8 @@ def test_c05_naive_bayes_closed_form_and_symmetry():
         [("m1", "ban", "t1"), ("m2", "ban", "t2")], [("c", "theme")], [("m1", "c")]
     )
     corpus = TopicSentenceCorpus({"t1": ["x x", "x y"], "t2": ["y y", "x y"]})
-    model = train_nb(ds, corpus, alpha=1.0).per_copa["c"]
+    clf = train_nb(ds, corpus, alpha=1.0)
+    query = Motion("q", "ban", "probe")
 
     p_pos = {"x": Fraction(4, 6), "y": Fraction(2, 6)}
     p_neg = {"x": Fraction(2, 6), "y": Fraction(4, 6)}
@@ -196,15 +198,16 @@ def test_c05_naive_bayes_closed_form_and_symmetry():
         return float(pos / (pos + neg))
 
     for sentence in ("x", "y", "x y", "x x", "y y x"):
-        got = model.sentence_posterior(sentence)
+        # a one-sentence probe corpus: the mean posterior is that sentence's
+        got = predict_nb(clf, query, TopicSentenceCorpus({"probe": [sentence]}))["c"]
         assert abs(got - closed_form(sentence.split())) <= 1e-12
 
     sym_ds = build_dataset(
         [("m1", "ban", "ta"), ("m2", "ban", "tb")], [("c", "theme")], [("m1", "c")]
     )
     sym_corpus = TopicSentenceCorpus({"ta": ["w v"], "tb": ["w v"]})
-    sym = train_nb(sym_ds, sym_corpus, alpha=1.0).per_copa["c"]
-    assert sym.sentence_posterior("w v") == 0.5
+    sym = train_nb(sym_ds, sym_corpus, alpha=1.0)
+    assert predict_nb(sym, query, TopicSentenceCorpus({"probe": ["w v"]}))["c"] == 0.5
     _report(5, "NB posteriors equal closed-form Bayes within 1e-12 on the "
                "2-word corpus; symmetric case is exactly 0.5")
 

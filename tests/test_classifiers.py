@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -11,10 +12,8 @@ from hypothesis import strategies as st
 from copa import classifiers as clfmod
 from copa.classifiers import (
     DimensionMismatch,
-    LogRegModel,
-    NBModel,
+    LogRegFit,
     TopicSentenceCorpus,
-    W2VClassifier,
     W2VTable,
     _logreg_gradient,
     ensemble,
@@ -34,7 +33,7 @@ from copa.classifiers import (
 )
 from copa.cli import main
 from copa.evaluation import EvalConfig, score_motion
-from copa.features import N_FEATURES, FeatureTable, motion_features
+from copa.features import N_FEATURES, FeatureTable, Standardizer, motion_features
 from copa.kb import Motion
 from copa.textsim import (
     DomainError,
@@ -44,6 +43,7 @@ from copa.textsim import (
     term_similarity,
 )
 from helpers import (
+    ACTION_POOL,
     build_dataset,
     matrix_entries,
     random_dataset,
@@ -385,18 +385,13 @@ class TestLogregFit:
                 assert logreg_objective(X, y, w + dw, b + db, lam) >= best - slack
 
     def test_model_records_fit_and_reads_older_files(self):
-        # A model without a fit record (the older form: weights, bias and
-        # standardizer only) reports None for each field and scores the same.
+        # The feature LR's fit carries the record of how its descent ended.
         ds = _action_separable_ds()
         x, y = _table_rows(ds, SimilarityContext())
-        model = train_feature_lr(x, y, max_iters=3)
-        assert (model.n_iters, model.converged) == (3, False)
-        assert model.grad_norm >= 1e-6
-        old = LogRegModel(weights=model.weights, bias=model.bias,
-                          standardizer=model.standardizer)
-        assert (old.n_iters, old.converged, old.grad_norm) == (None, None, None)
-        rows = x.reshape(-1, N_FEATURES)
-        assert [old.score(r) for r in rows] == [model.score(r) for r in rows]
+        _, fit = train_feature_lr(x, y, max_iters=3)
+        assert isinstance(fit, LogRegFit)
+        assert (fit.n_iters, fit.converged) == (3, False)
+        assert fit.grad_norm >= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -424,45 +419,47 @@ def _separable_fixture():
 class TestW2V:
     def test_separable_toy_converges(self):
         ds, ctx = _separable_fixture()
-        clf = train_w2v_lr(W2VTable(ds, ctx))
-        model = clf.per_copa["c"]
+        table = W2VTable(ds, ctx)
+        fits = train_w2v_lr(table)
+        weights, bias = fits[0]
         X = np.array([[1, 0, 0, 0]] * 4 + [[-1, 0, 0, 0]] * 4, dtype=float)
         y = np.array([1.0] * 4 + [0.0] * 4)
-        final_loss = logreg_objective(X, y, model.weights, model.bias, 1e-3)
+        final_loss = logreg_objective(X, y, weights, bias, 1e-3)
         assert final_loss < 0.05
-        plus = predict_w2v(clf, Motion("q", "ban", "plus0"), ctx)["c"]
-        minus_topic_scores = predict_w2v(clf, Motion("q", "ban", "minus0"), ctx)
+        plus = predict_w2v(fits, table.counts, Motion("q", "ban", "plus0"), ctx)["c"]
+        minus_topic_scores = predict_w2v(fits, table.counts, Motion("q", "ban", "minus0"), ctx)
         assert plus > 0.9
         assert minus_topic_scores["c"] < 0.1
 
     def test_blacklisted_action_forces_zero(self):
         ds, ctx = _separable_fixture()
-        clf = train_w2v_lr(W2VTable(ds, ctx))
-        assert clf.counts.blacklisted("legalize").tolist() == [True]
-        score = predict_w2v(clf, Motion("q", "legalize", "plus0"), ctx)["c"]
+        table = W2VTable(ds, ctx)
+        fits = train_w2v_lr(table)
+        assert table.counts.blacklisted("legalize").tolist() == [True]
+        score = predict_w2v(fits, table.counts, Motion("q", "legalize", "plus0"), ctx)["c"]
         assert score == 0.0
 
     def test_unembeddable_topic_abstains(self):
         ds, ctx = _separable_fixture()
-        clf = train_w2v_lr(W2VTable(ds, ctx))
-        scores = predict_w2v(clf, Motion("q", "ban", "zzz unknown"), ctx)
+        table = W2VTable(ds, ctx)
+        scores = predict_w2v(train_w2v_lr(table), table.counts,
+                             Motion("q", "ban", "zzz unknown"), ctx)
         assert scores == {"c": None}
 
     def test_zero_weight_model_scores_sigmoid_bias(self):
-        model = LogRegModel(weights=np.zeros(4), bias=0.7)
+        fits = [LogRegFit(np.zeros(4), 0.7, n_iters=0, grad_norm=0.0, tol=1e-6)]
         ds = build_dataset([("m0", "ban", "t")], [("c", "theme")], [("m0", "c")])
-        clf = W2VClassifier(per_copa={"c": model}, counts=ds.label_counts)  # no ban veto
         store = EmbeddingStore({"t": np.array([1.0, 0, 0, 0])}, 4)
         ctx = SimilarityContext(embeddings=store)
-        got = predict_w2v(clf, Motion("q", "ban", "t"), ctx)["c"]
+        got = predict_w2v(fits, ds.label_counts, Motion("q", "ban", "t"), ctx)["c"]  # no ban veto
         assert got == pytest.approx(sigmoid(0.7), abs=1e-15)
 
     def test_training_is_deterministic(self):
         ds, ctx = _separable_fixture()
-        a = train_w2v_lr(W2VTable(ds, ctx))
-        b = train_w2v_lr(W2VTable(ds, ctx))
-        assert np.array_equal(a.per_copa["c"].weights, b.per_copa["c"].weights)
-        assert a.per_copa["c"].bias == b.per_copa["c"].bias
+        (wa, ba), = train_w2v_lr(W2VTable(ds, ctx))
+        (wb, bb), = train_w2v_lr(W2VTable(ds, ctx))
+        assert np.array_equal(wa, wb)
+        assert ba == bb
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +495,30 @@ class TestSentenceFile:
             TopicSentenceCorpus.from_jsonl(path)
 
 
+@dataclass(frozen=True)
+class _NBReference:
+    """One CoPA's Naive Bayes log tables over the training vocabulary,
+    computed apart from ``NBClassifier``: the log-priors of its positive
+    and negative sentence classes and their Laplace-smoothed unigram
+    log-probabilities."""
+
+    log_prior_pos: float
+    log_prior_neg: float
+    log_prob_pos: dict
+    log_prob_neg: dict
+
+    def posterior(self, sentence):
+        """P(positive | sentence); words outside the tables are skipped."""
+        lp, ln = self.log_prior_pos, self.log_prior_neg
+        for w in tokenize(sentence):
+            if w in self.log_prob_pos:
+                lp += self.log_prob_pos[w]
+                ln += self.log_prob_neg[w]
+        if lp == -math.inf and ln == -math.inf:
+            return 0.5
+        return float(sigmoid(lp - ln))
+
+
 def _nb_reference(ds, corpus, copa, alpha):
     """One CoPA's model, tokenizing every sentence for this CoPA alone."""
     pos, neg = Counter(), Counter()
@@ -515,8 +536,7 @@ def _nb_reference(ds, corpus, copa, alpha):
     d_pos = sum(pos.values()) + alpha * len(vocab)
     d_neg = sum(neg.values()) + alpha * len(vocab)
     n = n_pos + n_neg
-    return NBModel(
-        alpha=alpha,
+    return _NBReference(
         log_prior_pos=math.log(n_pos / n) if n and n_pos else -math.inf,
         log_prior_neg=math.log(n_neg / n) if n and n_neg else -math.inf,
         log_prob_pos={w: math.log((pos[w] + alpha) / d_pos) for w in vocab},
@@ -541,7 +561,6 @@ class TestNB:
     def test_matches_closed_form_bayes(self):
         ds, corpus = _nb_fixture()
         clf = train_nb(ds, corpus, alpha=1.0)
-        model = clf.per_copa["c"]
 
         # closed form with exact rationals: priors 1/2, vocab {x, y},
         # pos counts x:3 y:1, neg counts x:1 y:3, Laplace alpha=1
@@ -558,19 +577,13 @@ class TestNB:
 
         cases = {"x": ["x"], "x y": ["x", "y"], "x x": ["x", "x"], "y": ["y"]}
         for sentence, tokens in cases.items():
-            got = model.sentence_posterior(sentence)
+            probe = TopicSentenceCorpus({"t3": [sentence]})
+            got = predict_nb(clf, Motion("q", "ban", "t3"), probe)["c"]
             assert got == pytest.approx(float(posterior(tokens)), abs=1e-12)
 
         probe = TopicSentenceCorpus({"t3": ["x"]})
         got = predict_nb(clf, Motion("q", "ban", "t3"), probe)["c"]
         assert got == pytest.approx(float(posterior(["x"])), abs=1e-12)
-
-    def test_unigram_probabilities_sum_to_one(self):
-        ds, corpus = _nb_fixture()
-        clf = train_nb(ds, corpus, alpha=1.0)
-        model = clf.per_copa["c"]
-        assert sum(math.exp(v) for v in model.log_prob_pos.values()) == pytest.approx(1.0)
-        assert sum(math.exp(v) for v in model.log_prob_neg.values()) == pytest.approx(1.0)
 
     def test_missing_topic_abstains(self):
         ds, corpus = _nb_fixture()
@@ -587,31 +600,43 @@ class TestNB:
     def test_mean_posterior_over_sentences(self):
         ds, corpus = _nb_fixture()
         clf = train_nb(ds, corpus)
-        model = clf.per_copa["c"]
-        probe = TopicSentenceCorpus({"t9": ["x", "y y"]})
-        want = (model.sentence_posterior("x") + model.sentence_posterior("y y")) / 2
-        got = predict_nb(clf, Motion("q", "ban", "t9"), probe)["c"]
+        query = Motion("q", "ban", "t9")
+        one = [predict_nb(clf, query, TopicSentenceCorpus({"t9": [s]}))["c"] for s in ("x", "y y")]
+        want = (one[0] + one[1]) / 2
+        got = predict_nb(clf, query, TopicSentenceCorpus({"t9": ["x", "y y"]}))["c"]
         assert got == pytest.approx(want, abs=1e-15)
 
     def test_unknown_words_skipped(self):
         ds, corpus = _nb_fixture()
         clf = train_nb(ds, corpus)
-        model = clf.per_copa["c"]
-        assert model.sentence_posterior("zebra") == pytest.approx(0.5, abs=1e-12)
+        probe = TopicSentenceCorpus({"t9": ["zebra"]})
+        assert predict_nb(clf, Motion("q", "ban", "t9"), probe)["c"] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_per_copa_tokenizing_reference(self):
+        """New queries on every training topic and on an unseen one (with
+        an out-of-vocabulary word), under every action, score exactly as
+        ``_nb_reference`` models and ``build_blacklist`` do."""
         rng = np.random.default_rng(76)
         words = ["x", "y", "z", "w", "v"]
         for _ in range(20):
             ds = random_dataset(rng, max_motions=10, max_copas=4, distinct_topics=False)
-            corpus = TopicSentenceCorpus({
+            sentences = {
                 m.topic: [" ".join(rng.choice(words, size=int(rng.integers(1, 5))))
                           for _ in range(int(rng.integers(0, 3)))]
                 for m in ds.motions
-            })
-            got = train_nb(ds, corpus, alpha=0.5)
-            for c in ds.copas:
-                assert got.per_copa[c.id] == _nb_reference(ds, corpus, c, alpha=0.5)
+            }
+            sentences["unseen"] = [" ".join(rng.choice(words + ["u"], size=int(rng.integers(1, 5))))
+                                   for _ in range(int(rng.integers(1, 4)))]
+            corpus = TopicSentenceCorpus(sentences)
+            clf = train_nb(ds, corpus, alpha=0.5)
+            for topic in sentences:
+                for action in ACTION_POOL:
+                    query = Motion("q", action, topic)
+                    scores = predict_nb(clf, query, corpus)
+                    got = np.array([math.nan if scores[c] is None else scores[c]
+                                    for c in ds.copa_ids])
+                    want = _reference_scores(ds, corpus, query, alpha=0.5)
+                    assert np.array_equal(got, want, equal_nan=True), (topic, action)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([0.5, 1.0]))
@@ -678,8 +703,10 @@ def _reference_scores(ds, corpus, motion, alpha):
             scores.append(0.0)
         else:
             model = _nb_reference(ds, corpus, c, alpha)
-            posterior = sum(model.sentence_posterior(s) for s in sentences) / len(sentences)
-            scores.append(min(1.0, max(0.0, posterior)))
+            total = 0.0
+            for s in sentences:  # in sentence order
+                total += model.posterior(s)
+            scores.append(min(1.0, max(0.0, total / len(sentences))))
     return np.array(scores)
 
 
@@ -703,9 +730,10 @@ def _table_rows(ds, ctx):
 class TestFeatureLR:
     def test_zero_weights_score_sigmoid_bias(self):
         ds = _action_separable_ds()
-        model = LogRegModel(weights=np.zeros(17), bias=-0.3)
+        identity = Standardizer(mean=np.zeros(N_FEATURES), scale=np.ones(N_FEATURES))
+        fit = LogRegFit(np.zeros(N_FEATURES), -0.3, n_iters=0, grad_norm=0.0, tol=1e-6)
         rows = motion_features(ds.motions[0], ds, SimilarityContext())
-        scores = predict_feature_lr(model, rows, ds.copa_ids)
+        scores = predict_feature_lr((identity, fit), rows, ds.copa_ids)
         for s in scores.values():
             assert s == pytest.approx(sigmoid(-0.3), abs=1e-15)
 
@@ -723,8 +751,8 @@ class TestFeatureLR:
     def test_constant_feature_weight_stays_zero(self):
         ds = _action_separable_ds()
         ctx = SimilarityContext()  # similarity features all constant zero
-        model = train_feature_lr(*_table_rows(ds, ctx), max_iters=500)
-        assert np.all(model.weights[:13] == 0.0)
+        _, (weights, _) = train_feature_lr(*_table_rows(ds, ctx), max_iters=500)
+        assert np.all(weights[:13] == 0.0)
 
     def test_never_abstains(self):
         ds = _action_separable_ds()

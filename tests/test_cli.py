@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from copa.classifiers import TopicSentenceCorpus
 from copa.cli import AppConfig, ConfigError, main
 from copa.kb import ParseError, ValidationError, load_dataset
 from copa.textsim import DomainError, EmbeddingStore, WikiCorpus
-from helpers import load_bench_generator
+from helpers import load_bench_generator, load_bench_module
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -459,6 +460,29 @@ class TestEvalCommand:
         assert files_a == files_b
         for name in files_a:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_bench_tracer_sees_every_traced_name(self, runner, data_dir, tmp_path, monkeypatch):
+        """The per-layer benchmark wraps copa's functions by name and checks
+        each fit's gradient from ``logreg_fit``'s arguments; a rename or a
+        signature change would blind it."""
+        trace = load_bench_module("trace")
+        modules = {name: importlib.import_module(f"copa.{name}") for name in
+                   ("kb", "textsim", "features", "classifiers", "evaluation", "cli")}
+        tracer = trace.Tracer(modules)
+        monkeypatch.chdir(data_dir.parent)
+        tracer.install()
+        try:
+            tracer.enabled = True
+            result = runner.invoke(main, ["--config", "data/config.json", "eval",
+                                          "--out", str(tmp_path / "out")])
+        finally:
+            tracer.uninstall()
+        assert result.exit_code == 0, result.output
+        assert tracer.absent == []
+        # every fit is called from its trainer, checked, and converged
+        fits = {kind: (f["calls"] > 0, f["unchecked"], f["unconverged"])
+                for kind, f in tracer.fits.items()}
+        assert fits == {"w2v": (True, 0, 0), "feature_lr": (True, 0, 0)}
 
 
 class TestFeaturesCommand:

@@ -320,6 +320,7 @@ class TestFeatureTable:
         held = _CASE_DS.motion("m0")
         rows = FeatureTable(_CASE_DS, ctx).without_motion("m0").query_rows(held)
         sets = motion_text_sets(held, _CASE_DS.actions, ctx)
+        assert sets.m_w  # the article keyed "Smoking" is found
         for name, kind in (("embed", SimilarityKind.EMBEDDING),
                            ("embed_alt", SimilarityKind.EMBEDDING_ALT),
                            ("tfidf", SimilarityKind.TFIDF)):

@@ -467,6 +467,20 @@ class TestWikiFile:
             WikiCorpus.from_file(path)
 
 
+class TestWikiCorpus:
+    def test_article_keys_built_in_code_are_case_insensitive(self):
+        early = ArticleRecord({"tar": 1}, frozenset({"tar"}))
+        late = ArticleRecord({"health": 2, "tax": 1}, frozenset({"health"}))
+        corpus = WikiCorpus({" Smoking": early, "Smoking": late}, {"health": 1}, 10)
+        for spelling in ("Smoking", "smoking", " SMOKING "):
+            assert corpus.has_article(spelling)
+            assert corpus.article(spelling) is late  # the later record wins
+        assert list(corpus.records()) == [late]
+        ctx = SimilarityContext(wiki=corpus)
+        assert ctx.related_titles("Smoking") == ("health", "tax")
+        assert ctx.related_titles("Smoking") == tuple(topic_related_titles("smoking", corpus))
+
+
 class TestTopicRelatedTitles:
     def test_single_link(self):
         corpus = _toy_corpus({"only": 2}, {"only": 5}, 20)
