@@ -32,8 +32,8 @@ ctx = SimilarityContext(
     alt_embeddings=EmbeddingStore.from_file(DATA / "toy_embeddings_alt.txt"),
     tfidf=TfIdfModel.from_wiki_corpus(wiki),
     wiki=wiki,
+    sentences=TopicSentenceCorpus.from_jsonl(DATA / "sentence_corpus.jsonl"),
 )
-sentences = TopicSentenceCorpus.from_jsonl(DATA / "sentence_corpus.jsonl")
 
 # Hyperparameters sized for the 15-motion sample: the published-scale
 # defaults (support cutoff 5, 10-motion minimum for topic methods) would
@@ -48,7 +48,7 @@ config = EvalConfig(
 )
 
 print(f"running {len(ds.motions)} leave-one-out folds ...")
-matrices = leave_one_out(ds, config, ctx, sentences)
+matrices = leave_one_out(ds, config, ctx)
 print()
 
 for name, matrix in matrices.items():

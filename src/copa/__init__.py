@@ -31,6 +31,7 @@ from .textsim import (
     SimilarityContext,
     SimilarityKind,
     TfIdfModel,
+    TopicSentenceCorpus,
     UnknownTopic,
     WikiCorpus,
     avg_idf_in_article,
@@ -55,7 +56,6 @@ from .classifiers import (
     DimensionMismatch,
     NBClassifier,
     ScoreMatrix,
-    TopicSentenceCorpus,
     W2VTable,
     ensemble,
     logreg_fit,

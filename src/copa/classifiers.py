@@ -15,7 +15,6 @@ no sampling, ordered iteration.
 from __future__ import annotations
 
 import copy
-import json
 import math
 import re
 from collections import Counter
@@ -25,8 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .features import N_FEATURES, Standardizer, standardize
-from .kb import Dataset, LabelCounts, Motion, topic_key
-from .textsim import DomainError, SimilarityContext, SimilarityKind, read_lines, similarity_block
+from .kb import Dataset, LabelCounts, Motion
+from .textsim import (SimilarityContext, SimilarityKind, TopicSentenceCorpus, name_key,
+                      similarity_block)
 
 Score = float | None
 
@@ -266,7 +266,7 @@ def predict_ba(model: BAModel, motion: Motion) -> dict[str, Score]:
 @dataclass(frozen=True)
 class KNNCandidates:
     """KNN's training motions: those of ``ds`` not on ``exclude_topic``
-    (by ``topic_key``).  The fold without motion h excludes h's topic, and
+    (by ``name_key``).  The fold without motion h excludes h's topic, and
     with it h."""
 
     ds: Dataset
@@ -295,15 +295,15 @@ def predict_knn(
     rounded to a multiple of SIMILARITY_STEP (2⁻⁴⁰), so candidates whose
     similarities differ by less than 2⁻⁴¹ may tie and fall to the motion
     id order.  ``exclude_topic`` drops training motions on that topic
-    (``topic_key``), used by leave-one-out evaluation.
+    (``name_key``), used by leave-one-out evaluation.
     """
     topics = [m.topic for m in ds_train.motions]
     sims, present = similarity_block(SimilarityKind.EMBEDDING, [motion.topic], topics, ctx)
     ids = np.array(ds_train.motion_ids, dtype=object)
     eligible = present[0] & (sims[0] > threshold) & (ids != motion.id)
     if exclude_topic is not None:
-        skip = topic_key(exclude_topic)
-        eligible &= np.array([topic_key(t) != skip for t in topics], dtype=bool)
+        skip = name_key(exclude_topic)
+        eligible &= np.array([name_key(t) != skip for t in topics], dtype=bool)
     candidates = np.flatnonzero(eligible)
     if len(candidates) < min_neighbors:
         return {cid: None for cid in ds_train.copa_ids}
@@ -380,45 +380,6 @@ _WORD_RE = re.compile(r"\w+")
 
 def tokenize(sentence: str) -> list[str]:
     return _WORD_RE.findall(sentence.lower())
-
-
-class TopicSentenceCorpus:
-    """topic -> sentences mentioning that topic, loaded from JSON lines
-    of {"topic": ..., "sentence": ...}.  Topics are case-insensitive;
-    spellings that differ only in case share one sentence list."""
-
-    def __init__(self, sentences: dict[str, list[str]]):
-        self._sentences: dict[str, list[str]] = {}
-        for topic, sents in sentences.items():
-            for s in sents:
-                if not s:
-                    raise DomainError(f"empty sentence for topic {topic!r}")
-            self._sentences.setdefault(topic.strip().lower(), []).extend(sents)
-
-    def get(self, topic: str) -> list[str]:
-        return self._sentences.get(topic.strip().lower(), [])
-
-    @classmethod
-    def from_jsonl(cls, path) -> "TopicSentenceCorpus":
-        """Read JSON lines; a malformed line, or a record that is not an
-        object with a string ``topic`` and a string ``sentence``, raises
-        DomainError naming the file and line."""
-        table: dict[str, list[str]] = {}
-        for lineno, line in read_lines(path):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
-                raise DomainError(f"{path}:{lineno}: bad JSON line ({exc})") from None
-            if not (isinstance(rec, dict) and isinstance(rec.get("topic"), str)
-                    and isinstance(rec.get("sentence"), str)):
-                raise DomainError(
-                    f"{path}:{lineno}: record needs a string 'topic' and a string 'sentence'"
-                )
-            table.setdefault(rec["topic"], []).append(rec["sentence"])
-        return cls(table)
 
 
 class _MotionCounts(NamedTuple):

@@ -27,7 +27,6 @@ import click
 from . import classifiers as clfmod
 from . import evaluation as evalmod
 from . import kb
-from .classifiers import TopicSentenceCorpus
 from .evaluation import EvalConfig
 from .features import FEATURE_NAMES, FeatureTable
 from .textsim import (
@@ -35,6 +34,7 @@ from .textsim import (
     EmbeddingStore,
     SimilarityContext,
     TfIdfModel,
+    TopicSentenceCorpus,
     WikiCorpus,
 )
 
@@ -47,13 +47,12 @@ ENV_PREFIX = "COPA_"
 #: stores each method cannot run without
 _METHOD_REQUIRES = {"knn": "embeddings", "w2v": "embeddings", "nb": "sentence_corpus"}
 
-#: similarity stores each method reads when they are configured; the
-#: sentence corpus is loaded apart, for nb
+#: stores each method reads when they are configured
 _METHOD_READS = {
     "ba": (),
     "knn": ("embeddings",),
     "w2v": ("embeddings",),
-    "nb": (),
+    "nb": ("sentence_corpus",),
     "lr": ("embeddings", "alt_embeddings", "wiki_corpus"),
 }
 
@@ -160,26 +159,22 @@ def _load_dataset(cfg: AppConfig) -> kb.Dataset:
 
 
 def _build_context(cfg: AppConfig, methods) -> SimilarityContext:
-    """The similarity stores the methods read, loaded from the configured
-    paths; stores no method reads are left out."""
+    """The stores the methods read, loaded from the configured paths;
+    stores no method reads are left out."""
     for method in methods:
         required = _METHOD_REQUIRES.get(method)
         if required and getattr(cfg, required) is None:
             raise ConfigError(f"method {method!r} requires the {required!r} path")
     read = {store for method in methods for store in _METHOD_READS[method]}
-    paths = {store: getattr(cfg, store) for store in read if getattr(cfg, store)}
+    paths = {store: getattr(cfg, store) for store in read if getattr(cfg, store) is not None}
     embeddings = EmbeddingStore.from_file(paths["embeddings"]) if "embeddings" in paths else None
     alt = EmbeddingStore.from_file(paths["alt_embeddings"]) if "alt_embeddings" in paths else None
     wiki = WikiCorpus.from_file(paths["wiki_corpus"]) if "wiki_corpus" in paths else None
     tfidf = TfIdfModel.from_wiki_corpus(wiki) if wiki is not None else None
-    return SimilarityContext(embeddings=embeddings, alt_embeddings=alt, tfidf=tfidf, wiki=wiki)
-
-
-def _load_corpus(cfg: AppConfig, methods) -> TopicSentenceCorpus | None:
-    if "nb" not in methods:
-        return None
-    # _build_context, called first for the same methods, has checked the path
-    return TopicSentenceCorpus.from_jsonl(cfg.sentence_corpus)
+    sentences = (TopicSentenceCorpus.from_jsonl(paths["sentence_corpus"])
+                 if "sentence_corpus" in paths else None)
+    return SimilarityContext(embeddings=embeddings, alt_embeddings=alt, tfidf=tfidf, wiki=wiki,
+                             sentences=sentences)
 
 
 def _fail(code: int, message: str):
@@ -284,9 +279,8 @@ def match(ctx, action, topic, method, threshold):
         query = kb.Motion(id="@query", action=action, topic=topic)
         methods = cfg.methods if method == "ensemble" else (method,)
         ctx_sim = _build_context(cfg, methods)
-        corpus = _load_corpus(cfg, methods)
-        rows = [evalmod.score_motion(m, ds, evalmod.method_inputs(m, ds, cfg, ctx_sim, corpus),
-                                     query, cfg, ctx_sim, corpus) for m in methods]
+        rows = [evalmod.score_motion(m, ds, evalmod.method_inputs(m, ds, cfg, ctx_sim),
+                                     query, cfg, ctx_sim) for m in methods]
         combined = clfmod.ensemble(
             [clfmod.ScoreMatrix(name, (query.id,), ds.copa_ids, row[None])
              for name, row in zip(methods, rows)]
@@ -345,8 +339,7 @@ def eval(ctx, out_dir):
         cfg = _config_from_ctx(ctx)
         ds = _load_dataset(cfg)
         ctx_sim = _build_context(cfg, cfg.methods)
-        corpus = _load_corpus(cfg, cfg.methods)
-        matrices = evalmod.leave_one_out(ds, cfg, ctx_sim, corpus)
+        matrices = evalmod.leave_one_out(ds, cfg, ctx_sim)
 
         os.makedirs(out_dir, exist_ok=True)
         curves = (

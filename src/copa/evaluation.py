@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classifiers as clf
-from .classifiers import ScoreMatrix, TopicSentenceCorpus, ensemble, matrix_entry
+from .classifiers import ScoreMatrix, ensemble, matrix_entry
 from .features import FeatureTable
 from .kb import Dataset, Motion
 from .textsim import SimilarityContext
@@ -98,12 +98,7 @@ def topic_method_copas(ds: Dataset, min_motions: int = 10) -> frozenset[str]:
     )
 
 
-def leave_one_out(
-    ds: Dataset,
-    config: EvalConfig,
-    ctx: SimilarityContext,
-    corpus: TopicSentenceCorpus | None = None,
-) -> dict[str, ScoreMatrix]:
+def leave_one_out(ds: Dataset, config: EvalConfig, ctx: SimilarityContext) -> dict[str, ScoreMatrix]:
     """One ScoreMatrix per requested method plus their ensemble.
 
     Each fold trains on all motions but one; the held-out motion is also
@@ -120,13 +115,13 @@ def leave_one_out(
     }
     eligible = topic_method_copas(ds, config.topic_min_motions)
     ineligible = np.array([cid not in eligible for cid in ds.copa_ids], dtype=bool)
-    inputs = {method: method_inputs(method, ds, config, ctx, corpus) for method in config.methods}
+    inputs = {method: method_inputs(method, ds, config, ctx) for method in config.methods}
 
     for i, held_out in enumerate(ds.motions):
         try:
             for method in config.methods:
                 fold = inputs[method].without_motion(held_out.id)
-                row = score_motion(method, ds, fold, held_out, config, ctx, corpus)
+                row = score_motion(method, ds, fold, held_out, config, ctx)
                 if method in ("knn", "w2v", "nb"):
                     row[ineligible] = np.nan
                 matrices[method].scores[i] = row
@@ -137,8 +132,7 @@ def leave_one_out(
     return matrices
 
 
-def method_inputs(method: str, ds: Dataset, config: EvalConfig, ctx: SimilarityContext,
-                  corpus: TopicSentenceCorpus | None = None):
+def method_inputs(method: str, ds: Dataset, config: EvalConfig, ctx: SimilarityContext):
     """What ``method`` learns from ``ds``, built once per command.  Its
     ``without_motion(h)`` is the leave-one-out fold without motion h,
     derived by subtracting h; ``score_motion`` reads either."""
@@ -149,7 +143,7 @@ def method_inputs(method: str, ds: Dataset, config: EvalConfig, ctx: SimilarityC
     if method == "w2v":
         return clf.W2VTable(ds, ctx)
     if method == "nb":
-        return clf.train_nb(ds, corpus, alpha=config.nb_alpha)
+        return clf.train_nb(ds, ctx.sentences, alpha=config.nb_alpha)
     if method == "lr":
         return FeatureTable(ds, ctx)
     raise ValueError(f"unknown method {method!r}")
@@ -162,7 +156,6 @@ def score_motion(
     motion: Motion,
     config: EvalConfig,
     ctx: SimilarityContext,
-    corpus: TopicSentenceCorpus | None = None,
 ) -> np.ndarray:
     """Scores of ``motion`` against every CoPA of ``ds`` under one method,
     in ``ds.copa_ids`` order with NaN for abstentions.
@@ -185,7 +178,7 @@ def score_motion(
                                 max_iters=config.max_iters)
         scores = clf.predict_w2v(fits, inputs.counts, motion, ctx)
     elif method == "nb":
-        scores = clf.predict_nb(inputs, motion, corpus)
+        scores = clf.predict_nb(inputs, motion, ctx.sentences)
     elif method == "lr":
         model = clf.train_feature_lr(inputs.values, inputs.labels, lam=config.l2_lambda,
                                      tol=config.tol, max_iters=config.max_iters)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kb import ActionRegistry, CoPA, Dataset, LabelCounts, Motion, topic_key
+from .kb import ActionRegistry, CoPA, Dataset, LabelCounts, Motion
 from .textsim import (
     MAX_SET_PAIRS,
     DomainError,
@@ -21,6 +21,7 @@ from .textsim import (
     SimilarityKind,
     avg_idf_in_article,
     mean_similarity,
+    name_key,
     set_similarity,
     similarity_block,
 )
@@ -61,7 +62,7 @@ class MotionTextSets:
 @dataclass(frozen=True)
 class CopaTextSets:
     """c_m: the manual title list; c_t: member-motion topics (minus every
-    topic with the held-out motion's ``topic_key`` in leave-one-out mode)."""
+    topic with the held-out motion's ``name_key`` in leave-one-out mode)."""
 
     c_m: tuple[str, ...]
     c_t: frozenset[str]
@@ -75,8 +76,8 @@ def motion_text_sets(motion: Motion, actions: ActionRegistry, ctx: SimilarityCon
 def copa_text_sets(copa: CoPA, ds: Dataset, loo_holdout: str | None = None) -> CopaTextSets:
     c_t = {ds.motion(mid).topic for mid in copa.motion_ids}
     if loo_holdout is not None:  # the held-out motion's topic goes, and with it the motion
-        held = topic_key(ds.motion(loo_holdout).topic)
-        c_t = {t for t in c_t if topic_key(t) != held}
+        held = name_key(ds.motion(loo_holdout).topic)
+        c_t = {t for t in c_t if name_key(t) != held}
     return CopaTextSets(c_m=copa.manual_titles, c_t=frozenset(c_t))
 
 
@@ -161,7 +162,7 @@ class _SimilaritySums:
     ``term_sums``/``term_counts`` of each motion's m_t and m_w against
     each single CoPA-side term (motions x terms x 6, in the c_t features'
     order).  ``ct`` is the (CoPAs x terms) incidence of the c_t sets and
-    ``topic_columns`` the columns of the terms under each ``topic_key``."""
+    ``topic_columns`` the columns of the terms under each ``name_key``."""
 
     sums: np.ndarray
     counts: np.ndarray
@@ -228,7 +229,7 @@ def _similarity_sums(motions, ds: Dataset, ctx: SimilarityContext) -> _Similarit
                 counts[..., f] = row_counts @ b.T
     topic_columns: dict[str, list[int]] = {}
     for column, term in enumerate(cols):
-        topic_columns.setdefault(topic_key(term), []).append(column)
+        topic_columns.setdefault(name_key(term), []).append(column)
     return _SimilaritySums(sums, counts, term_sums, term_counts, copa_side["ct"] > 0, topic_columns)
 
 
@@ -252,7 +253,7 @@ class FeatureTable:
     The twelve similarity features come from ``_similarity_sums``: exact
     sums and counts of pair similarities, divided once.  Holding out
     motion h changes only two things.  The c_t of a CoPA loses h's topic
-    under every spelling with its ``topic_key`` (and h), which matters
+    under every spelling with its ``name_key`` (and h), which matters
     only to the CoPAs whose c_t holds such a topic: a fold subtracts those
     term columns from their c_t sums and counts, which is exact.  The
     count universes lose h: a fold reads the four count features from the
@@ -284,7 +285,7 @@ class FeatureTable:
         """The leave-one-out fold without ``motion_id``."""
         values = self.values.copy()
         sim = self._sim
-        key = topic_key(self._ds.motion(motion_id).topic)
+        key = name_key(self._ds.motion(motion_id).topic)
         columns = np.array(sim.topic_columns.get(key, []), dtype=np.intp)
         for j in np.flatnonzero(sim.ct[:, columns].any(axis=1)):
             held = columns[sim.ct[j, columns]]

@@ -106,13 +106,6 @@ class Motion:
     topic: str
 
 
-def topic_key(topic: str) -> str:
-    """What two motion topics must share to be one topic: equal ignoring
-    case.  A leave-one-out fold drops every topic with the held-out
-    motion's key, from KNN's candidates and from each CoPA's c_t."""
-    return topic.lower()
-
-
 @dataclass(frozen=True)
 class Claim:
     """One claim template; ``[TOPIC]`` is substituted at instantiation
@@ -146,7 +139,7 @@ class CoPA:
         raise UnknownStance(f"CoPA {self.id!r} has no {stance.value} claim")
 
 
-@dataclass(eq=False)
+@dataclass
 class Dataset:
     """Motions, CoPAs and the match relation between them.
 
@@ -166,18 +159,6 @@ class Dataset:
     def __post_init__(self):
         self._motion_by_id = {m.id: m for m in self.motions}
         self._copa_by_id = {c.id: c for c in self.copas}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.actions == other.actions
-            and self.motions == other.motions
-            and self.copas == other.copas
-            and self.labels == other.labels
-            and self.general_copa_ids == other.general_copa_ids
-            and self.label_flags == other.label_flags
-        )
 
     def motion(self, motion_id: str) -> Motion:
         return self._motion_by_id[motion_id]

@@ -1,4 +1,9 @@
-"""Similarity primitives: embeddings, tf-idf, and Wikipedia-title enrichment.
+"""The external stores and the similarity primitives over them.
+
+The stores are word embeddings, a Wikipedia corpus (with tf-idf over its
+article bodies) and a corpus of sentences per topic.  Each compares
+names by ``name_key``, applied once where the store is built, so a store
+built in code equals one read from a file.
 
 Everything here is pure and operates on stores that are immutable after
 loading.  "Absent" similarity values are represented as ``None``; callers
@@ -27,8 +32,12 @@ class UnknownTopic(Exception):
     """The corpus has no article record for the requested topic."""
 
 
-def _norm(term: str) -> str:
-    return term.strip().lower()
+def name_key(name: str) -> str:
+    """What two names (words, titles, topics) must share to be one name:
+    equal ignoring case and surrounding space.  A leave-one-out fold drops
+    every topic with the held-out motion's key, from KNN's candidates and
+    from each CoPA's c_t."""
+    return name.strip().lower()
 
 
 def read_lines(path):
@@ -52,7 +61,7 @@ class EmbeddingStore:
     def __init__(self, table: dict[str, np.ndarray], dimension: int):
         if dimension <= 0:
             raise DomainError("embedding dimension must be positive")
-        converted = {_norm(w): np.asarray(v, dtype=float) for w, v in table.items()}
+        converted = {name_key(w): np.asarray(v, dtype=float) for w, v in table.items()}
         for word, vec in converted.items():
             if vec.shape != (dimension,):
                 raise DomainError(f"vector for {word!r} has wrong dimension")
@@ -69,13 +78,13 @@ class EmbeddingStore:
         self._table = converted
 
     def __contains__(self, word: str) -> bool:
-        return _norm(word) in self._table
+        return name_key(word) in self._table
 
     def __len__(self) -> int:
         return len(self._table)
 
     def get(self, word: str) -> np.ndarray | None:
-        return self._table.get(_norm(word))
+        return self._table.get(name_key(word))
 
     @classmethod
     def from_file(cls, path) -> "EmbeddingStore":
@@ -105,7 +114,7 @@ class EmbeddingStore:
                 raise DomainError(
                     f"{path}:{lineno}: expected {dimension} components, got {len(vec)}"
                 )
-            table[_norm(word)] = vec
+            table[name_key(word)] = vec
         if dimension is None:
             raise DomainError(f"{path}: empty embedding file")
         try:
@@ -156,7 +165,7 @@ class TfIdfModel:
     n_docs: int
 
     def idf(self, term: str) -> float:
-        return self.idf_table.get(_norm(term), math.log(self.n_docs) if self.n_docs > 0 else 0.0)
+        return self.idf_table.get(name_key(term), math.log(self.n_docs) if self.n_docs > 0 else 0.0)
 
     @classmethod
     def from_documents(cls, documents) -> "TfIdfModel":
@@ -166,7 +175,7 @@ class TfIdfModel:
         n_docs = 0
         for doc in documents:
             n_docs += 1
-            for term in {_norm(t) for t in doc}:
+            for term in {name_key(t) for t in doc}:
                 df[term] = df.get(term, 0) + 1
         if n_docs == 0:
             raise DomainError("tf-idf model needs at least one document")
@@ -185,8 +194,17 @@ class TfIdfModel:
 
 @dataclass(frozen=True)
 class ArticleRecord:
+    """One topic article: occurrences of each linked title and its body
+    terms, both keyed by ``name_key`` (on duplicate keys the later count
+    wins)."""
+
     link_counts: dict[str, int]
     body_terms: frozenset[str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "link_counts",
+                           {name_key(t): c for t, c in self.link_counts.items()})
+        object.__setattr__(self, "body_terms", frozenset(name_key(t) for t in self.body_terms))
 
 
 class WikiCorpus:
@@ -194,9 +212,10 @@ class WikiCorpus:
 
     ``link_counts`` are occurrences of linked titles inside one article;
     the background aggregates link counts over a pool of random articles
-    (excluding the topic articles themselves).  Article topics are
-    case-insensitive: keys that differ only in case or surrounding space
-    name one article, the later record winning.
+    (excluding the topic articles themselves).  Article topics and
+    background titles are keyed by ``name_key``, as the records key
+    theirs: keys that differ only in case or surrounding space name one
+    article (or title), the later record winning.
     """
 
     def __init__(
@@ -208,10 +227,11 @@ class WikiCorpus:
         # counts must be plain ints: floats (NaN too), strings and bools fail
         if type(background_total_links) is not int or background_total_links < 0:
             raise DomainError("background total_links must be a non-negative integer")
+        background_link_counts = {name_key(t): c for t, c in background_link_counts.items()}
         for title, count in background_link_counts.items():
             if type(count) is not int or count < 0 or count > background_total_links:
                 raise DomainError(f"background count {count!r} for {title!r} out of range")
-        self._articles = {_norm(topic): rec for topic, rec in articles.items()}
+        self._articles = {name_key(topic): rec for topic, rec in articles.items()}
         for topic, rec in self._articles.items():
             for title, count in rec.link_counts.items():
                 if type(count) is not int or count < 0:
@@ -220,11 +240,11 @@ class WikiCorpus:
         self.background_total_links = background_total_links
 
     def has_article(self, topic: str) -> bool:
-        return _norm(topic) in self._articles
+        return name_key(topic) in self._articles
 
     def article(self, topic: str) -> ArticleRecord:
         try:
-            return self._articles[_norm(topic)]
+            return self._articles[name_key(topic)]
         except KeyError:
             raise UnknownTopic(topic) from None
 
@@ -256,19 +276,12 @@ class WikiCorpus:
                     isinstance(t, str) for t in body_terms
                 ):
                     raise DomainError(f"article {topic!r}: 'body_terms' must be a list of strings")
-                articles[topic] = ArticleRecord(
-                    link_counts={_norm(t): c for t, c in link_counts.items()},
-                    body_terms=frozenset(_norm(t) for t in body_terms),
-                )
+                articles[topic] = ArticleRecord(link_counts, body_terms)
             background = _json_object(doc.get("background", {}), "'background'")
             link_counts = _json_object(
                 background.get("link_counts", {}), "background 'link_counts'"
             )
-            return cls(
-                articles,
-                {_norm(t): c for t, c in link_counts.items()},
-                background.get("total_links", 0),
-            )
+            return cls(articles, link_counts, background.get("total_links", 0))
         except DomainError as exc:
             raise DomainError(f"{path}: {exc}") from None
 
@@ -277,6 +290,50 @@ def _json_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise DomainError(f"{what} must be an object")
     return value
+
+
+# ---------------------------------------------------------------------------
+# Topic sentences
+# ---------------------------------------------------------------------------
+
+
+class TopicSentenceCorpus:
+    """topic -> sentences mentioning that topic, loaded from JSON lines
+    of {"topic": ..., "sentence": ...}.  Topics are keyed by ``name_key``;
+    spellings with one key share one sentence list."""
+
+    def __init__(self, sentences: dict[str, list[str]]):
+        self._sentences: dict[str, list[str]] = {}
+        for topic, sents in sentences.items():
+            for s in sents:
+                if not s:
+                    raise DomainError(f"empty sentence for topic {topic!r}")
+            self._sentences.setdefault(name_key(topic), []).extend(sents)
+
+    def get(self, topic: str) -> list[str]:
+        return self._sentences.get(name_key(topic), [])
+
+    @classmethod
+    def from_jsonl(cls, path) -> "TopicSentenceCorpus":
+        """Read JSON lines; a malformed line, or a record that is not an
+        object with a string ``topic`` and a string ``sentence``, raises
+        DomainError naming the file and line."""
+        table: dict[str, list[str]] = {}
+        for lineno, line in read_lines(path):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
+                raise DomainError(f"{path}:{lineno}: bad JSON line ({exc})") from None
+            if not (isinstance(rec, dict) and isinstance(rec.get("topic"), str)
+                    and isinstance(rec.get("sentence"), str)):
+                raise DomainError(
+                    f"{path}:{lineno}: record needs a string 'topic' and a string 'sentence'"
+                )
+            table.setdefault(rec["topic"], []).append(rec["sentence"])
+        return cls(table)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +382,9 @@ class SimilarityKind(enum.Enum):
 
 @dataclass
 class SimilarityContext:
-    """The stores a similarity computation may need.  Any of them may be
-    None; similarities whose store is missing come back Absent.
+    """The stores the methods read: the two embedding stores, tf-idf, the
+    Wikipedia corpus and the topic sentences (read by NB only).  Any of
+    them may be None; similarities whose store is missing come back Absent.
 
     Term vectors and related titles are memoized per context (they are
     pure in the stores, and every ``similarity_block`` call, one per KNN
@@ -337,6 +395,7 @@ class SimilarityContext:
     alt_embeddings: EmbeddingStore | None = None
     tfidf: TfIdfModel | None = None
     wiki: WikiCorpus | None = None
+    sentences: TopicSentenceCorpus | None = None
     _vector_cache: dict = field(default_factory=dict, repr=False)
     _title_cache: dict = field(default_factory=dict, repr=False)
 
@@ -359,7 +418,7 @@ class SimilarityContext:
     def related_titles(self, topic: str) -> tuple[str, ...]:
         """The topic's (at most) RELATED_TITLE_CAP enriched titles; empty
         without a corpus or when the corpus has no article for it."""
-        key = topic.lower()
+        key = name_key(topic)
         if key not in self._title_cache:
             titles = ()
             if self.wiki is not None and self.wiki.has_article(topic):
@@ -377,7 +436,7 @@ def _tfidf_vector(term: str, ctx: SimilarityContext) -> dict[str, float] | None:
         units = ctx.wiki.article(term).body_terms
     else:
         units = term.split()
-    vec = {_norm(u): ctx.tfidf.idf(u) for u in units}
+    vec = {name_key(u): ctx.tfidf.idf(u) for u in units}
     vec = {u: w for u, w in vec.items() if w != 0.0}
     return vec or None
 
@@ -553,7 +612,7 @@ def avg_idf_in_article(copa_titles, topic: str, corpus: WikiCorpus | None, tfidf
     if corpus is None or not corpus.has_article(topic):
         return 0.0
     body = corpus.article(topic).body_terms
-    present = [t for t in copa_titles if _norm(t) in body]
+    present = [t for t in copa_titles if name_key(t) in body]
     if not present:
         return 0.0
     return sum(tfidf.idf(t) for t in present) / len(present)

@@ -52,7 +52,7 @@ def knn_scores(ds_train, motion, store, threshold=0.5, min_neighbors=3, top=5,
     for m in ds_train.motions:
         if m.id == motion.id:
             continue
-        if exclude_topic is not None and m.topic.lower() == exclude_topic.lower():
+        if exclude_topic is not None and m.topic.strip().lower() == exclude_topic.strip().lower():
             continue
         sim = mapped_cosine(store, motion.topic, m.topic)
         if sim is not None and sim > threshold:

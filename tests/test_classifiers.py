@@ -196,8 +196,11 @@ class TestKNN:
         oracle = knn_scores(ds, query, ctx.embeddings, min_neighbors=4, top=5,
                             exclude_topic="a")
         assert dropped == oracle
-        # the same topic in another case (topic_key) is the same topic
-        assert predict_knn(ds, query, ctx, min_neighbors=4, top=5, exclude_topic="A") == dropped
+        # the same topic in another case or with surrounding space (name_key)
+        # is the same topic
+        for spelling in ("A", " A "):
+            assert predict_knn(ds, query, ctx, min_neighbors=4, top=5,
+                               exclude_topic=spelling) == dropped
 
     def test_matches_bruteforce_oracle_distinct_sims(self):
         rng = np.random.default_rng(61)
@@ -658,7 +661,7 @@ class TestNB:
         for m in ds.motions:
             fold_ds = ds.without_motion(m.id)
             got = score_motion("nb", ds, model.without_motion(m.id), m, config,
-                               SimilarityContext(), corpus)
+                               SimilarityContext(sentences=corpus))
             want = _reference_scores(fold_ds, corpus, m, alpha)
             assert np.array_equal(got, want, equal_nan=True), m.id
 

@@ -235,6 +235,16 @@ class TestExitCodes:
         assert str(bad) in result.output and "UTF-8" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("env_key, method", [
+        ("COPA_EMBEDDINGS", "w2v"), ("COPA_SENTENCE_CORPUS", "nb"), ("COPA_WIKI_CORPUS", "lr"),
+    ])
+    def test_empty_store_path_is_io_error(self, runner, monkeypatch, env_key, method):
+        monkeypatch.chdir(ROOT)
+        result = runner.invoke(main, ["--config", "data/config.json", "match", "ban", "smoking",
+                                      "--method", method], env={env_key: ""})
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+
     @pytest.mark.parametrize("loader, args, code", [
         ("dataset", ["stats"], 4),
         ("wiki_corpus", ["features"], 4),

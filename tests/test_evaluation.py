@@ -20,7 +20,7 @@ from copa.evaluation import (
     topic_method_copas,
 )
 from copa.kb import Motion
-from copa.textsim import SimilarityContext, SimilarityKind
+from copa.textsim import EmbeddingStore, SimilarityContext, SimilarityKind
 from helpers import (
     build_dataset,
     matrix_entries,
@@ -106,6 +106,20 @@ class TestLeaveOneOut:
             for cid in ds.copa_ids:
                 assert out["knn"].get(m.id, cid) == want[cid]
 
+    def test_knn_folds_drop_the_held_out_topic_in_any_spelling(self):
+        # "smoking", "smoking " and "Smoking" are one topic (name_key): none
+        # of them is a KNN candidate in another's fold, so every fold abstains
+        ds = build_dataset(
+            [("m0", "ban", "smoking"), ("m1", "legalize", "smoking "),
+             ("m2", "subsidize", "Smoking"), ("m3", "ban", "tax")],
+            [("c1", "one", True, ("x",)), ("c2", "two", True, ("y",))],
+            [("m1", "c1"), ("m2", "c1"), ("m3", "c2")],
+        )
+        store = EmbeddingStore({"smoking": np.array([1.0, 0.0]), "tax": np.array([0.0, 1.0])}, 2)
+        config = EvalConfig(methods=("knn",), knn_min_neighbors=1, topic_min_motions=1)
+        out = leave_one_out(ds, config, SimilarityContext(embeddings=store))
+        assert np.isnan(out["knn"].scores).all()
+
     def test_topic_eligibility_filters_small_or_untagged_copas(self):
         rng = np.random.default_rng(92)
         motions = [(f"m{i}", "ban", f"t{i}") for i in range(6)]
@@ -150,15 +164,15 @@ class TestLeaveOneOut:
             motions, [("c1", "one", True, ("x",)), ("c2", "two", True, ("y",))], labels
         )
         store = random_embeddings(rng, topic_words(ds))
-        ctx = SimilarityContext(embeddings=store, alt_embeddings=store)
         corpus = TopicSentenceCorpus({f"t{i}": [f"sentence about t{i} stuff"] for i in range(6)})
+        ctx = SimilarityContext(embeddings=store, alt_embeddings=store, sentences=corpus)
         config = EvalConfig(
             methods=("ba", "knn", "w2v", "nb", "lr"),
             ba_k=1, knn_min_neighbors=1, topic_min_motions=1,
             tol=1e-4, max_iters=200,
         )
-        first = leave_one_out(ds, config, ctx, corpus)
-        second = leave_one_out(ds, config, ctx, corpus)
+        first = leave_one_out(ds, config, ctx)
+        second = leave_one_out(ds, config, ctx)
         for name in first:
             assert matrix_entries(first[name]) == matrix_entries(second[name])
         assert set(first) == {"ba", "knn", "w2v", "nb", "lr", "ensemble"}
@@ -207,7 +221,7 @@ class TestLeaveOneOut:
         the brute-force oracle on that fold without the held-out topic."""
         rng = np.random.default_rng(seed)
         ds, store, corpus = _fold_fixture(rng)
-        ctx = SimilarityContext(embeddings=store)
+        ctx = SimilarityContext(embeddings=store, sentences=corpus)
         # the planted cases a fold must follow
         assert ds.motion("m0").topic == ds.motion("m1").topic
         assert "promote" not in {m.action for m in ds.motions}
@@ -217,15 +231,15 @@ class TestLeaveOneOut:
 
         config = EvalConfig(methods=("ba", "knn", "w2v", "nb"), ba_k=int(rng.integers(1, 3)),
                             knn_min_neighbors=1, topic_min_motions=1)
-        out = leave_one_out(ds, config, ctx, corpus)
+        out = leave_one_out(ds, config, ctx)
         assert out["w2v"].get("m2", "solo") == 0.0 and out["nb"].get("m2", "solo") == 0.0
         eligible = topic_method_copas(ds, config.topic_min_motions)
         ineligible = np.array([cid not in eligible for cid in ds.copa_ids])
         for i, m in enumerate(ds.motions):
             fold = ds.without_motion(m.id)
             for method in ("ba", "w2v", "nb"):
-                inputs = method_inputs(method, fold, config, ctx, corpus)
-                want = score_motion(method, fold, inputs, m, config, ctx, corpus)
+                inputs = method_inputs(method, fold, config, ctx)
+                want = score_motion(method, fold, inputs, m, config, ctx)
                 if method != "ba":
                     want[ineligible] = np.nan
                 assert np.array_equal(out[method].scores[i], want, equal_nan=True), (method, m.id)

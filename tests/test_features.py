@@ -156,20 +156,21 @@ class TestTextSets:
         assert full.c_t == {"shared", "other"}
 
     def test_c_t_excludes_heldout_topic_in_any_case(self):
-        # "smoking" is the held-out "Smoking" under topic_key: it leaves c_t
+        # "smoking" and " smoking " are the held-out "Smoking" under
+        # name_key: they leave c_t
         sets = copa_text_sets(_CASE_DS.copa("c1"), _CASE_DS, loo_holdout="m0")
         assert sets.c_t == {"tax"}
         assert copa_text_sets(_CASE_DS.copa("c1"), _CASE_DS, loo_holdout="m2").c_t == {
-            "Smoking", "smoking"
+            "Smoking", "smoking", " smoking "
         }
 
 
-#: two members of c1 whose topics differ only in case
+#: three members of c1 whose topics differ only in case or surrounding space
 _CASE_DS = build_dataset(
     motions=[("m0", "ban", "Smoking"), ("m1", "legalize", "smoking"), ("m2", "ban", "tax"),
-             ("m3", "subsidize", "alcohol")],
+             ("m3", "subsidize", "alcohol"), ("m4", "subsidize", " smoking ")],
     copas=[("c1", "one", True, ("health",)), ("c2", "two", True, ("money",))],
-    labels=[("m0", "c1"), ("m1", "c1"), ("m2", "c1"), ("m3", "c2"), ("m1", "c2")],
+    labels=[("m0", "c1"), ("m1", "c1"), ("m2", "c1"), ("m3", "c2"), ("m1", "c2"), ("m4", "c1")],
 )
 
 

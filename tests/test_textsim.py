@@ -480,6 +480,23 @@ class TestWikiCorpus:
         assert ctx.related_titles("Smoking") == ("health", "tax")
         assert ctx.related_titles("Smoking") == tuple(topic_related_titles("smoking", corpus))
 
+    def test_names_built_in_code_equal_names_read_from_file(self, tmp_path):
+        # link titles, body terms and background titles are keyed by
+        # name_key whether the corpus is built in code or read from a file
+        links, body = {"Health": 2, "x": 1}, ["Health"]
+        path = tmp_path / "wiki.json"
+        path.write_text(json.dumps({
+            "articles": {"topic": {"link_counts": links, "body_terms": body}},
+            "background": {"link_counts": {"health": 1}, "total_links": 10},
+        }))
+        tfidf = TfIdfModel({"health": 2.0}, 5)
+        corpora = [WikiCorpus({"topic": ArticleRecord(links, frozenset(body))}, background, 10)
+                   for background in ({"health": 1}, {" Health": 1})]
+        for corpus in (*corpora, WikiCorpus.from_file(path)):
+            assert corpus.background_link_counts == {"health": 1}
+            assert avg_idf_in_article(["health"], "topic", corpus, tfidf) == 2.0
+            assert topic_related_titles("topic", corpus) == ["health", "x"]
+
 
 class TestTopicRelatedTitles:
     def test_single_link(self):
