@@ -17,6 +17,7 @@ monotone, so rankings are unaffected.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -56,71 +57,151 @@ def read_lines(path):
 
 
 class EmbeddingStore:
-    """word -> vector table with case-normalized lookup."""
+    """word -> vector table with case-normalized lookup: one (n, d) float
+    matrix with a row per record, and a ``name_key`` -> row index in which
+    the later of two records with one key wins."""
 
     def __init__(self, table: dict[str, np.ndarray], dimension: int):
         if dimension <= 0:
             raise DomainError("embedding dimension must be positive")
-        converted = {name_key(w): np.asarray(v, dtype=float) for w, v in table.items()}
-        for word, vec in converted.items():
+        words = [name_key(w) for w in table]
+        vectors = [np.asarray(v, dtype=float) for v in table.values()]
+        for word, vec in zip(words, vectors):
             if vec.shape != (dimension,):
                 raise DomainError(f"vector for {word!r} has wrong dimension")
-        # one vectorized pass: a check per vector made file loading ~40% slower;
-        # a NaN or infinite component makes the squared norm non-finite too
-        if converted:
-            vectors = np.concatenate(list(converted.values())).reshape(len(converted), dimension)
-            with np.errstate(over="ignore"):
-                squared = np.einsum("ij,ij->i", vectors, vectors)
-            if not np.isfinite(squared).all():
-                word = list(converted)[int(np.argmin(np.isfinite(squared)))]
-                raise DomainError(f"vector for {word!r} has a non-finite component or norm")
+        self._fill(words, vectors, dimension, lambda row: "")
+
+    def _fill(self, words: list[str], rows: list[np.ndarray], dimension: int, where):
+        """The store's one constructor.  ``rows`` are the records' vectors,
+        or (k, dimension) blocks of them, in the order of ``words``;
+        ``where(row)`` is the prefix of an error naming that record."""
+        matrix = np.vstack(rows) if rows else np.empty((0, dimension))
+        # one vectorized pass over every record, overridden ones too (a check
+        # per vector made file loading ~40% slower); a NaN or infinite
+        # component makes the squared norm non-finite too
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.einsum("ij,ij->i", matrix, matrix))
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise DomainError(
+                f"{where(row)}vector for {words[row]!r} has a non-finite component or norm"
+            )
         self.dimension = dimension
-        self._table = converted
+        self._matrix = matrix
+        self._rows = {word: row for row, word in enumerate(words)}
 
     def __contains__(self, word: str) -> bool:
-        return name_key(word) in self._table
+        return name_key(word) in self._rows
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._rows)
 
     def get(self, word: str) -> np.ndarray | None:
-        return self._table.get(name_key(word))
+        row = self._rows.get(name_key(word))
+        return None if row is None else self._matrix[row]
 
     @classmethod
     def from_file(cls, path) -> "EmbeddingStore":
         """Parse the textual format: one "word v1 v2 ... vd" record per
-        line, with an optional "count dim" header line (auto-detected).
-        Later records win on duplicate words."""
-        table: dict[str, np.ndarray] = {}
-        dimension = None
-        first = True
-        for lineno, line in read_lines(path):
-            parts = line.split()
-            if not parts:
-                continue
-            if first:
-                first = False
-                if len(parts) == 2 and all(_is_int(p) for p in parts):
-                    dimension = int(parts[1])
-                    continue
-            word, values = parts[0], parts[1:]
-            try:
-                vec = np.array(values, dtype=float)
-            except ValueError:
-                raise DomainError(f"{path}:{lineno}: non-numeric vector component") from None
-            if dimension is None:
-                dimension = len(vec)
-            if len(vec) != dimension:
-                raise DomainError(
-                    f"{path}:{lineno}: expected {dimension} components, got {len(vec)}"
-                )
-            table[name_key(word)] = vec
+        line, each value spelled as Python's ``float`` reads it, with an
+        optional "count dim" header (detected on the first non-blank line
+        only) whose count must equal the number of records.  Later records
+        win on duplicate words; every record must be finite."""
+        try:
+            count, dimension, words, lines, rows = _parse_blocks(path)
+        except (ValueError, DomainError):
+            # the per-line parse reads the file again and raises the error
+            # of the first bad line, which may precede the bad block
+            count, dimension, words, lines, rows = _parse_lines(path)
         if dimension is None:
             raise DomainError(f"{path}: empty embedding file")
+        if count is not None and count != len(words):
+            raise DomainError(
+                f"{path}: the header counts {count} records, the file has {len(words)}"
+            )
+        if dimension <= 0:
+            raise DomainError(f"{path}: embedding dimension must be positive")
+        store = cls.__new__(cls)
+        store._fill(words, rows, dimension, lambda row: f"{path}:{lines[row]}: ")
+        return store
+
+
+def _header_and_records(path):
+    """An embedding file's "count dim" header as (count, dim), or (None,
+    None) when its first non-blank line is not one, and an iterator of
+    its other non-blank (line number, line) pairs."""
+    lines = ((lineno, line) for lineno, line in read_lines(path) if not line.isspace())
+    first = next(lines, None)
+    if first is None:
+        return (None, None), lines
+    tokens = first[1].split()
+    if len(tokens) == 2 and all(_is_int(t) for t in tokens):
+        return (int(tokens[0]), int(tokens[1])), lines
+    return (None, None), itertools.chain([first], lines)
+
+
+#: value fields per ``np.loadtxt`` call: one call over the whole file's
+#: lines raised the peak RSS of a ``copa match`` process by ~7 MB
+_BLOCK_LINES = 1000
+
+
+def _parse_blocks(path):
+    """``EmbeddingStore.from_file``'s fast parse: (header count or None,
+    dimension or None, the records' keys, line numbers and (k, d) value
+    blocks), each block of _BLOCK_LINES value fields parsed by one
+    ``np.loadtxt`` call.  ValueError when a line needs ``_parse_lines``: a
+    spelling ``loadtxt`` rejects (non-numeric, ``1_0``, non-ASCII digits),
+    a ragged row or a word with no values."""
+    (count, dimension), records = _header_and_records(path)
+    words, lines, fields, blocks = [], [], [], []
+    for lineno, line in records:
+        parts = line.split(None, 1)
+        if len(parts) == 1:
+            raise ValueError(f"line {lineno}: a word with no values")
+        words.append(name_key(parts[0]))
+        lines.append(lineno)
+        fields.append(parts[1])
+        if len(fields) == _BLOCK_LINES:
+            dimension = _add_block(blocks, fields, dimension)
+            fields = []
+    if fields:
+        dimension = _add_block(blocks, fields, dimension)
+    return count, dimension, words, lines, blocks
+
+
+def _add_block(blocks: list, fields: list[str], dimension: int | None) -> int:
+    """Parse value fields into one (len(fields), d) block, append it and
+    return d; ValueError unless d equals ``dimension`` (when known)."""
+    # comments=None: a '#' in a value field is a bad token, not a comment
+    block = np.loadtxt(fields, dtype=float, comments=None, ndmin=2)
+    if block.shape[0] != len(fields) or dimension not in (None, block.shape[1]):
+        raise ValueError(f"a block of {block.shape} values, expected {dimension} columns")
+    blocks.append(block)
+    return block.shape[1]
+
+
+def _parse_lines(path):
+    """``EmbeddingStore.from_file``'s per-line parse, ``float`` on each
+    token: ``_parse_blocks``' result, or DomainError naming the line of
+    the first record that is not numeric or not of the dimension."""
+    (count, dimension), records = _header_and_records(path)
+    words, lines, vectors = [], [], []
+    for lineno, line in records:
+        word, *values = line.split()
         try:
-            return cls(table, dimension)
-        except DomainError as exc:
-            raise DomainError(f"{path}: {exc}") from None
+            vec = np.array(values, dtype=float)
+        except ValueError:
+            raise DomainError(f"{path}:{lineno}: non-numeric vector component") from None
+        if dimension is None:
+            dimension = len(vec)
+        if len(vec) != dimension:
+            raise DomainError(
+                f"{path}:{lineno}: expected {dimension} components, got {len(vec)}"
+            )
+        words.append(name_key(word))
+        lines.append(lineno)
+        vectors.append(vec)
+    return count, dimension, words, lines, vectors
 
 
 def _is_int(token: str) -> bool:
@@ -158,11 +239,15 @@ class TfIdfModel:
     """Idf table over a document collection.
 
     idf(t) = ln(n_docs / df(t)); terms never seen get df = 1, hence
-    ln(n_docs).  Natural log, no +1 smoothing inside the log.
+    ln(n_docs).  Natural log, no +1 smoothing inside the log.  Terms are
+    keyed by ``name_key`` (on duplicate keys the later value wins).
     """
 
     idf_table: dict[str, float]
     n_docs: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "idf_table", {name_key(t): v for t, v in self.idf_table.items()})
 
     def idf(self, term: str) -> float:
         return self.idf_table.get(name_key(term), math.log(self.n_docs) if self.n_docs > 0 else 0.0)

@@ -1,5 +1,5 @@
 """Shared builders for toy datasets, score matrices and synthetic
-embedding stores."""
+embedding stores, and the Hypothesis strategies of file contents."""
 
 from __future__ import annotations
 
@@ -7,12 +7,23 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from copa.classifiers import ScoreMatrix
 from copa.kb import Action, ActionRegistry, Claim, CoPA, Dataset, Motion, Stance
 from copa.textsim import EmbeddingStore
 
 ACTION_POOL = ("ban", "legalize", "subsidize", "promote", "limit")
+
+#: any short text, as a line or a token of a data file
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+#: tokens of an embedding file's lines: numbers, special values, words, text
+EMBEDDING_TOKENS = st.one_of(
+    st.floats().map(repr), st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(["t0", "U1", "nan", "-inf", "1e999", "1e200", "0x10", "1_0", "3"]),
+    TEXT,
+)
 
 
 def make_registry(action_ids=ACTION_POOL) -> ActionRegistry:

@@ -37,6 +37,72 @@ def mapped_cosine(store, a, b):
     return (cos + 1.0) / 2.0
 
 
+class EmbeddingFileError(Exception):
+    """The reference loader's rejection; its message is the one the
+    library's DomainError must carry."""
+
+
+def embedding_file_reference(path):
+    """The embedding file grammar read one token at a time with ``float``:
+    ({key: vector}, dimension), the later record winning on a key, or
+    EmbeddingFileError.  Errors, first match wins: a line whose tokens are
+    not all numbers, or whose count differs from the header's (or first
+    record's) dimension; no header and no record; a header count other
+    than the number of records; a dimension that is not positive; the
+    first record in the file with a non-finite component or squared
+    norm."""
+
+    def is_int(token):
+        try:
+            int(token)
+        except ValueError:
+            return False
+        return True
+
+    count = dimension = None
+    records = []  # (line number, key, vector) in file order
+    seen_content = False
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if not seen_content:
+                seen_content = True
+                if len(tokens) == 2 and is_int(tokens[0]) and is_int(tokens[1]):
+                    count, dimension = int(tokens[0]), int(tokens[1])
+                    continue
+            values = []
+            for token in tokens[1:]:
+                try:
+                    values.append(float(token))
+                except ValueError:
+                    raise EmbeddingFileError(f"{path}:{lineno}: non-numeric vector component")
+            if dimension is None:
+                dimension = len(values)
+            if len(values) != dimension:
+                raise EmbeddingFileError(
+                    f"{path}:{lineno}: expected {dimension} components, got {len(values)}")
+            records.append((lineno, tokens[0].strip().lower(), values))
+    if dimension is None:
+        raise EmbeddingFileError(f"{path}: empty embedding file")
+    if count is not None and count != len(records):
+        raise EmbeddingFileError(
+            f"{path}: the header counts {count} records, the file has {len(records)}")
+    if dimension <= 0:
+        raise EmbeddingFileError(f"{path}: embedding dimension must be positive")
+    table = {}
+    for lineno, key, values in records:
+        squared = 0.0
+        for v in values:
+            squared += v * v
+        if not math.isfinite(squared):
+            raise EmbeddingFileError(
+                f"{path}:{lineno}: vector for {key!r} has a non-finite component or norm")
+        table[key] = np.array(values, dtype=float)
+    return table, dimension
+
+
 def set_similarity_mean(pair_sims):
     known = [s for s in pair_sims if s is not None]
     return sum(known) / len(known) if known else 0.0

@@ -1,11 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copa import textsim
 from copa.textsim import (
     MAX_SET_PAIRS,
     SIMILARITY_STEP,
@@ -28,8 +30,14 @@ from copa.textsim import (
     term_similarity,
     topic_related_titles,
 )
-from helpers import load_bench_generator
-from oracles import hypergeom_tail_by_draws, hypergeom_tail_exact, set_similarity_mean
+from helpers import EMBEDDING_TOKENS, load_bench_generator
+from oracles import (
+    EmbeddingFileError,
+    embedding_file_reference,
+    hypergeom_tail_by_draws,
+    hypergeom_tail_exact,
+    set_similarity_mean,
+)
 
 
 @pytest.fixture()
@@ -69,6 +77,55 @@ class TestEmbedTerm:
         assert np.allclose(embed_term(store, "Smoking"), embed_term(store, "smoking"))
 
 
+def _mostly(valid, other):
+    """``valid`` seven draws in eight, ``other`` otherwise."""
+    return st.integers(0, 7).flatmap(lambda i: other if i == 0 else valid)
+
+
+#: what may separate two tokens: ``str.split`` splits on each
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t", "\u2003", "\xa0"])
+#: values that both ``float`` and ``np.loadtxt`` read
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["-0.0", "+3", ".5", "7.", "-2E2", "1e-3"]),
+)
+#: what may stand in a record, valid or not: ``float`` reads the first
+#: three spellings but ``np.loadtxt`` does not
+_TOKENS = st.sampled_from(["1_0", "\u0661", "\uff11", "#1"]) | EMBEDDING_TOKENS
+_WORDS = st.sampled_from(["foo", "Foo", "FOO", "#foo", "#", "t0", "T0", "u1", "7"])
+
+
+@st.composite
+def _embedding_files(draw):
+    """An embedding file's text: records of one width with numeric values
+    or, in half the files, any records now and then; any separators, blank
+    and whitespace-only lines, CRLF or LF line ends, and a header that may
+    count right or wrong."""
+    dimension = draw(st.integers(1, 3))
+    noisy = draw(st.booleans())
+    words = _mostly(_WORDS, _TOKENS) if noisy else _WORDS
+    values = _mostly(_NUMBERS, _TOKENS) if noisy else _NUMBERS
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        width = draw(_mostly(st.just(dimension), st.integers(0, 4))) if noisy else dimension
+        tokens = [draw(words)] + [draw(values) for _ in range(width)]
+        lines.append(draw(st.sampled_from(["", " "])) + tokens[0]
+                     + "".join(draw(_SEPARATORS) + t for t in tokens[1:]))
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t", "\u2003\xa0"]), max_size=1))
+    records = sum(1 for line in lines if line.split())
+    count = draw(st.sampled_from([None, records, records, records, records + 1]))
+    if count is not None:
+        lines.insert(0, f"{count} {dimension}")
+    if draw(st.booleans()):
+        lines.insert(0, "")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+EMBEDDING_FILES = _embedding_files()
+
+
 class TestEmbeddingFile:
     def test_header_autodetected(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -102,10 +159,29 @@ class TestEmbeddingFile:
             path.write_text(f"foo 1 2\nbar 3 {bad}\n")
             with pytest.raises(DomainError, match="'bar'"):
                 EmbeddingStore.from_file(path)
+        # a record that a later one overrides is checked too, and named by its line
+        path.write_text("foo 1 nan\nFoo 1 2\n")
+        with pytest.raises(DomainError, match=r"emb.txt:1: vector for 'foo' has a non-finite"):
+            EmbeddingStore.from_file(path)
         with pytest.raises(DomainError):
             EmbeddingStore({"a": [1.0, math.nan]}, 2)
         with pytest.raises(DomainError, match="'a'"):
             EmbeddingStore({"a": [1e200, 0.0]}, 2)
+        with pytest.raises(DomainError, match="'a'"):
+            EmbeddingStore({"a": [math.inf, 0.0], "A": [1.0, 0.0]}, 2)
+
+    def test_header_count_must_equal_the_records(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("5 2\nfoo 1 2\n")
+        with pytest.raises(DomainError, match="emb.txt: the header counts 5 records, the file has 1"):
+            EmbeddingStore.from_file(path)
+        # duplicates count as records; a header-only file of count 0 is an empty store
+        path.write_text("2 2\nfoo 1 2\nFOO 3 4\n")
+        store = EmbeddingStore.from_file(path)
+        assert len(store) == 1 and np.array_equal(store.get("foo"), [3.0, 4.0])
+        path.write_text("0 2\n")
+        store = EmbeddingStore.from_file(path)
+        assert len(store) == 0 and store.dimension == 2
 
     def test_overflowing_sum_of_word_vectors_names_the_term(self):
         store = EmbeddingStore({"big": [1.2e154, 0.0], "huge": [1.2e154, 1.0]}, 2)
@@ -114,23 +190,68 @@ class TestEmbeddingFile:
             embed_term(store, "big huge")
 
     @staticmethod
-    def _per_token_parse(path):
-        """The loader's earlier parse: float() on each token."""
-        table = {}
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.split() for line in fh if line.split()]
-        if len(lines[0]) == 2 and all(t.lstrip("-").isdigit() for t in lines[0]):
-            lines = lines[1:]
-        for parts in lines:
-            table[parts[0].strip().lower()] = np.array([float(v) for v in parts[1:]], dtype=float)
-        return table
-
-    def _assert_parse_unchanged(self, path):
+    def _assert_parse_unchanged(path):
         store = EmbeddingStore.from_file(path)
-        reference = self._per_token_parse(path)
+        reference, dimension = embedding_file_reference(path)
+        assert store.dimension == dimension
         assert len(store) == len(reference)
         for word, vec in reference.items():
-            assert np.array_equal(store.get(word), vec), word
+            assert store.get(word).tobytes() == vec.tobytes(), word
+
+    def _assert_loads_like_reference(self, path):
+        try:
+            embedding_file_reference(path)
+        except EmbeddingFileError as exc:
+            with pytest.raises(DomainError) as raised:
+                EmbeddingStore.from_file(path)
+            assert str(raised.value) == str(exc)
+        else:
+            self._assert_parse_unchanged(path)
+
+    @given(text=EMBEDDING_FILES, block=st.sampled_from([1, 2, 3, 1000]))
+    @settings(max_examples=300, deadline=None)
+    def test_any_file_loads_like_the_reference(self, tmp_path_factory, text, block):
+        path = tmp_path_factory.mktemp("emb") / "emb.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(textsim, "_BLOCK_LINES", block):
+            self._assert_loads_like_reference(path)
+
+    def test_bad_line_in_a_later_block_is_named(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        records = [f"w{i} {i}.5 -{i}e-3" for i in range(2500)]
+        path.write_text("\n".join(records) + "\n")
+        self._assert_parse_unchanged(path)
+        for lineno, bad, message in ((2400, "w 1 x", "non-numeric"),
+                                     (1999, "w 1 2 3", "expected 2 components, got 3"),
+                                     (2001, "w", "expected 2 components, got 0"),
+                                     (2500, "w 1 1e999", "vector for 'w' has a non-finite")):
+            lines = records[:lineno - 1] + [bad] + records[lineno:]
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(DomainError, match=f"emb.txt:{lineno}: {message}"):
+                EmbeddingStore.from_file(path)
+            self._assert_loads_like_reference(path)
+
+    def test_bad_line_before_bytes_that_are_not_utf8_is_named(self, tmp_path):
+        # the block parse meets the undecodable bytes before it parses the
+        # block holding the bad line; the per-line parse names that line
+        path = tmp_path / "emb.txt"
+        good = "".join(f"w{i} 1 2\n" for i in range(3, 1000))
+        path.write_bytes(b"foo 1 2\nbar 1 x\n" + good.encode() + b"\xff\n")
+        with pytest.raises(DomainError, match=r"emb.txt:2: non-numeric"):
+            EmbeddingStore.from_file(path)
+
+    def test_well_formed_files_take_the_block_parse(self, data_dir, tmp_path, monkeypatch):
+        # a change that sent these files to the per-line parse would only
+        # show as a slower benchmark
+        def per_line(path):
+            raise AssertionError(f"{path} took the per-line parse")
+
+        monkeypatch.setattr(textsim, "_parse_lines", per_line)
+        generate = load_bench_generator()
+        generate.write_workload(str(tmp_path), seed=1, n_motions=28, n_copas=37)
+        paths = [data_dir / "toy_embeddings.txt", data_dir / "toy_embeddings_alt.txt",
+                 tmp_path / "embeddings.txt", tmp_path / "embeddings_alt.txt"]
+        assert [len(EmbeddingStore.from_file(p)) for p in paths] == [48, 48, 6323, 6319]
 
     def test_parse_equals_per_token_floats_on_bundled_data(self, data_dir):
         for name in ("toy_embeddings.txt", "toy_embeddings_alt.txt"):
@@ -148,7 +269,7 @@ class TestEmbeddingFile:
         self._assert_parse_unchanged(path)
 
     def test_non_numeric_token_names_the_line(self, tmp_path):
-        for bad in ("abc", "0x10", "1,5"):
+        for bad in ("abc", "0x10", "1,5", "4 #5"):
             path = tmp_path / "emb.txt"
             path.write_text(f"foo 1 2\nbar 3 {bad}\n")
             with pytest.raises(DomainError, match=r"emb.txt:2: non-numeric"):
@@ -573,6 +694,13 @@ class TestAvgIdf:
     def test_unknown_title_idf_uses_full_log(self):
         tfidf, _ = self._fixture()
         assert tfidf.idf("zeta") == pytest.approx(math.log(4), abs=1e-12)
+
+    def test_idf_keys_built_in_code_are_normalized(self):
+        # as from_documents keys them; the later of two spellings wins
+        assert TfIdfModel({"Health": 2.0}, 5).idf("Health") == 2.0
+        tfidf = TfIdfModel({"Health": 2.0, " health ": 3.0}, 5)
+        assert tfidf.idf_table == {"health": 3.0}
+        assert tfidf.idf("HEALTH") == 3.0
 
 
 @given(st.integers(1, 30))
