@@ -3,6 +3,7 @@
 #
 # Run from anywhere:  python3 demos/04_matching_methods.py
 
+import math
 from pathlib import Path
 
 from copa import (
@@ -65,24 +66,18 @@ scores["nb"] = predict_nb(nb, query, sentences)
 # --- logistic regression over the 17 engineered features --------------------
 table = FeatureTable(ds, ctx)  # every (motion, CoPA) feature vector, built once
 lr = train_feature_lr(table.values, table.labels)
-scores["lr"] = predict_feature_lr(lr, motion_features(query, ds, ctx), ds.copa_ids)
+scores["lr"] = predict_feature_lr(lr, motion_features(query, ds, ctx))
 
 # --- ensemble: best score any method produced --------------------------------
-# Each method's scores become a one-row score matrix (an abstention is
-# stored as NaN); the ensemble takes the per-CoPA maximum over the rows.
-rows = []
-for name, method_scores in scores.items():
-    row = ScoreMatrix(name, (query.id,), ds.copa_ids)
-    for cid, score in method_scores.items():
-        row.put(query.id, cid, score)
-    rows.append(row)
-combined = ensemble(rows)
-scores["ensemble"] = {cid: combined.get(query.id, cid) for cid in ds.copa_ids}
+# Each method's scores are one row in CoPA order, NaN where it abstains;
+# the ensemble takes the per-CoPA maximum over the one-row score matrices.
+combined = ensemble([ScoreMatrix((query.id,), ds.copa_ids, row[None]) for row in scores.values()])
+scores["ensemble"] = combined.scores[0]
 
 print(f"{'CoPA':<18}" + "".join(f"{m:>10}" for m in scores))
-for cid in ds.copa_ids:
-    row = [scores[m][cid] for m in scores]
-    cells = "".join(f"{'   abstain' if v is None else f'{v:>10.3f}'}" for v in row)
+for j, cid in enumerate(ds.copa_ids):
+    row = [scores[m][j] for m in scores]
+    cells = "".join(f"{'   abstain' if math.isnan(v) else f'{v:>10.3f}'}" for v in row)
     print(f"{cid:<18}{cells}")
 print()
 
@@ -90,5 +85,6 @@ print()
 # action "ban", so W2V and NB refuse to predict it for a ban motion.
 banned = Motion("query2", "ban", "solar energy")
 print("blacklist effect for (ban, solar energy):")
-print(f"  w2v clean_energy score: {predict_w2v(w2v, w2v_table.counts, banned, ctx)['clean_energy']}")
-print(f"  nb  clean_energy score: {predict_nb(nb, banned, sentences)['clean_energy']}")
+clean = ds.copa_ids.index("clean_energy")
+print(f"  w2v clean_energy score: {predict_w2v(w2v, w2v_table.counts, banned, ctx)[clean]}")
+print(f"  nb  clean_energy score: {predict_nb(nb, banned, sentences)[clean]}")

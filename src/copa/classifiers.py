@@ -6,10 +6,11 @@ embeddings (W2V), Naive Bayes over retrieved topic sentences (NB), and
 logistic regression over the engineered 17-feature vectors (LR).  The
 ensemble takes, per CoPA, the maximum score any method produced.
 
-Scores live in [0, 1]; ``None`` means the method abstains for that pair
-(NaN once stored in a ``ScoreMatrix``) and never passes any decision
-threshold.  All training is deterministic: zero-initialized optimizers,
-no sampling, ordered iteration.
+Every scorer returns one row: a float array in ``copa_ids`` order, each
+entry within [0, 1] or NaN where the method abstains for that CoPA, the
+row a ``ScoreMatrix`` stores.  NaN never passes a decision threshold.
+All training is deterministic: zero-initialized optimizers, no sampling,
+ordered iteration.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from .kb import Dataset, LabelCounts, Motion
 from .textsim import (SimilarityContext, SimilarityKind, TopicSentenceCorpus, name_key,
                       similarity_block)
 
-Score = float | None
-
-
 class DimensionMismatch(Exception):
     """Training inputs disagree in length or width."""
 
@@ -45,46 +43,40 @@ class ScoreMatrix:
     """Scores of one method for every (motion, CoPA) pair.
 
     ``scores`` is a dense (motions x CoPAs) float array in the order of
-    ``motion_ids`` and ``copa_ids``.  NaN means the method abstained;
-    every other entry lies within [0, 1].
+    ``motion_ids`` and ``copa_ids``, one scorer's row per motion.  NaN
+    means the method abstained; every other entry lies within [0, 1].
     """
 
-    method: str
     motion_ids: tuple[str, ...]
     copa_ids: tuple[str, ...]
-    scores: np.ndarray | None = None
+    scores: np.ndarray
 
     def __post_init__(self):
         self._rows = {mid: i for i, mid in enumerate(self.motion_ids)}
         self._cols = {cid: j for j, cid in enumerate(self.copa_ids)}
         shape = (len(self.motion_ids), len(self.copa_ids))
-        if self.scores is None:
-            self.scores = np.full(shape, np.nan)
-            return
         self.scores = np.array(self.scores, dtype=float)
         if self.scores.shape != shape:
             raise ValueError(f"score array of shape {self.scores.shape}, expected {shape}")
         if not np.all(np.isnan(self.scores) | ((self.scores >= 0.0) & (self.scores <= 1.0))):
             raise ValueError("scores outside [0, 1]")
 
-    def get(self, motion_id: str, copa_id: str) -> Score:
+    def get(self, motion_id: str, copa_id: str) -> float | None:
+        """The pair's score; None where the method abstained."""
         value = float(self.scores[self._rows[motion_id], self._cols[copa_id]])
         return None if math.isnan(value) else value
 
-    def put(self, motion_id: str, copa_id: str, score: Score) -> None:
-        self.scores[self._rows[motion_id], self._cols[copa_id]] = matrix_entry(score, copa_id)
 
-
-def matrix_entry(score: Score, copa_id: str) -> float:
-    """A scorer's value as a matrix entry: NaN for an abstention (None).
-    Any other value must lie within [0, 1]; NaN and +-inf are errors, never
-    abstentions."""
-    if score is None:
-        return math.nan
-    score = float(score)
-    if not (0.0 <= score <= 1.0):
-        raise ValueError(f"score {score} for {copa_id!r} outside [0, 1]")
-    return score
+def score_row(values, abstain=False) -> np.ndarray:
+    """A scorer's row: ``values`` with NaN where ``abstain`` (a mask or one
+    flag for the whole row).  Every other entry must lie within [0, 1]; a
+    NaN or +-inf there is an error, never an abstention."""
+    values = np.asarray(values, dtype=float)
+    ok = ((values >= 0.0) & (values <= 1.0)) | abstain
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise ValueError(f"score {values[j]} in column {j} outside [0, 1]")
+    return np.where(abstain, np.nan, values)
 
 
 def ensemble(matrices: list[ScoreMatrix]) -> ScoreMatrix:
@@ -97,7 +89,7 @@ def ensemble(matrices: list[ScoreMatrix]) -> ScoreMatrix:
         if m.motion_ids != first.motion_ids or m.copa_ids != first.copa_ids:
             raise ValueError("ensemble inputs have inconsistent id spaces")
     combined = np.fmax.reduce([m.scores for m in matrices])
-    return ScoreMatrix("ensemble", first.motion_ids, first.copa_ids, combined)
+    return ScoreMatrix(first.motion_ids, first.copa_ids, combined)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +242,12 @@ def train_ba(ds: Dataset, k: int = 5) -> BAModel:
     return BAModel(k, ds.label_counts)
 
 
-def predict_ba(model: BAModel, motion: Motion) -> dict[str, Score]:
+def predict_ba(model: BAModel, motion: Motion) -> np.ndarray:
     """p(c, action) per CoPA; abstains where fewer than k training
     motions back the estimate (and everywhere for unseen actions)."""
-    total, support = model.counts.with_action(motion.action)  # support >= k >= 1 means total > 0
-    return {cid: n / total if n >= model.k else None
-            for cid, n in zip(model.counts.copa_ids, support.tolist())}
+    total, support = model.counts.with_action(motion.action)
+    # support >= k >= 1 means total > 0; with total 0 every entry abstains
+    return score_row(support / max(total, 1), abstain=support < model.k)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +276,7 @@ def predict_knn(
     min_neighbors: int = 3,
     top: int = 5,
     exclude_topic: str | None = None,
-) -> dict[str, Score]:
+) -> np.ndarray:
     """Fraction of the query topic's nearest training motions that belong
     to each CoPA.
 
@@ -306,11 +298,11 @@ def predict_knn(
         eligible &= np.array([name_key(t) != skip for t in topics], dtype=bool)
     candidates = np.flatnonzero(eligible)
     if len(candidates) < min_neighbors:
-        return {cid: None for cid in ds_train.copa_ids}
+        return np.full(len(ds_train.copa_ids), np.nan)
     # similarity descending, then motion id (Python string order)
     chosen = candidates[np.lexsort((ids[candidates], -sims[0, candidates]))[:top]]
     votes = ds_train.label_counts.member[chosen].sum(axis=0)
-    return dict(zip(ds_train.copa_ids, (votes / len(chosen)).tolist()))
+    return score_row(votes / len(chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +351,15 @@ def train_w2v_lr(
 
 
 def predict_w2v(fits: list[LogRegFit], counts: LabelCounts, motion: Motion,
-                ctx: SimilarityContext) -> dict[str, Score]:
+                ctx: SimilarityContext) -> np.ndarray:
     """Each CoPA's fit's score of the topic vector; abstains when the
     topic has no embedding or there are no fits, 0 where the blacklist of
     ``counts`` vetoes the action."""
     x = ctx.term_vector(SimilarityKind.EMBEDDING, motion.topic)
     if x is None or not fits:
-        return {cid: None for cid in counts.copa_ids}
-    return {cid: 0.0 if vetoed else fit.score(x)
-            for cid, fit, vetoed in zip(counts.copa_ids, fits,
-                                        counts.blacklisted(motion.action), strict=True)}
+        return np.full(len(counts.copa_ids), np.nan)
+    return score_row([0.0 if vetoed else fit.score(x)
+                      for fit, vetoed in zip(fits, counts.blacklisted(motion.action), strict=True)])
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +448,7 @@ def train_nb(ds: Dataset, corpus: TopicSentenceCorpus | None, alpha: float = 1.0
     return clf
 
 
-def predict_nb(clf: NBClassifier, motion: Motion, corpus: TopicSentenceCorpus) -> dict[str, Score]:
+def predict_nb(clf: NBClassifier, motion: Motion, corpus: TopicSentenceCorpus) -> np.ndarray:
     """Mean per-sentence posterior over the topic's sentences; abstains
     when the corpus has none, 0 where the blacklist vetoes the action.
 
@@ -469,7 +460,7 @@ def predict_nb(clf: NBClassifier, motion: Motion, corpus: TopicSentenceCorpus) -
     copa_ids = clf.counts.copa_ids
     sentences = [tokenize(s) for s in corpus.get(motion.topic)]
     if not sentences:
-        return {cid: None for cid in copa_ids}
+        return np.full(len(copa_ids), np.nan)
     vocab_cols = {w: j for tokens in sentences for w in tokens
                   if (j := clf.vocab.get(w)) is not None and clf.totals[j] > 0}
     known = {w: i for i, w in enumerate(vocab_cols)}  # query word -> log-table column
@@ -503,9 +494,7 @@ def predict_nb(clf: NBClassifier, motion: Motion, corpus: TopicSentenceCorpus) -
         lp[both_inf] = ln[both_inf] = 0.0
         total += sigmoid(lp - ln)  # sigmoid of the log-odds: exact 0.5 under symmetry
     posterior = np.minimum(1.0, np.maximum(0.0, total / len(sentences)))
-    blocked = clf.counts.blacklisted(motion.action)
-    return {cid: 0.0 if vetoed else p
-            for cid, p, vetoed in zip(copa_ids, posterior.tolist(), blocked)}
+    return score_row(np.where(clf.counts.blacklisted(motion.action), 0.0, posterior))
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +525,8 @@ def train_feature_lr(
     return scaler, fit
 
 
-def predict_feature_lr(model: tuple[Standardizer, LogRegFit], rows: np.ndarray,
-                       copa_ids) -> dict[str, Score]:
+def predict_feature_lr(model: tuple[Standardizer, LogRegFit], rows: np.ndarray) -> np.ndarray:
     """Sigmoid score per CoPA from one motion's (CoPAs x features) rows,
-    standardized one by one, in ``copa_ids`` order; this method never
-    abstains."""
+    standardized one by one; this method never abstains."""
     scaler, fit = model
-    return {cid: fit.score(scaler.transform(x)) for cid, x in zip(copa_ids, rows, strict=True)}
+    return score_row([fit.score(scaler.transform(x)) for x in rows])

@@ -9,8 +9,9 @@ flags override both.  Each value is checked against its declared type
 and range when the config is loaded.
 
 Exit codes: 0 success, 2 configuration problem, 3 domain problem (e.g.
-unknown action), 4 I/O or data-file problem, or a leave-one-out fold
-that failed (the message names the held-out motion).
+unknown action), 4 I/O or data-file problem, a dataset too small for the
+command, or a leave-one-out fold that failed (the message names the
+held-out motion).
 """
 
 from __future__ import annotations
@@ -190,7 +191,8 @@ def _guarded(fn):
         _fail(EXIT_CONFIG, str(exc))
     except CliDomainError as exc:
         _fail(EXIT_DOMAIN, str(exc))
-    except (kb.ParseError, kb.ValidationError, DomainError, evalmod.FoldError) as exc:
+    except (kb.ParseError, kb.ValidationError, DomainError, evalmod.FoldError,
+            evalmod.DatasetTooSmall) as exc:
         _fail(EXIT_IO, str(exc))
     except BrokenPipeError:
         # downstream consumer (e.g. head) closed the pipe; silence the
@@ -279,15 +281,14 @@ def match(ctx, action, topic, method, threshold):
         query = kb.Motion(id="@query", action=action, topic=topic)
         methods = cfg.methods if method == "ensemble" else (method,)
         ctx_sim = _build_context(cfg, methods)
-        rows = [evalmod.score_motion(m, ds, evalmod.method_inputs(m, ds, cfg, ctx_sim),
-                                     query, cfg, ctx_sim) for m in methods]
+        rows = [evalmod.score_motion(m, evalmod.method_inputs(m, ds, cfg, ctx_sim), query,
+                                     cfg, ctx_sim) for m in methods]
         combined = clfmod.ensemble(
-            [clfmod.ScoreMatrix(name, (query.id,), ds.copa_ids, row[None])
-             for name, row in zip(methods, rows)]
-        )
-        scored = ((cid, combined.get(query.id, cid)) for cid in ds.copa_ids)
+            [clfmod.ScoreMatrix((query.id,), ds.copa_ids, row[None]) for row in rows])
+        # NaN >= threshold is False: abstentions drop out
         ranked = sorted(
-            ((cid, s) for cid, s in scored if s is not None and s >= threshold),
+            ((cid, s) for cid, s in zip(ds.copa_ids, combined.scores[0].tolist())
+             if s >= threshold),
             key=lambda pair: (-pair[1], pair[0]),
         )
         for cid, s in ranked:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classifiers as clf
-from .classifiers import ScoreMatrix, ensemble, matrix_entry
+from .classifiers import ScoreMatrix, ensemble
 from .features import FeatureTable
 from .kb import Dataset, Motion
 from .textsim import SimilarityContext
@@ -36,6 +36,21 @@ class LengthMismatch(Exception):
 class FoldError(Exception):
     """Training failed inside a leave-one-out fold; carries the held-out
     motion id for debugging."""
+
+
+class DatasetTooSmall(ValueError):
+    """The dataset lacks the motions or CoPAs an operation needs."""
+
+
+def _require(ds: Dataset, min_motions: int, purpose: str) -> None:
+    """DatasetTooSmall naming what ``purpose`` lacks: ``min_motions``
+    motions, or any CoPA."""
+    if len(ds.motions) < min_motions:
+        noun = "motion" if min_motions == 1 else "motions"
+        raise DatasetTooSmall(f"{purpose} needs at least {min_motions} {noun}, "
+                              f"the dataset has {len(ds.motions)}")
+    if not ds.copas:
+        raise DatasetTooSmall(f"{purpose} needs at least one CoPA, the dataset has none")
 
 
 def default_threshold_grid(step: float = 0.01) -> tuple[float, ...]:
@@ -107,27 +122,25 @@ def leave_one_out(ds: Dataset, config: EvalConfig, ctx: SimilarityContext) -> di
     Each method's inputs are built once (a failure there is raised as
     is), and the fold without motion h is their ``without_motion(h)``.
     """
-    if len(ds.motions) < 2:
-        raise ValueError("leave-one-out needs at least two motions")
-
-    matrices = {
-        method: ScoreMatrix(method, ds.motion_ids, ds.copa_ids) for method in config.methods
-    }
+    _require(ds, 2, "leave-one-out")
+    rows = {method: [] for method in config.methods}
     eligible = topic_method_copas(ds, config.topic_min_motions)
     ineligible = np.array([cid not in eligible for cid in ds.copa_ids], dtype=bool)
     inputs = {method: method_inputs(method, ds, config, ctx) for method in config.methods}
 
-    for i, held_out in enumerate(ds.motions):
+    for held_out in ds.motions:
         try:
             for method in config.methods:
                 fold = inputs[method].without_motion(held_out.id)
-                row = score_motion(method, ds, fold, held_out, config, ctx)
+                row = score_motion(method, fold, held_out, config, ctx)
                 if method in ("knn", "w2v", "nb"):
                     row[ineligible] = np.nan
-                matrices[method].scores[i] = row
+                rows[method].append(row)
         except Exception as exc:
             raise FoldError(f"fold holding out {held_out.id!r}: {exc}") from exc
 
+    matrices = {method: ScoreMatrix(ds.motion_ids, ds.copa_ids, rows[method])
+                for method in config.methods}
     matrices["ensemble"] = ensemble(list(matrices.values()))
     return matrices
 
@@ -145,20 +158,21 @@ def method_inputs(method: str, ds: Dataset, config: EvalConfig, ctx: SimilarityC
     if method == "nb":
         return clf.train_nb(ds, ctx.sentences, alpha=config.nb_alpha)
     if method == "lr":
+        _require(ds, 1, "the lr method")
         return FeatureTable(ds, ctx)
     raise ValueError(f"unknown method {method!r}")
 
 
 def score_motion(
     method: str,
-    ds: Dataset,
     inputs,
     motion: Motion,
     config: EvalConfig,
     ctx: SimilarityContext,
 ) -> np.ndarray:
-    """Scores of ``motion`` against every CoPA of ``ds`` under one method,
-    in ``ds.copa_ids`` order with NaN for abstentions.
+    """Scores of ``motion`` under one method against every CoPA of the
+    dataset ``inputs`` came from: the scorer's row, in its ``copa_ids``
+    order with NaN for abstentions.
 
     ``inputs`` is ``method_inputs(method, ds, ...)``, against which
     ``motion`` is a new query, or its ``without_motion(motion.id)``, the
@@ -166,26 +180,24 @@ def score_motion(
     train on them here; the other methods only read them.
     """
     if method == "ba":
-        scores = clf.predict_ba(inputs, motion)
-    elif method == "knn":
-        scores = clf.predict_knn(
+        return clf.predict_ba(inputs, motion)
+    if method == "knn":
+        return clf.predict_knn(
             inputs.ds, motion, ctx, threshold=config.knn_threshold,
             min_neighbors=config.knn_min_neighbors, top=config.knn_top,
             exclude_topic=inputs.exclude_topic,
         )
-    elif method == "w2v":
+    if method == "w2v":
         fits = clf.train_w2v_lr(inputs, lam=config.l2_lambda, tol=config.tol,
                                 max_iters=config.max_iters)
-        scores = clf.predict_w2v(fits, inputs.counts, motion, ctx)
-    elif method == "nb":
-        scores = clf.predict_nb(inputs, motion, ctx.sentences)
-    elif method == "lr":
+        return clf.predict_w2v(fits, inputs.counts, motion, ctx)
+    if method == "nb":
+        return clf.predict_nb(inputs, motion, ctx.sentences)
+    if method == "lr":
         model = clf.train_feature_lr(inputs.values, inputs.labels, lam=config.l2_lambda,
                                      tol=config.tol, max_iters=config.max_iters)
-        scores = clf.predict_feature_lr(model, inputs.query_rows(motion), ds.copa_ids)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return np.array([matrix_entry(scores[cid], cid) for cid in ds.copa_ids])
+        return clf.predict_feature_lr(model, inputs.query_rows(motion))
+    raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +221,14 @@ class PAt1Point:
 
 def _included_columns(scores: ScoreMatrix, ds: Dataset, exclude_general: bool):
     """Score columns of the included CoPAs, sorted by copa id, and the
-    matching mask of labelled pairs."""
+    matching mask of labelled pairs.  The matrix's ids must be the
+    dataset's, in order."""
+    if scores.motion_ids != ds.motion_ids or scores.copa_ids != ds.copa_ids:
+        raise ValueError("the score matrix's ids are not the dataset's, in order")
     included = set(ds.included_copa_ids(exclude_general))
-    cols = sorted(
-        (j for j, cid in enumerate(scores.copa_ids) if cid in included),
-        key=lambda j: scores.copa_ids[j],
-    )
-    labelled = np.array(
-        [[(mid, scores.copa_ids[j]) in ds.labels for j in cols] for mid in scores.motion_ids],
-        dtype=bool,
-    ).reshape(len(scores.motion_ids), len(cols))
-    return scores.scores[:, cols], labelled
+    cols = sorted((j for j, cid in enumerate(ds.copa_ids) if cid in included),
+                  key=lambda j: ds.copa_ids[j])
+    return scores.scores[:, cols], ds.label_counts.member[:, cols]
 
 
 def _passing_counts(values: np.ndarray, hits: np.ndarray, grid) -> list[tuple[float, int, int]]:
@@ -250,9 +259,8 @@ def pr_curve(
     Thresholds with no predicted pair yield no point.
     """
     grid = thresholds if thresholds is not None else default_threshold_grid()
-    included = set(ds.included_copa_ids(exclude_general))
-    n_truths = sum(1 for (_, c) in ds.labels if c in included)
     values, labelled = _included_columns(scores, ds, exclude_general)
+    n_truths = int(labelled.sum())
     scored = ~np.isnan(values)
     return [
         PRPoint(threshold=t, precision=tp / predicted, recall=tp / n_truths if n_truths else 0.0)

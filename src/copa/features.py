@@ -276,9 +276,9 @@ class FeatureTable:
         self._sim = sim
         self.values = np.empty((len(ds.motions), len(ds.copas), N_FEATURES))
         self.values[..., _SIM_FEATURES] = mean_similarity(sim.sums, sim.counts)
-        self.values[..., _IDF_FEATURE] = [
-            [_avg_idf(c, m.topic, ctx) for c in ds.copas] for m in ds.motions
-        ]
+        self.values[..., _IDF_FEATURE] = np.array(
+            [[_avg_idf(c, m.topic, ctx) for c in ds.copas] for m in ds.motions]
+        ).reshape(len(ds.motions), len(ds.copas))
         self.values[..., _COUNT_FEATURES] = _count_values(self.counts)
 
     def without_motion(self, motion_id: str) -> "FeatureTable":

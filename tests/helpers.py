@@ -93,12 +93,13 @@ def topic_words(ds: Dataset):
     return words
 
 
-def score_matrix(method, motion_ids, copa_ids, entries) -> ScoreMatrix:
+def score_matrix(motion_ids, copa_ids, entries) -> ScoreMatrix:
     """A matrix holding {(motion_id, copa_id): score}; other pairs abstain."""
-    matrix = ScoreMatrix(method, tuple(motion_ids), tuple(copa_ids))
+    motion_ids, copa_ids = tuple(motion_ids), tuple(copa_ids)
+    scores = np.full((len(motion_ids), len(copa_ids)), np.nan)
     for (mid, cid), score in entries.items():
-        matrix.put(mid, cid, score)
-    return matrix
+        scores[motion_ids.index(mid), copa_ids.index(cid)] = score
+    return ScoreMatrix(motion_ids, copa_ids, scores)
 
 
 def matrix_entries(matrix: ScoreMatrix) -> dict:

@@ -113,7 +113,8 @@ def set_similarity_mean(pair_sims):
 
 def knn_scores(ds_train, motion, store, threshold=0.5, min_neighbors=3, top=5,
                exclude_topic=None):
-    """Sort/threshold/count reference for the nearest-neighbour scorer."""
+    """Sort/threshold/count reference for the nearest-neighbour scorer: one
+    score per CoPA in dataset order, NaN where it abstains."""
     candidates = []
     for m in ds_train.motions:
         if m.id == motion.id:
@@ -124,21 +125,23 @@ def knn_scores(ds_train, motion, store, threshold=0.5, min_neighbors=3, top=5,
         if sim is not None and sim > threshold:
             candidates.append((sim, m.id))
     if len(candidates) < min_neighbors:
-        return {c.id: None for c in ds_train.copas}
+        return np.array([math.nan for _ in ds_train.copas])
     candidates.sort(key=lambda pair: (-pair[0], pair[1]))
     chosen = [mid for _, mid in candidates[:top]]
-    out = {}
+    out = []
     for c in ds_train.copas:
-        out[c.id] = sum(1 for mid in chosen if mid in c.motion_ids) / len(chosen)
-    return out
+        out.append(sum(1 for mid in chosen if mid in c.motion_ids) / len(chosen))
+    return np.array(out)
 
 
 # --- BA ----------------------------------------------------------------------
 
 
 def ba_scores(ds_train, motion, k):
+    """Counting reference for BA-k: one score per CoPA in dataset order,
+    NaN where it abstains."""
     total = sum(1 for m in ds_train.motions if m.action == motion.action)
-    out = {}
+    out = []
     for c in ds_train.copas:
         inside = sum(
             1
@@ -146,10 +149,10 @@ def ba_scores(ds_train, motion, k):
             if ds_train.motion(mid).action == motion.action
         )
         if total == 0 or inside < k:
-            out[c.id] = None
+            out.append(math.nan)
         else:
-            out[c.id] = inside / total
-    return out
+            out.append(inside / total)
+    return np.array(out)
 
 
 # --- blacklists --------------------------------------------------------------

@@ -13,6 +13,7 @@ from copa import classifiers as clfmod
 from copa.classifiers import (
     DimensionMismatch,
     LogRegFit,
+    ScoreMatrix,
     TopicSentenceCorpus,
     W2VTable,
     _logreg_gradient,
@@ -24,6 +25,7 @@ from copa.classifiers import (
     predict_knn,
     predict_nb,
     predict_w2v,
+    score_row,
     sigmoid,
     tokenize,
     train_ba,
@@ -65,19 +67,20 @@ class TestBA:
         labels = [("m0", "c"), ("m1", "c"), ("m2", "c")]
         ds = build_dataset(motions, [("c", "theme")], labels)
         model = train_ba(ds, k=5)
-        assert predict_ba(model, Motion("q", "ban", "new"))["c"] is None
+        assert np.array_equal(predict_ba(model, Motion("q", "ban", "new")), [np.nan],
+                              equal_nan=True)
 
     def test_supported_probability(self):
         motions = [(f"m{i}", "ban", f"t{i}") for i in range(8)]
         labels = [(f"m{i}", "c") for i in range(6)]
         ds = build_dataset(motions, [("c", "theme")], labels)
         model = train_ba(ds, k=5)
-        assert predict_ba(model, Motion("q", "ban", "new"))["c"] == 0.75
+        assert np.array_equal(predict_ba(model, Motion("q", "ban", "new")), [0.75])
 
     def test_unseen_action_abstains_everywhere(self):
         ds = build_dataset([("m0", "ban", "t0")], [("c", "x")], [("m0", "c")])
         scores = predict_ba(train_ba(ds, k=1), Motion("q", "promote", "t9"))
-        assert scores == {"c": None}
+        assert np.array_equal(scores, [np.nan], equal_nan=True)
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(51)
@@ -85,7 +88,7 @@ class TestBA:
             ds = random_dataset(rng)
             model = train_ba(ds, k=1)
             for m in ds.motions:
-                assert predict_ba(model, m) == ba_scores(ds, m, k=1)
+                assert np.array_equal(predict_ba(model, m), ba_scores(ds, m, k=1), equal_nan=True)
 
     def test_score_sum_matches_membership_total(self):
         rng = np.random.default_rng(52)
@@ -95,7 +98,7 @@ class TestBA:
             for action in {m.action for m in ds.motions}:
                 total = sum(1 for m in ds.motions if m.action == action)
                 scores = predict_ba(model, Motion("q", action, "whatever"))
-                got = sum(s for s in scores.values() if s is not None)
+                got = sum(s for s in scores.tolist() if not math.isnan(s))
                 n_sum = sum(
                     1
                     for c in ds.copas
@@ -133,21 +136,21 @@ class TestKNN:
         ds, ctx = _knn_fixture()
         query = Motion("q", "ban", "q")
         scores = predict_knn(ds, query, ctx, min_neighbors=5)
-        assert scores == {"c1": None, "c2": None}
+        assert np.array_equal(scores, [np.nan, np.nan], equal_nan=True)
 
     def test_vote_fraction(self):
         ds, ctx = _knn_fixture()
         query = Motion("q", "ban", "q")
         scores = predict_knn(ds, query, ctx, min_neighbors=3, top=5)
         # "far" is below threshold; the four near topics split two per CoPA
-        assert scores == {"c1": 0.5, "c2": 0.5}
+        assert np.array_equal(scores, [0.5, 0.5])
 
     def test_top_cut_prefers_higher_similarity(self):
         ds, ctx = _knn_fixture()
         query = Motion("q", "ban", "q")
         scores = predict_knn(ds, query, ctx, min_neighbors=1, top=2)
         # nearest two are a and b, both in c1
-        assert scores == {"c1": 1.0, "c2": 0.0}
+        assert np.array_equal(scores, [1.0, 0.0])
 
     def test_equal_similarity_breaks_ties_by_motion_id(self):
         table = {"q": np.array([1.0, 0.0]), "same": np.array([0.9, 0.1])}
@@ -158,7 +161,7 @@ class TestKNN:
         ctx = SimilarityContext(embeddings=store)
         scores = predict_knn(ds, Motion("q", "ban", "q"), ctx, min_neighbors=1, top=2)
         # all sims equal; ids m1 and m2 win the two slots
-        assert scores == {"c1": 0.5, "c2": 0.5}
+        assert np.array_equal(scores, [0.5, 0.5])
 
     def test_kernel_rounding_ties_fall_to_motion_id_order(self):
         # "near" is closer to q than "next" by about 1e-15, far below the
@@ -172,17 +175,20 @@ class TestKNN:
         query = Motion("q", "ban", "q")
         assert (term_similarity(SimilarityKind.EMBEDDING, "q", "near", ctx)
                 > term_similarity(SimilarityKind.EMBEDDING, "q", "next", ctx))
-        assert predict_knn(ds, query, ctx, min_neighbors=1, top=1) == {"c1": 1.0, "c2": 0.0}
+        assert np.array_equal(predict_knn(ds, query, ctx, min_neighbors=1, top=1), [1.0, 0.0])
 
     def test_threshold_is_strict_and_own_motion_is_no_candidate(self):
         ds, ctx = _knn_fixture()
         orthogonal = EmbeddingStore({"q": np.array([1.0, 0.0]), "a": np.array([0.0, 1.0])}, 2)
         # similarity exactly 0.5 does not exceed the threshold 0.5
-        assert predict_knn(ds, Motion("q", "ban", "q"), SimilarityContext(embeddings=orthogonal),
-                           min_neighbors=1) == {"c1": None, "c2": None}
+        assert np.array_equal(
+            predict_knn(ds, Motion("q", "ban", "q"), SimilarityContext(embeddings=orthogonal),
+                        min_neighbors=1),
+            [np.nan, np.nan], equal_nan=True)
         m1 = ds.motion("m1")
-        assert predict_knn(ds, m1, ctx, min_neighbors=1) == predict_knn(
-            ds.without_motion("m1"), m1, ctx, min_neighbors=1)
+        assert np.array_equal(predict_knn(ds, m1, ctx, min_neighbors=1),
+                              predict_knn(ds.without_motion("m1"), m1, ctx, min_neighbors=1),
+                              equal_nan=True)
 
     def test_exclude_topic_drops_same_topic_candidates(self):
         ds, ctx = _knn_fixture()
@@ -191,16 +197,17 @@ class TestKNN:
         # query's own topic leaves three, below min_neighbors=4
         kept = predict_knn(ds, query, ctx, min_neighbors=4, top=5)
         dropped = predict_knn(ds, query, ctx, min_neighbors=4, top=5, exclude_topic="a")
-        assert all(s is not None for s in kept.values())
-        assert dropped == {"c1": None, "c2": None}
+        assert not np.isnan(kept).any()
+        assert np.array_equal(dropped, [np.nan, np.nan], equal_nan=True)
         oracle = knn_scores(ds, query, ctx.embeddings, min_neighbors=4, top=5,
                             exclude_topic="a")
-        assert dropped == oracle
+        assert np.array_equal(dropped, oracle, equal_nan=True)
         # the same topic in another case or with surrounding space (name_key)
         # is the same topic
         for spelling in ("A", " A "):
-            assert predict_knn(ds, query, ctx, min_neighbors=4, top=5,
-                               exclude_topic=spelling) == dropped
+            assert np.array_equal(predict_knn(ds, query, ctx, min_neighbors=4, top=5,
+                                              exclude_topic=spelling),
+                                  dropped, equal_nan=True)
 
     def test_matches_bruteforce_oracle_distinct_sims(self):
         rng = np.random.default_rng(61)
@@ -211,13 +218,13 @@ class TestKNN:
             query = Motion("q", "ban", ds.motions[0].topic)
             got = predict_knn(ds, query, ctx, min_neighbors=2, top=5)
             want = knn_scores(ds, query, store, min_neighbors=2, top=5)
-            assert got == want
+            assert np.array_equal(got, want, equal_nan=True)
 
     def test_scores_are_small_fractions(self):
         ds, ctx = _knn_fixture()
         scores = predict_knn(ds, Motion("q", "ban", "q"), ctx, min_neighbors=1, top=5)
-        for s in scores.values():
-            assert s is not None
+        for s in scores:
+            assert not math.isnan(s)
             assert any(abs(s - k / 4) < 1e-12 for k in range(5))  # |N| = 4 here
 
 
@@ -429,17 +436,17 @@ class TestW2V:
         y = np.array([1.0] * 4 + [0.0] * 4)
         final_loss = logreg_objective(X, y, weights, bias, 1e-3)
         assert final_loss < 0.05
-        plus = predict_w2v(fits, table.counts, Motion("q", "ban", "plus0"), ctx)["c"]
-        minus_topic_scores = predict_w2v(fits, table.counts, Motion("q", "ban", "minus0"), ctx)
+        plus = predict_w2v(fits, table.counts, Motion("q", "ban", "plus0"), ctx)[0]
+        minus = predict_w2v(fits, table.counts, Motion("q", "ban", "minus0"), ctx)[0]
         assert plus > 0.9
-        assert minus_topic_scores["c"] < 0.1
+        assert minus < 0.1
 
     def test_blacklisted_action_forces_zero(self):
         ds, ctx = _separable_fixture()
         table = W2VTable(ds, ctx)
         fits = train_w2v_lr(table)
         assert table.counts.blacklisted("legalize").tolist() == [True]
-        score = predict_w2v(fits, table.counts, Motion("q", "legalize", "plus0"), ctx)["c"]
+        score = predict_w2v(fits, table.counts, Motion("q", "legalize", "plus0"), ctx)[0]
         assert score == 0.0
 
     def test_unembeddable_topic_abstains(self):
@@ -447,14 +454,14 @@ class TestW2V:
         table = W2VTable(ds, ctx)
         scores = predict_w2v(train_w2v_lr(table), table.counts,
                              Motion("q", "ban", "zzz unknown"), ctx)
-        assert scores == {"c": None}
+        assert np.array_equal(scores, [np.nan], equal_nan=True)
 
     def test_zero_weight_model_scores_sigmoid_bias(self):
         fits = [LogRegFit(np.zeros(4), 0.7, n_iters=0, grad_norm=0.0, tol=1e-6)]
         ds = build_dataset([("m0", "ban", "t")], [("c", "theme")], [("m0", "c")])
         store = EmbeddingStore({"t": np.array([1.0, 0, 0, 0])}, 4)
         ctx = SimilarityContext(embeddings=store)
-        got = predict_w2v(fits, ds.label_counts, Motion("q", "ban", "t"), ctx)["c"]  # no ban veto
+        got = predict_w2v(fits, ds.label_counts, Motion("q", "ban", "t"), ctx)[0]  # no ban veto
         assert got == pytest.approx(sigmoid(0.7), abs=1e-15)
 
     def test_training_is_deterministic(self):
@@ -558,7 +565,7 @@ class TestNB:
             "tc": ["same words here"],
         })
         clf = train_nb(ds, corpus, alpha=1.0)
-        score = predict_nb(clf, Motion("q", "ban", "tc"), corpus)["c"]
+        score = predict_nb(clf, Motion("q", "ban", "tc"), corpus)[0]
         assert score == 0.5
 
     def test_matches_closed_form_bayes(self):
@@ -581,39 +588,40 @@ class TestNB:
         cases = {"x": ["x"], "x y": ["x", "y"], "x x": ["x", "x"], "y": ["y"]}
         for sentence, tokens in cases.items():
             probe = TopicSentenceCorpus({"t3": [sentence]})
-            got = predict_nb(clf, Motion("q", "ban", "t3"), probe)["c"]
+            got = predict_nb(clf, Motion("q", "ban", "t3"), probe)[0]
             assert got == pytest.approx(float(posterior(tokens)), abs=1e-12)
 
         probe = TopicSentenceCorpus({"t3": ["x"]})
-        got = predict_nb(clf, Motion("q", "ban", "t3"), probe)["c"]
+        got = predict_nb(clf, Motion("q", "ban", "t3"), probe)[0]
         assert got == pytest.approx(float(posterior(["x"])), abs=1e-12)
 
     def test_missing_topic_abstains(self):
         ds, corpus = _nb_fixture()
         clf = train_nb(ds, corpus)
-        assert predict_nb(clf, Motion("q", "ban", "absent"), corpus) == {"c": None}
+        assert np.array_equal(predict_nb(clf, Motion("q", "ban", "absent"), corpus), [np.nan],
+                              equal_nan=True)
 
     def test_blacklist_forces_zero(self):
         ds, corpus = _nb_fixture()
         clf = train_nb(ds, corpus)
         assert clf.counts.blacklisted("legalize").tolist() == [True]
-        got = predict_nb(clf, Motion("q", "legalize", "t1"), corpus)["c"]
+        got = predict_nb(clf, Motion("q", "legalize", "t1"), corpus)[0]
         assert got == 0.0
 
     def test_mean_posterior_over_sentences(self):
         ds, corpus = _nb_fixture()
         clf = train_nb(ds, corpus)
         query = Motion("q", "ban", "t9")
-        one = [predict_nb(clf, query, TopicSentenceCorpus({"t9": [s]}))["c"] for s in ("x", "y y")]
+        one = [predict_nb(clf, query, TopicSentenceCorpus({"t9": [s]}))[0] for s in ("x", "y y")]
         want = (one[0] + one[1]) / 2
-        got = predict_nb(clf, query, TopicSentenceCorpus({"t9": ["x", "y y"]}))["c"]
+        got = predict_nb(clf, query, TopicSentenceCorpus({"t9": ["x", "y y"]}))[0]
         assert got == pytest.approx(want, abs=1e-15)
 
     def test_unknown_words_skipped(self):
         ds, corpus = _nb_fixture()
         clf = train_nb(ds, corpus)
         probe = TopicSentenceCorpus({"t9": ["zebra"]})
-        assert predict_nb(clf, Motion("q", "ban", "t9"), probe)["c"] == pytest.approx(0.5, abs=1e-12)
+        assert predict_nb(clf, Motion("q", "ban", "t9"), probe)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_per_copa_tokenizing_reference(self):
         """New queries on every training topic and on an unseen one (with
@@ -635,9 +643,7 @@ class TestNB:
             for topic in sentences:
                 for action in ACTION_POOL:
                     query = Motion("q", action, topic)
-                    scores = predict_nb(clf, query, corpus)
-                    got = np.array([math.nan if scores[c] is None else scores[c]
-                                    for c in ds.copa_ids])
+                    got = predict_nb(clf, query, corpus)
                     want = _reference_scores(ds, corpus, query, alpha=0.5)
                     assert np.array_equal(got, want, equal_nan=True), (topic, action)
 
@@ -660,7 +666,7 @@ class TestNB:
         model = train_nb(ds, corpus, alpha=alpha)
         for m in ds.motions:
             fold_ds = ds.without_motion(m.id)
-            got = score_motion("nb", ds, model.without_motion(m.id), m, config,
+            got = score_motion("nb", model.without_motion(m.id), m, config,
                                SimilarityContext(sentences=corpus))
             want = _reference_scores(fold_ds, corpus, m, alpha)
             assert np.array_equal(got, want, equal_nan=True), m.id
@@ -736,8 +742,8 @@ class TestFeatureLR:
         identity = Standardizer(mean=np.zeros(N_FEATURES), scale=np.ones(N_FEATURES))
         fit = LogRegFit(np.zeros(N_FEATURES), -0.3, n_iters=0, grad_norm=0.0, tol=1e-6)
         rows = motion_features(ds.motions[0], ds, SimilarityContext())
-        scores = predict_feature_lr((identity, fit), rows, ds.copa_ids)
-        for s in scores.values():
+        scores = predict_feature_lr((identity, fit), rows)
+        for s in scores:
             assert s == pytest.approx(sigmoid(-0.3), abs=1e-15)
 
     def test_separable_by_count_feature_ranks_perfectly(self):
@@ -746,8 +752,8 @@ class TestFeatureLR:
         model = train_feature_lr(*_table_rows(ds, ctx), max_iters=3000)
         positive, negative = [], []
         for m in ds.motions:
-            scores = predict_feature_lr(model, motion_features(m, ds, ctx), ds.copa_ids)
-            for cid, s in scores.items():
+            scores = predict_feature_lr(model, motion_features(m, ds, ctx))
+            for cid, s in zip(ds.copa_ids, scores, strict=True):
                 (positive if (m.id, cid) in ds.labels else negative).append(s)
         assert min(positive) > max(negative)  # AUC 1.0 on train
 
@@ -761,28 +767,28 @@ class TestFeatureLR:
         ds = _action_separable_ds()
         model = train_feature_lr(*_table_rows(ds, SimilarityContext()), max_iters=200)
         rows = motion_features(Motion("q", "promote", "nothing"), ds, SimilarityContext())
-        scores = predict_feature_lr(model, rows, ds.copa_ids)
-        assert all(s is not None for s in scores.values())
+        scores = predict_feature_lr(model, rows)
+        assert len(scores) == len(ds.copa_ids) and not np.isnan(scores).any()
 
 # ---------------------------------------------------------------------------
 # Ensemble and score matrices
 # ---------------------------------------------------------------------------
 
 
-def _matrix(method, entries, motions=("m1", "m2"), copas=("c1", "c2")):
-    return score_matrix(method, motions, copas, entries)
+def _matrix(entries, motions=("m1", "m2"), copas=("c1", "c2")):
+    return score_matrix(motions, copas, entries)
 
 
 class TestEnsemble:
     def test_single_input_identity(self):
-        m = _matrix("a", {("m1", "c1"): 0.4})
+        m = _matrix({("m1", "c1"): 0.4})
         out = ensemble([m])
         assert matrix_entries(out) == matrix_entries(m)
 
     def test_max_rule_with_abstentions(self):
-        a = _matrix("a", {("m1", "c1"): 0.2})
-        b = _matrix("b", {})  # abstains everywhere
-        c = _matrix("c", {("m1", "c1"): 0.7, ("m2", "c2"): 0.1})
+        a = _matrix({("m1", "c1"): 0.2})
+        b = _matrix({})  # abstains everywhere
+        c = _matrix({("m1", "c1"): 0.7, ("m2", "c2"): 0.1})
         out = ensemble([a, b, c])
         assert out.get("m1", "c1") == 0.7
         assert out.get("m2", "c2") == 0.1
@@ -801,13 +807,13 @@ class TestEnsemble:
                     for c in copas
                     if rng.random() < 0.6
                 }
-                mats.append(_matrix(tag, entries, motions, copas))
+                mats.append(_matrix(entries, motions, copas))
             out = ensemble(mats)
             assert matrix_entries(out) == elementwise_max([matrix_entries(m) for m in mats])
 
     def test_inconsistent_id_spaces_rejected(self):
-        a = _matrix("a", {}, motions=("m1",))
-        b = _matrix("b", {}, motions=("m1", "m2"))
+        a = _matrix({}, motions=("m1",))
+        b = _matrix({}, motions=("m1", "m2"))
         with pytest.raises(ValueError):
             ensemble([a, b])
 
@@ -818,20 +824,32 @@ class TestEnsemble:
 
 class TestScoreMatrix:
     def test_rejects_out_of_range_scores(self):
-        m = _matrix("a", {})
-        for bad in (1.5, -0.1, float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError):
-                m.put("m1", "c1", bad)
+        for bad in (1.5, -0.1, math.nan, math.inf, -math.inf):
+            # a scorer's row: an error where the row does not abstain ...
+            for abstain in (False, [False, False], [False, True]):
+                with pytest.raises(ValueError):
+                    score_row([bad, 0.5], abstain=abstain)
+            # ... and NaN where it does
+            for abstain in (True, [True, False]):
+                got = score_row([bad, 0.5], abstain=abstain)
+                want = [math.nan, math.nan if abstain is True else 0.5]
+                assert np.array_equal(got, want, equal_nan=True)
+            # a stored matrix: out-of-range and infinite entries are errors
+            if not math.isnan(bad):
+                with pytest.raises(ValueError):
+                    ScoreMatrix(("m1",), ("c1", "c2"), [[bad, 0.5]])
+        assert np.array_equal(score_row([0.0, 1.0]), [0.0, 1.0])
 
     def test_rejects_unknown_ids(self):
-        m = _matrix("a", {})
-        with pytest.raises(KeyError):
-            m.put("nope", "c1", 0.5)
+        m = _matrix({})
+        for mid, cid in (("nope", "c1"), ("m1", "nope")):
+            with pytest.raises(KeyError):
+                m.get(mid, cid)
 
-    def test_put_none_means_abstain(self):
-        m = _matrix("a", {("m1", "c1"): 0.5})
-        m.put("m1", "c1", None)
+    def test_get_returns_none_at_nan(self):
+        m = ScoreMatrix(("m1",), ("c1", "c2"), [[math.nan, 0.5]])
         assert m.get("m1", "c1") is None
+        assert m.get("m1", "c2") == 0.5
 
 
 def test_build_blacklist_exact_definition():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from copa import classifiers as clfmod
 from copa.classifiers import TopicSentenceCorpus
 from copa.cli import AppConfig, ConfigError, main
+from copa.features import FEATURE_NAMES
 from copa.kb import ParseError, ValidationError, load_dataset
 from copa.textsim import DomainError, EmbeddingStore, WikiCorpus
 from helpers import EMBEDDING_TOKENS, TEXT, load_bench_generator, load_bench_module
@@ -129,7 +130,56 @@ class TestStatsCommand:
         assert "size framework" not in result.output
 
 
+def _trimmed_sample(path, drop):
+    """The sample dataset without its motions, all but one of them, or its
+    CoPAs (``drop`` names which), and the labels that no longer apply."""
+    doc = json.loads((ROOT / "data" / "sample_dataset.json").read_text())
+    if "motion" in drop:
+        doc["motions"] = doc["motions"][:1] if drop == "all but one motion" else []
+    if "copas" in drop:
+        doc["copas"], doc["general_copas"] = [], []
+    motions, copas = {m["id"] for m in doc["motions"]}, {c["id"] for c in doc["copas"]}
+    doc["labels"] = [l for l in doc["labels"] if l["motion"] in motions and l["copa"] in copas]
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("drop, args, code, message", [
+        ("all but one motion", ["eval"], 4,
+         "leave-one-out needs at least 2 motions, the dataset has 1"),
+        ("copas", ["eval"], 4, "leave-one-out needs at least one CoPA, the dataset has none"),
+        ("copas", ["match", "ban", "smoking"], 4,
+         "the lr method needs at least one CoPA, the dataset has none"),
+        ("copas", ["match", "ban", "smoking", "--method", "lr"], 4,
+         "the lr method needs at least one CoPA, the dataset has none"),
+        ("motions", ["match", "ban", "smoking"], 4,
+         "the lr method needs at least 1 motion, the dataset has 0"),
+        ("motions", ["match", "ban", "smoking", "--method", "lr"], 4,
+         "the lr method needs at least 1 motion, the dataset has 0"),
+        ("motions and copas", ["match", "ban", "smoking"], 4,
+         "the lr method needs at least 1 motion, the dataset has 0"),
+        ("motions and copas", ["eval"], 4,
+         "leave-one-out needs at least 2 motions, the dataset has 0"),
+        ("motions", ["features"], 0, None),
+        ("copas", ["features"], 0, None),
+        ("motions and copas", ["features"], 0, None),
+    ])
+    def test_dataset_too_small_for_the_command(self, runner, tmp_path, monkeypatch,
+                                               drop, args, code, message):
+        monkeypatch.chdir(ROOT)
+        path = _trimmed_sample(tmp_path / "ds.json", drop)
+        if args == ["eval"]:
+            args = ["eval", "--out", str(tmp_path / "out")]
+        result = runner.invoke(main, ["--config", "data/config.json", *args],
+                               env={"COPA_DATASET": str(path)})
+        assert result.exit_code == code, result.output
+        if message is None:  # an empty feature table: the header only
+            header = FEATURE_NAMES + ("motion_id", "copa_id", "label")
+            assert result.output == ",".join(header) + "\n"
+        else:
+            assert result.output == f"error: {message}\n"
+
     def test_missing_config_file(self, runner):
         result = runner.invoke(main, ["--config", "/nope/missing.json", "stats"])
         assert result.exit_code == 2
@@ -786,7 +836,7 @@ def _dataset_docs(field, claims):
                 "claims": claims,
             }, max_size=3),
             "motions": records({"id": field(MOTION_IDS), "action": field(ACTION_IDS),
-                                "topic": field(TOPICS)}, min_size=1, max_size=4),
+                                "topic": field(TOPICS)}, max_size=4),
             "labels": records({"motion": field(MOTION_IDS), "copa": field(COPA_IDS)},
                               {"claim_stance_pro_means_support": field(st.booleans())},
                               max_size=5),
@@ -822,8 +872,9 @@ def test_any_dataset_file_loads_or_is_a_parse_or_validation_error(workspace, doc
         load_dataset(path)
     except (ParseError, ValidationError):
         pass
-    for command in ("stats", "features"):
-        _assert_documented_exit(workspace, [command], {"COPA_DATASET": str(path)})
+    for args in (["stats"], ["features"], ["match", "ban", "t0", "--method", "ensemble"],
+                 ["eval", "--out", str(workspace / "fuzz_eval")]):
+        _assert_documented_exit(workspace, args, {"COPA_DATASET": str(path)})
 
 
 @given(doc=WIKI_DOCS | JSON_VALUES, raw=st.none() | st.binary(max_size=16))

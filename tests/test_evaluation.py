@@ -42,14 +42,14 @@ from oracles import (
 GRID = default_threshold_grid()
 
 
-def _random_matrix(rng, motions, copas, density=0.7, method="m"):
+def _random_matrix(rng, motions, copas, density=0.7):
     entries = {
         (m, c): float(rng.random())
         for m in motions
         for c in copas
         if rng.random() < density
     }
-    return score_matrix(method, motions, copas, entries)
+    return score_matrix(motions, copas, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -68,12 +68,10 @@ class TestLeaveOneOut:
         out = leave_one_out(ds, config, SimilarityContext())
         ba = out["ba"]
         # each fold trains on the other two motions; recompute per fold
-        for m in ds.motions:
+        for i, m in enumerate(ds.motions):
             fold = ds.without_motion(m.id)
             assert len(fold.motions) == 2
-            want = ba_scores(fold, m, k=1)
-            for cid in ds.copa_ids:
-                assert ba.get(m.id, cid) == want[cid]
+            assert np.array_equal(ba.scores[i], ba_scores(fold, m, k=1), equal_nan=True)
 
     def test_ba_abstains_when_fold_support_below_k(self):
         # three ban motions in c1: every fold leaves n(c1, ban) = 2 = k - 1
@@ -99,12 +97,11 @@ class TestLeaveOneOut:
         ctx = SimilarityContext(embeddings=store)
         config = EvalConfig(methods=("knn",), knn_min_neighbors=2, topic_min_motions=2)
         out = leave_one_out(ds, config, ctx)
-        for m in ds.motions:
+        for i, m in enumerate(ds.motions):
             fold = ds.without_motion(m.id)
             want = knn_scores(fold, m, store, min_neighbors=2, top=5,
                               exclude_topic=m.topic)
-            for cid in ds.copa_ids:
-                assert out["knn"].get(m.id, cid) == want[cid]
+            assert np.array_equal(out["knn"].scores[i], want, equal_nan=True)
 
     def test_knn_folds_drop_the_held_out_topic_in_any_spelling(self):
         # "smoking", "smoking " and "Smoking" are one topic (name_key): none
@@ -239,12 +236,11 @@ class TestLeaveOneOut:
             fold = ds.without_motion(m.id)
             for method in ("ba", "w2v", "nb"):
                 inputs = method_inputs(method, fold, config, ctx)
-                want = score_motion(method, fold, inputs, m, config, ctx)
+                want = score_motion(method, inputs, m, config, ctx)
                 if method != "ba":
                     want[ineligible] = np.nan
                 assert np.array_equal(out[method].scores[i], want, equal_nan=True), (method, m.id)
-            knn = knn_scores(fold, m, store, min_neighbors=1, top=5, exclude_topic=m.topic)
-            want = np.array([np.nan if knn[cid] is None else knn[cid] for cid in ds.copa_ids])
+            want = knn_scores(fold, m, store, min_neighbors=1, top=5, exclude_topic=m.topic)
             want[ineligible] = np.nan
             assert np.array_equal(out["knn"].scores[i], want, equal_nan=True), ("knn", m.id)
 
@@ -297,14 +293,14 @@ class TestPRCurve:
             for m in ds.motions
             for c in ds.copas
         }
-        matrix = score_matrix("perfect", ds.motion_ids, ds.copa_ids, entries)
+        matrix = score_matrix(ds.motion_ids, ds.copa_ids, entries)
         points = {p.threshold: p for p in pr_curve(matrix, ds, thresholds=GRID)}
         mid = points[0.5]
         assert mid.precision == 1.0 and mid.recall == 1.0
 
     def test_all_abstain_yields_no_points(self):
         ds = _toy_ds_for_curves()
-        matrix = score_matrix("empty", ds.motion_ids, ds.copa_ids, {})
+        matrix = score_matrix(ds.motion_ids, ds.copa_ids, {})
         assert pr_curve(matrix, ds, thresholds=GRID) == []
 
     def test_matches_threshold_sweep_oracle(self):
@@ -315,6 +311,16 @@ class TestPRCurve:
             got = [(p.threshold, p.precision, p.recall) for p in pr_curve(matrix, ds, thresholds=GRID)]
             want = pr_points(matrix_entries(matrix), ds.labels, set(ds.copa_ids), GRID)
             assert got == want
+
+    def test_ids_must_be_the_datasets_in_order(self):
+        ds = _toy_ds_for_curves()
+        for motions, copas in ((ds.motion_ids[::-1], ds.copa_ids),
+                               (ds.motion_ids, ds.copa_ids[::-1]),
+                               (ds.motion_ids, ds.copa_ids[:-1])):
+            matrix = score_matrix(motions, copas, {})
+            for curve in (pr_curve, p_at_1_curve):
+                with pytest.raises(ValueError, match="not the dataset's"):
+                    curve(matrix, ds, thresholds=GRID)
 
     def test_recall_non_increasing(self):
         rng = np.random.default_rng(102)
@@ -333,13 +339,13 @@ class TestPAt1Curve:
             matched = [c.id for c in ds.copas if (m.id, c.id) in ds.labels]
             if matched:
                 entries[(m.id, matched[0])] = 0.9
-        matrix = score_matrix("top", ds.motion_ids, ds.copa_ids, entries)
+        matrix = score_matrix(ds.motion_ids, ds.copa_ids, entries)
         for p in p_at_1_curve(matrix, ds, thresholds=GRID):
             assert p.p_at_1 == 1.0
 
     def test_threshold_above_scores_omitted(self):
         ds = _toy_ds_for_curves()
-        matrix = score_matrix("low", ds.motion_ids, ds.copa_ids, {("m0", "c0"): 0.2})
+        matrix = score_matrix(ds.motion_ids, ds.copa_ids, {("m0", "c0"): 0.2})
         points = p_at_1_curve(matrix, ds, thresholds=GRID)
         assert points
         assert max(p.threshold for p in points) <= 0.2 + 1e-12
@@ -364,7 +370,7 @@ class TestPAt1Curve:
     def test_argmax_ties_break_by_copa_id(self):
         ds = _toy_ds_for_curves()
         entries = {("m0", "c2"): 0.8, ("m0", "c0"): 0.8}  # tie; c0 wins and matches
-        matrix = score_matrix("tie", ds.motion_ids, ds.copa_ids, entries)
+        matrix = score_matrix(ds.motion_ids, ds.copa_ids, entries)
         point = p_at_1_curve(matrix, ds, thresholds=(0.5,))[0]
         assert point.p_at_1 == 1.0
 
@@ -387,7 +393,7 @@ class TestExcludeGeneral:
         flipped_entries = {
             pair: (1.0 - s if pair[1] == "g" else s) for pair, s in matrix_entries(matrix).items()
         }
-        flipped = score_matrix("m", ds.motion_ids, ds.copa_ids, flipped_entries)
+        flipped = score_matrix(ds.motion_ids, ds.copa_ids, flipped_entries)
         got_flipped = [(p.threshold, p.precision, p.recall) for p in pr_curve(flipped, ds, True, GRID)]
         assert got_flipped == got
 
