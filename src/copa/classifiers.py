@@ -138,11 +138,6 @@ class LogRegFit(tuple):
         fit.converged = grad_norm < tol
         return fit
 
-    def score(self, x: np.ndarray) -> float:
-        """The sigmoid of ``weights @ x + bias``."""
-        weights, bias = self
-        return float(sigmoid(float(weights @ x) + bias))
-
 
 def logreg_fit(
     X,
@@ -318,8 +313,6 @@ class W2VTable:
     ``without_motion(h)`` drops h's row and subtracts h from the counts."""
 
     def __init__(self, ds: Dataset, ctx: SimilarityContext):
-        if ctx.embeddings is None:
-            raise ValueError("w2v training requires an embedding store")
         vectors = [ctx.term_vector(SimilarityKind.EMBEDDING, m.topic) for m in ds.motions]
         self.rows = np.array([i for i, v in enumerate(vectors) if v is not None], dtype=np.intp)
         shape = (len(self.rows), ctx.embeddings.dimension)
@@ -352,14 +345,14 @@ def train_w2v_lr(
 
 def predict_w2v(fits: list[LogRegFit], counts: LabelCounts, motion: Motion,
                 ctx: SimilarityContext) -> np.ndarray:
-    """Each CoPA's fit's score of the topic vector; abstains when the
-    topic has no embedding or there are no fits, 0 where the blacklist of
-    ``counts`` vetoes the action."""
+    """Each CoPA's fit's sigmoid of ``weights @ x + bias`` for the topic
+    vector x; abstains when the topic has no embedding or there are no
+    fits, 0 where the blacklist of ``counts`` vetoes the action."""
     x = ctx.term_vector(SimilarityKind.EMBEDDING, motion.topic)
     if x is None or not fits:
         return np.full(len(counts.copa_ids), np.nan)
-    return score_row([0.0 if vetoed else fit.score(x)
-                      for fit, vetoed in zip(fits, counts.blacklisted(motion.action), strict=True)])
+    z = np.array([weights @ x + bias for weights, bias in fits])
+    return score_row(np.where(counts.blacklisted(motion.action), 0.0, sigmoid(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +414,8 @@ class NBClassifier:
         return fold
 
 
-def train_nb(ds: Dataset, corpus: TopicSentenceCorpus | None, alpha: float = 1.0) -> NBClassifier:
+def train_nb(ds: Dataset, corpus: TopicSentenceCorpus, alpha: float = 1.0) -> NBClassifier:
     """The count tables of ``ds``, each motion's sentences tokenized once."""
-    if corpus is None:
-        raise ValueError("nb training requires a sentence corpus")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     vocab: dict[str, int] = {}
@@ -527,6 +518,7 @@ def train_feature_lr(
 
 def predict_feature_lr(model: tuple[Standardizer, LogRegFit], rows: np.ndarray) -> np.ndarray:
     """Sigmoid score per CoPA from one motion's (CoPAs x features) rows,
-    standardized one by one; this method never abstains."""
-    scaler, fit = model
-    return score_row([fit.score(scaler.transform(x)) for x in rows])
+    standardized as one block, one 1-D ``weights @ x`` per row (a 2-D
+    product need not round like it); this method never abstains."""
+    scaler, (weights, bias) = model
+    return score_row(sigmoid(np.array([weights @ x for x in scaler.transform(rows)]) + bias))

@@ -45,16 +45,14 @@ EXIT_IO = 4
 
 ENV_PREFIX = "COPA_"
 
-#: stores each method cannot run without
-_METHOD_REQUIRES = {"knn": "embeddings", "w2v": "embeddings", "nb": "sentence_corpus"}
-
-#: stores each method reads when they are configured
-_METHOD_READS = {
-    "ba": (),
-    "knn": ("embeddings",),
-    "w2v": ("embeddings",),
-    "nb": ("sentence_corpus",),
-    "lr": ("embeddings", "alt_embeddings", "wiki_corpus"),
+#: each store a method may read (a ``SimilarityContext`` field): the
+#: config key of its path and its loader, looked up when called (the
+#: benchmark's tracer patches the loaders); tf-idf comes with the wiki
+_STORE_FILES = {
+    "embeddings": ("embeddings", lambda path: EmbeddingStore.from_file(path)),
+    "alt_embeddings": ("alt_embeddings", lambda path: EmbeddingStore.from_file(path)),
+    "wiki": ("wiki_corpus", lambda path: WikiCorpus.from_file(path)),
+    "sentences": ("sentence_corpus", lambda path: TopicSentenceCorpus.from_jsonl(path)),
 }
 
 
@@ -160,22 +158,21 @@ def _load_dataset(cfg: AppConfig) -> kb.Dataset:
 
 
 def _build_context(cfg: AppConfig, methods) -> SimilarityContext:
-    """The stores the methods read, loaded from the configured paths;
-    stores no method reads are left out."""
-    for method in methods:
-        required = _METHOD_REQUIRES.get(method)
-        if required and getattr(cfg, required) is None:
-            raise ConfigError(f"method {method!r} requires the {required!r} path")
-    read = {store for method in methods for store in _METHOD_READS[method]}
-    paths = {store: getattr(cfg, store) for store in read if getattr(cfg, store) is not None}
-    embeddings = EmbeddingStore.from_file(paths["embeddings"]) if "embeddings" in paths else None
-    alt = EmbeddingStore.from_file(paths["alt_embeddings"]) if "alt_embeddings" in paths else None
-    wiki = WikiCorpus.from_file(paths["wiki_corpus"]) if "wiki_corpus" in paths else None
-    tfidf = TfIdfModel.from_wiki_corpus(wiki) if wiki is not None else None
-    sentences = (TopicSentenceCorpus.from_jsonl(paths["sentence_corpus"])
-                 if "sentence_corpus" in paths else None)
-    return SimilarityContext(embeddings=embeddings, alt_embeddings=alt, tfidf=tfidf, wiki=wiki,
-                             sentences=sentences)
+    """The stores the methods' registry entries read, loaded from the
+    configured paths; stores no method reads are left out."""
+    entries = [evalmod.METHODS[method] for method in methods]
+    for method, entry in zip(methods, entries):
+        for key in (_STORE_FILES[store][0] for store in entry.needs):
+            if getattr(cfg, key) is None:
+                raise ConfigError(f"method {method!r} requires the {key!r} path")
+    read = {store for entry in entries for store in entry.needs + entry.optional}
+    stores = {}
+    for store, (key, load) in _STORE_FILES.items():
+        if store in read and getattr(cfg, key) is not None:
+            stores[store] = load(getattr(cfg, key))
+            if store == "wiki":
+                stores["tfidf"] = TfIdfModel.from_wiki_corpus(stores["wiki"])
+    return SimilarityContext(**stores)
 
 
 def _fail(code: int, message: str):
@@ -278,7 +275,9 @@ def match(ctx, action, topic, method, threshold):
         ds = _load_dataset(cfg)
         if action not in ds.actions:
             raise CliDomainError(f"unknown action {action!r}")
-        query = kb.Motion(id="@query", action=action, topic=topic)
+        # longer than every dataset motion id, so KNN's self-exclusion drops none
+        query_id = "@" * (1 + max(map(len, ds.motion_ids), default=0))
+        query = kb.Motion(id=query_id, action=action, topic=topic)
         methods = cfg.methods if method == "ensemble" else (method,)
         ctx_sim = _build_context(cfg, methods)
         rows = [evalmod.score_motion(m, evalmod.method_inputs(m, ds, cfg, ctx_sim), query,

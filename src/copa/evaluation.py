@@ -1,5 +1,9 @@
 """Leave-one-motion-out evaluation, threshold-sweep curves and baselines.
 
+``METHODS`` is the one method registry, a ``Method`` entry per method:
+``method_inputs``, ``score_motion``, ``leave_one_out`` and the CLI's
+store loading all read it.
+
 The protocol builds each method's inputs once, derives the fold without
 each motion by subtracting it, scores the held-out motion against its
 eligible CoPAs, and collects the scores into per-method matrices.  Curves
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,8 +30,6 @@ from .classifiers import ScoreMatrix, ensemble
 from .features import FeatureTable
 from .kb import Dataset, Motion
 from .textsim import SimilarityContext
-
-KNOWN_METHODS = ("ba", "knn", "w2v", "nb", "lr")
 
 
 class LengthMismatch(Exception):
@@ -51,6 +54,57 @@ def _require(ds: Dataset, min_motions: int, purpose: str) -> None:
                               f"the dataset has {len(ds.motions)}")
     if not ds.copas:
         raise DatasetTooSmall(f"{purpose} needs at least one CoPA, the dataset has none")
+
+
+class Method(NamedTuple):
+    """One matching method, declared once: the ``SimilarityContext`` stores
+    it cannot run without (``needs``) and those it reads when present
+    (``optional``; tf-idf comes with ``wiki``); whether ``eval`` keeps only
+    its ``topic_method_copas`` (``topic_only``); ``build(ds, config, ctx)``,
+    its inputs from ``ds``, built once per command, whose
+    ``without_motion(h)`` is the fold without motion h; and ``score(inputs,
+    motion, config, ctx)``, ``motion``'s row against every CoPA of the
+    inputs' dataset (``copa_ids`` order, NaN for abstentions).  ``inputs``
+    is ``build``'s result, against which ``motion`` is a new query, or its
+    ``without_motion(motion.id)``; W2V and the feature LR train there."""
+
+    needs: tuple[str, ...]
+    optional: tuple[str, ...]
+    topic_only: bool
+    build: Callable
+    score: Callable
+
+
+def _feature_table(ds: Dataset, config: EvalConfig, ctx: SimilarityContext) -> FeatureTable:
+    _require(ds, 1, "the lr method")
+    return FeatureTable(ds, ctx)
+
+
+# classifiers' functions are looked up when called, so that patching the
+# module (tests, the benchmark's tracer) reaches every method
+METHODS = {
+    "ba": Method((), (), False, lambda ds, config, ctx: clf.train_ba(ds, k=config.ba_k),
+                 lambda model, motion, config, ctx: clf.predict_ba(model, motion)),
+    "knn": Method(("embeddings",), (), True, lambda ds, config, ctx: clf.KNNCandidates(ds),
+                  lambda inputs, motion, config, ctx: clf.predict_knn(
+                      inputs.ds, motion, ctx, threshold=config.knn_threshold,
+                      min_neighbors=config.knn_min_neighbors, top=config.knn_top,
+                      exclude_topic=inputs.exclude_topic)),
+    "w2v": Method(("embeddings",), (), True, lambda ds, config, ctx: clf.W2VTable(ds, ctx),
+                  lambda table, motion, config, ctx: clf.predict_w2v(
+                      clf.train_w2v_lr(table, lam=config.l2_lambda, tol=config.tol,
+                                       max_iters=config.max_iters),
+                      table.counts, motion, ctx)),
+    "nb": Method(("sentences",), (), True,
+                 lambda ds, config, ctx: clf.train_nb(ds, ctx.sentences, alpha=config.nb_alpha),
+                 lambda model, motion, config, ctx: clf.predict_nb(model, motion, ctx.sentences)),
+    "lr": Method((), ("embeddings", "alt_embeddings", "wiki"), False, _feature_table,
+                 lambda table, motion, config, ctx: clf.predict_feature_lr(
+                     clf.train_feature_lr(table.values, table.labels, lam=config.l2_lambda,
+                                          tol=config.tol, max_iters=config.max_iters),
+                     table.query_rows(motion))),
+}
+KNOWN_METHODS = tuple(METHODS)
 
 
 def default_threshold_grid(step: float = 0.01) -> tuple[float, ...]:
@@ -133,7 +187,7 @@ def leave_one_out(ds: Dataset, config: EvalConfig, ctx: SimilarityContext) -> di
             for method in config.methods:
                 fold = inputs[method].without_motion(held_out.id)
                 row = score_motion(method, fold, held_out, config, ctx)
-                if method in ("knn", "w2v", "nb"):
+                if METHODS[method].topic_only:
                     row[ineligible] = np.nan
                 rows[method].append(row)
         except Exception as exc:
@@ -146,58 +200,20 @@ def leave_one_out(ds: Dataset, config: EvalConfig, ctx: SimilarityContext) -> di
 
 
 def method_inputs(method: str, ds: Dataset, config: EvalConfig, ctx: SimilarityContext):
-    """What ``method`` learns from ``ds``, built once per command.  Its
-    ``without_motion(h)`` is the leave-one-out fold without motion h,
-    derived by subtracting h; ``score_motion`` reads either."""
-    if method == "ba":
-        return clf.train_ba(ds, k=config.ba_k)
-    if method == "knn":
-        return clf.KNNCandidates(ds)
-    if method == "w2v":
-        return clf.W2VTable(ds, ctx)
-    if method == "nb":
-        return clf.train_nb(ds, ctx.sentences, alpha=config.nb_alpha)
-    if method == "lr":
-        _require(ds, 1, "the lr method")
-        return FeatureTable(ds, ctx)
-    raise ValueError(f"unknown method {method!r}")
+    """``METHODS[method].build`` on ``ds``; ValueError for an unknown
+    method or when ``ctx`` lacks a store the method needs."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    for store in METHODS[method].needs:
+        if getattr(ctx, store) is None:
+            raise ValueError(f"method {method!r} requires the {store!r} store")
+    return METHODS[method].build(ds, config, ctx)
 
 
-def score_motion(
-    method: str,
-    inputs,
-    motion: Motion,
-    config: EvalConfig,
-    ctx: SimilarityContext,
-) -> np.ndarray:
-    """Scores of ``motion`` under one method against every CoPA of the
-    dataset ``inputs`` came from: the scorer's row, in its ``copa_ids``
-    order with NaN for abstentions.
-
-    ``inputs`` is ``method_inputs(method, ds, ...)``, against which
-    ``motion`` is a new query, or its ``without_motion(motion.id)``, the
-    leave-one-out fold that holds ``motion`` out.  W2V and the feature LR
-    train on them here; the other methods only read them.
-    """
-    if method == "ba":
-        return clf.predict_ba(inputs, motion)
-    if method == "knn":
-        return clf.predict_knn(
-            inputs.ds, motion, ctx, threshold=config.knn_threshold,
-            min_neighbors=config.knn_min_neighbors, top=config.knn_top,
-            exclude_topic=inputs.exclude_topic,
-        )
-    if method == "w2v":
-        fits = clf.train_w2v_lr(inputs, lam=config.l2_lambda, tol=config.tol,
-                                max_iters=config.max_iters)
-        return clf.predict_w2v(fits, inputs.counts, motion, ctx)
-    if method == "nb":
-        return clf.predict_nb(inputs, motion, ctx.sentences)
-    if method == "lr":
-        model = clf.train_feature_lr(inputs.values, inputs.labels, lam=config.l2_lambda,
-                                     tol=config.tol, max_iters=config.max_iters)
-        return clf.predict_feature_lr(model, inputs.query_rows(motion))
-    raise ValueError(f"unknown method {method!r}")
+def score_motion(method: str, inputs, motion: Motion, config: EvalConfig,
+                 ctx: SimilarityContext) -> np.ndarray:
+    """``METHODS[method].score``: ``motion``'s row against ``inputs``."""
+    return METHODS[method].score(inputs, motion, config, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -770,6 +770,40 @@ class TestFeatureLR:
         scores = predict_feature_lr(model, rows)
         assert len(scores) == len(ds.copa_ids) and not np.isnan(scores).any()
 
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), spread=st.integers(-3, 3))
+def test_block_scores_equal_a_per_row_loop(seed, n, spread):
+    """The feature LR and W2V score their rows as one block: bit for bit a
+    loop that takes each row's 1-D dot product and sigmoid on its own."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** spread
+    rows = rng.normal(size=(n, N_FEATURES)) * scale
+    scaler = Standardizer(mean=rng.normal(size=N_FEATURES),
+                          scale=np.where(rng.random(N_FEATURES) < 0.2, 0.0,
+                                         rng.random(N_FEATURES)))
+    fit = LogRegFit(rng.normal(size=N_FEATURES) * scale, float(rng.normal()) * scale,
+                    n_iters=0, grad_norm=0.0, tol=1e-6)
+    weights, bias = fit
+    want = [float(sigmoid(float(weights @ ((row - scaler.mean) * scaler.scale)) + bias))
+            for row in rows]
+    assert np.array_equal(predict_feature_lr((scaler, fit), rows), want)
+
+    dim = 8
+    copas = [(f"c{j}", f"theme {j}") for j in range(max(n, 1))]
+    # the ban motion is in every other CoPA, so the others veto ban
+    ds = build_dataset([("m0", "ban", "t")], copas, [("m0", cid) for cid, _ in copas[::2]])
+    ctx = SimilarityContext(embeddings=EmbeddingStore({"t": rng.normal(size=dim)}, dim))
+    fits = [LogRegFit(rng.normal(size=dim) * scale, float(rng.normal()) * scale,
+                      n_iters=0, grad_norm=0.0, tol=1e-6) for _ in copas]
+    x = ctx.term_vector(SimilarityKind.EMBEDDING, "t")
+    vetoed = ds.label_counts.blacklisted("ban")
+    want = [0.0 if veto else float(sigmoid(float(w @ x) + b))
+            for (w, b), veto in zip(fits, vetoed, strict=True)]
+    assert len(copas) < 2 or 0 < vetoed.sum() < len(copas)
+    assert np.array_equal(predict_w2v(fits, ds.label_counts, Motion("q", "ban", "t"), ctx), want)
+
+
 # ---------------------------------------------------------------------------
 # Ensemble and score matrices
 # ---------------------------------------------------------------------------

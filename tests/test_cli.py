@@ -395,6 +395,27 @@ class TestExitCodes:
             assert result.exit_code == 4, (args, result.output)
             assert str(broken) in result.output
 
+    @pytest.mark.parametrize("method, key, first", [
+        ("knn", "embeddings", "knn"), ("w2v", "embeddings", "knn"),
+        ("nb", "sentence_corpus", "nb"),
+    ])
+    def test_missing_required_path_exits_2_before_loading(self, runner, workspace, tmp_path,
+                                                          method, key, first):
+        """``first`` is the first method of the configured five that needs
+        ``key``; the ensemble and eval stop there, before loading the wiki
+        corpus that ``lr`` reads."""
+        base = json.loads((workspace / "config.json").read_text())
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**{k: v for k, v in base.items() if k != key},
+                                   "wiki_corpus": str(tmp_path / "no_such_file.json")}))
+        for args, named in ((["match", "ban", "t0", "--method", method], method),
+                            (["match", "ban", "t0"], first),
+                            (["eval", "--out", str(tmp_path / "o")], first)):
+            result = runner.invoke(main, ["--config", str(cfg), *args])
+            assert result.exit_code == 2, (args, result.output)
+            assert f"error: method '{named}' requires the '{key}' path" in result.output
+            assert "no_such_file" not in result.output
+
     def test_fold_error_names_held_out_motion(self, runner, workspace, tmp_path, monkeypatch):
         def broken(model, motion):
             raise RuntimeError("trainer failed")
@@ -451,6 +472,27 @@ class TestMatchCommand:
         assert result.exit_code == 0
         assert "pro: NATO works efficiently" in result.output
         assert "con: NATO fails to achieve its goals" in result.output
+
+    @pytest.mark.parametrize("method", ["knn", "ensemble"])
+    @pytest.mark.parametrize("name", ["@query", "@@@@"])
+    def test_a_dataset_motion_may_have_any_id(self, runner, tmp_path, monkeypatch, method, name):
+        """The query's id is no dataset motion's, so KNN's self-exclusion
+        drops no dataset motion: renaming m01 (ban, smoking) changes no
+        output."""
+        monkeypatch.chdir(ROOT)
+        doc = json.loads((ROOT / "data" / "sample_dataset.json").read_text())
+        for record in doc["motions"] + doc["labels"]:
+            for field in ("id", "motion"):
+                if record.get(field) == "m01":
+                    record[field] = name
+        renamed = tmp_path / "ds.json"
+        renamed.write_text(json.dumps(doc))
+        args = ["--config", "data/config.json", "match", "subsidize", "smoking", "--method", method]
+        want = runner.invoke(main, args)
+        got = runner.invoke(main, args, env={"COPA_DATASET": str(renamed)})
+        assert want.exit_code == 0 and got.exit_code == 0, got.output
+        assert want.output.count("\t") >= 3
+        assert got.output == want.output
 
     def test_ensemble_takes_max_of_methods(self, runner, workspace, monkeypatch):
         cfgpath = workspace / "config.json"
@@ -554,6 +596,10 @@ class TestEvalCommand:
         fits = {kind: (f["calls"] > 0, f["unchecked"], f["unconverged"])
                 for kind, f in tracer.fits.items()}
         assert fits == {"w2v": (True, 0, 0), "feature_lr": (True, 0, 0)}
+        # every scorer's span fires, so no method reaches classifiers past the tracer
+        for name in ("train_ba", "predict_ba", "predict_knn", "train_nb", "predict_nb",
+                     "train_w2v_lr", "predict_w2v", "train_feature_lr", "predict_feature_lr"):
+            assert tracer.calls[f"classifiers.{name}"] > 0, name
 
 
 class TestFeaturesCommand:
@@ -845,8 +891,35 @@ def _dataset_docs(field, claims):
     )
 
 
+@st.composite
+def _loadable_dataset_docs(draw):
+    """Dataset documents that pass validation and run folds: the motion
+    ids drawn first, 2-4 motions with distinct (action, topic) pairs over
+    the document's actions, 1-3 CoPAs, and labels over the drawn ids."""
+    actions = draw(st.lists(ACTION_IDS, min_size=1, max_size=3, unique=True))
+    motion_ids = draw(st.lists(MOTION_IDS, min_size=2, max_size=4, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(actions), TOPICS), unique=True,
+                          min_size=len(motion_ids), max_size=len(motion_ids)))
+    copa_ids = draw(st.lists(COPA_IDS, min_size=1, max_size=3, unique=True))
+    labels = draw(st.lists(st.tuples(st.sampled_from(motion_ids), st.sampled_from(copa_ids)),
+                           max_size=6, unique=True))
+    return {
+        "actions": [{"id": a, "surface": draw(TEXT)} for a in actions],
+        "copas": [{"id": cid, "name": draw(TEXT), "topic_related": draw(st.booleans()),
+                   "manual_titles": draw(st.lists(TOPICS, min_size=1, max_size=3)),
+                   "claims": draw(CLAIMS)} for cid in copa_ids],
+        "motions": [{"id": mid, "action": action, "topic": topic}
+                    for mid, (action, topic) in zip(motion_ids, pairs)],
+        "labels": [{"motion": mid, "copa": cid} for mid, cid in labels],
+    }
+
+
 DATASET_DOCS = (_dataset_docs(lambda strategy: strategy, CLAIMS)
                 | _dataset_docs(_mostly, _mostly(CLAIMS, BAD_CLAIMS)))
+# half the examples are documents that load and run leave-one-out folds;
+# the other half are any of the documents above, JSON values or raw bytes
+DATASET_FILES = (st.tuples(_loadable_dataset_docs(), st.none())
+                 | st.tuples(DATASET_DOCS | JSON_VALUES, st.none() | st.binary(max_size=16)))
 COUNTS = _mostly(st.integers(0, 5))
 WIKI_DOCS = st.fixed_dictionaries({}, optional={
     "articles": _mostly(st.dictionaries(
@@ -864,9 +937,10 @@ WIKI_DOCS = st.fixed_dictionaries({}, optional={
 })
 
 
-@given(doc=DATASET_DOCS | JSON_VALUES, raw=st.none() | st.binary(max_size=16))
+@given(file=DATASET_FILES)
 @settings(max_examples=150, deadline=None)
-def test_any_dataset_file_loads_or_is_a_parse_or_validation_error(workspace, doc, raw):
+def test_any_dataset_file_loads_or_is_a_parse_or_validation_error(workspace, file):
+    doc, raw = file
     path = _fuzz_file(workspace, "fuzz_dataset.json", [json.dumps(doc)], raw)
     try:
         load_dataset(path)

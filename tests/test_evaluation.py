@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from copa import classifiers as clfmod
 from copa.classifiers import TopicSentenceCorpus
+from copa.cli import AppConfig
 from copa.evaluation import (
+    METHODS,
     EvalConfig,
     FoldError,
     LengthMismatch,
@@ -20,7 +22,13 @@ from copa.evaluation import (
     topic_method_copas,
 )
 from copa.kb import Motion
-from copa.textsim import EmbeddingStore, SimilarityContext, SimilarityKind
+from copa.textsim import (
+    EmbeddingStore,
+    SimilarityContext,
+    SimilarityKind,
+    TfIdfModel,
+    WikiCorpus,
+)
 from helpers import (
     build_dataset,
     matrix_entries,
@@ -194,7 +202,7 @@ class TestLeaveOneOut:
             [("m1", "c1"), ("m2", "c1")],
         )
         config = EvalConfig(methods=("w2v",), topic_min_motions=1)
-        with pytest.raises(ValueError, match="embedding store"):
+        with pytest.raises(ValueError, match="method 'w2v' requires the 'embeddings' store"):
             leave_one_out(ds, config, SimilarityContext())  # no embeddings
 
     def test_needs_two_motions(self):
@@ -206,7 +214,7 @@ class TestLeaveOneOut:
         ds = build_dataset(
             [("m1", "ban", "a"), ("m2", "ban", "b")], [("c1", "one")], []
         )
-        with pytest.raises(ValueError, match="corpus"):
+        with pytest.raises(ValueError, match="method 'nb' requires the 'sentences' store"):
             leave_one_out(ds, EvalConfig(methods=("nb",)), SimilarityContext())
 
     @settings(max_examples=30, deadline=None)
@@ -243,6 +251,70 @@ class TestLeaveOneOut:
             want = knn_scores(fold, m, store, min_neighbors=1, top=5, exclude_topic=m.topic)
             want[ineligible] = np.nan
             assert np.array_equal(out["knn"].scores[i], want, equal_nan=True), ("knn", m.id)
+
+
+# ---------------------------------------------------------------------------
+# The method registry
+# ---------------------------------------------------------------------------
+
+SAMPLE_QUERIES = (("subsidize", "solar energy"), ("disband", "NATO"), ("ban", "smoking"))
+
+
+def _sample_stores(data_dir):
+    """Every store of the sample config, by ``SimilarityContext`` field."""
+    wiki = WikiCorpus.from_file(data_dir / "wiki_corpus.json")
+    return {
+        "embeddings": EmbeddingStore.from_file(data_dir / "toy_embeddings.txt"),
+        "alt_embeddings": EmbeddingStore.from_file(data_dir / "toy_embeddings_alt.txt"),
+        "tfidf": TfIdfModel.from_wiki_corpus(wiki),
+        "wiki": wiki,
+        "sentences": TopicSentenceCorpus.from_jsonl(data_dir / "sentence_corpus.jsonl"),
+    }
+
+
+class TestMethodRegistry:
+    """Each ``METHODS`` entry declares every store its method reads: a
+    context of only those stores scores as the full one does, and a
+    context without a store the entry needs is refused before any fold."""
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_declared_stores_score_as_every_store(self, data_dir, sample_dataset, method):
+        config = AppConfig.load(str(data_dir / "config.json"), env={})
+        stores = _sample_stores(data_dir)
+        entry = METHODS[method]
+        declared = set(entry.needs + entry.optional)
+        if "wiki" in declared:
+            declared.add("tfidf")  # tf-idf comes with the wiki corpus
+        assert declared <= set(stores)
+
+        def rows(ctx):
+            inputs = method_inputs(method, sample_dataset, config, ctx)
+            return [score_motion(method, inputs, Motion("query", action, topic), config, ctx)
+                    for action, topic in SAMPLE_QUERIES]
+
+        only = rows(SimilarityContext(**{s: stores[s] for s in declared}))
+        full = rows(SimilarityContext(**stores))
+        for want, got in zip(full, only, strict=True):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("method, store", [
+        (method, store) for method, entry in METHODS.items() for store in entry.needs
+    ])
+    def test_a_missing_needed_store_is_refused(self, data_dir, sample_dataset, method, store):
+        config = AppConfig.load(str(data_dir / "config.json"), env={})
+        stores = {s: v for s, v in _sample_stores(data_dir).items() if s != store}
+        message = f"method '{method}' requires the '{store}' store"
+        with pytest.raises(ValueError, match=message):
+            method_inputs(method, sample_dataset, config, SimilarityContext(**stores))
+        with pytest.raises(ValueError, match=message):
+            leave_one_out(sample_dataset, EvalConfig(methods=(method,)),
+                          SimilarityContext(**stores))
+
+    def test_needed_stores(self):
+        """Pins the stores the parametrization above iterates over."""
+        needs = {method: entry.needs for method, entry in METHODS.items()}
+        assert needs == {"ba": (), "knn": ("embeddings",), "w2v": ("embeddings",),
+                         "nb": ("sentences",), "lr": ()}
 
 
 def _fold_fixture(rng):
