@@ -98,32 +98,35 @@ def ensemble(matrices: list[ScoreMatrix]) -> ScoreMatrix:
 
 
 def sigmoid(z):
+    """1 / (1 + exp(-z)) elementwise, from e = exp(-|z|) so that no exp
+    overflows: 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere (NaN
+    stays NaN).  A 0-d input gives a float."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return float(out) if out.ndim == 0 else out
+
+
+def _objective_at(z, neg_signs, w, lam) -> float:
+    """``logreg_objective`` from the margins ``z = X @ w + b`` and
+    ``neg_signs = -(2y - 1)``."""
+    return float(np.logaddexp(0.0, neg_signs * z).mean()) + 0.5 * lam * float(w @ w)
+
+
+def _gradient_at(X, y, p, w, lam):
+    """``_logreg_gradient`` from the probabilities ``p = sigmoid(X @ w + b)``."""
+    residual = (p - y) / len(y)
+    return X.T @ residual + lam * w, float(residual.sum())
 
 
 def logreg_objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, lam: float) -> float:
     """Mean negative log-likelihood plus (lam/2)*||w||^2; bias excluded
     from the penalty."""
-    z = X @ w + b
-    signs = 2.0 * y - 1.0
-    nll = float(np.logaddexp(0.0, -signs * z).mean())
-    return nll + 0.5 * lam * float(w @ w)
+    return _objective_at(X @ w + b, -(2.0 * y - 1.0), w, lam)
 
 
 def _logreg_gradient(X, y, w, b, lam):
-    n = len(y)
-    residual = (sigmoid(X @ w + b) - y) / n
-    grad_w = X.T @ residual + lam * w
-    grad_b = float(residual.sum())
-    return grad_w, grad_b
+    return _gradient_at(X, y, sigmoid(X @ w + b), w, lam)
 
 
 class LogRegFit(tuple):
@@ -164,6 +167,10 @@ def logreg_fit(
 
     ``on_step(iteration, objective)`` is called after every accepted
     step; the accepted objective values never increase.
+
+    Each iterate is one pass: the margins ``X @ w + b`` of the accepted
+    line-search candidate are the next iterate's, and their sigmoid feeds
+    both its gradient and its Hessian.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -174,20 +181,22 @@ def logreg_fit(
     n, d = X.shape
     A = np.hstack([X, np.ones((n, 1))])
     ridge = np.diag(np.append(np.full(d, float(lam)), 0.0))
+    neg_signs = -(2.0 * y - 1.0)
 
     w = np.zeros(d)
     b = 0.0
-    value = logreg_objective(X, y, w, b, lam)
+    z = X @ w + b  # the margins of (w, b), carried over from the accepted candidate
+    value = _objective_at(z, neg_signs, w, lam)
     n_iters = 0
     grad_sq = math.inf
     for iteration in range(max_iters + 1):
-        grad_w, grad_b = _logreg_gradient(X, y, w, b, lam)
+        p = sigmoid(z)
+        grad_w, grad_b = _gradient_at(X, y, p, w, lam)
         grad = np.append(grad_w, grad_b)
         grad_sq = float(grad_w @ grad_w) + grad_b * grad_b
         # the pass after the last step only measures the final gradient
         if math.sqrt(grad_sq) < tol or iteration == max_iters:
             break
-        p = sigmoid(X @ w + b)
         hessian = (A.T * (p * (1.0 - p) / n)) @ A + ridge
         try:
             direction = np.linalg.solve(hessian, -grad)
@@ -200,14 +209,15 @@ def logreg_fit(
         while step > 1e-20:
             cand_w = w + step * direction[:d]
             cand_b = b + step * float(direction[d])
-            cand_value = logreg_objective(X, y, cand_w, cand_b, lam)
+            cand_z = X @ cand_w + cand_b
+            cand_value = _objective_at(cand_z, neg_signs, cand_w, lam)
             if cand_value <= value + 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
             break  # no descent direction left at float precision
         assert cand_value <= value, "line search accepted an ascent step"
-        w, b, value = cand_w, cand_b, cand_value
+        w, b, z, value = cand_w, cand_b, cand_z, cand_value
         n_iters += 1
         if on_step is not None:
             on_step(iteration, value)

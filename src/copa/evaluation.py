@@ -242,8 +242,9 @@ def _included_columns(scores: ScoreMatrix, ds: Dataset, exclude_general: bool):
     if scores.motion_ids != ds.motion_ids or scores.copa_ids != ds.copa_ids:
         raise ValueError("the score matrix's ids are not the dataset's, in order")
     included = set(ds.included_copa_ids(exclude_general))
-    cols = sorted((j for j, cid in enumerate(ds.copa_ids) if cid in included),
-                  key=lambda j: ds.copa_ids[j])
+    copa_ids = ds.copa_ids  # the property builds a new tuple on every read
+    cols = sorted((j for j, cid in enumerate(copa_ids) if cid in included),
+                  key=lambda j: copa_ids[j])
     return scores.scores[:, cols], ds.label_counts.member[:, cols]
 
 

@@ -328,8 +328,11 @@ STDDEV_FLOOR = 1e-9
 
 
 def standardize(train_vectors) -> Standardizer:
-    """Fit a Standardizer on training feature vectors."""
-    matrix = np.asarray(list(train_vectors), dtype=float)
+    """Fit a Standardizer on training feature vectors (an array or a
+    sequence of vectors)."""
+    # C order, as stacking the rows gives: a column's mean and stddev sum
+    # in another order over a block of another layout
+    matrix = np.ascontiguousarray(train_vectors, dtype=float)
     if matrix.size == 0:
         raise EmptyTrainingSet("standardize() requires at least one vector")
     mean = matrix.mean(axis=0)

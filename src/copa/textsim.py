@@ -256,20 +256,28 @@ class TfIdfModel:
     def from_documents(cls, documents) -> "TfIdfModel":
         """``documents`` is an iterable of term collections; each document
         contributes at most one df count per distinct term."""
-        df: dict[str, int] = {}
-        n_docs = 0
-        for doc in documents:
-            n_docs += 1
-            for term in {name_key(t) for t in doc}:
-                df[term] = df.get(term, 0) + 1
-        if n_docs == 0:
-            raise DomainError("tf-idf model needs at least one document")
-        idf = {t: math.log(n_docs / d) for t, d in df.items()}
-        return cls(idf, n_docs)
+        return cls._from_key_sets({name_key(t) for t in doc} for doc in documents)
 
     @classmethod
     def from_wiki_corpus(cls, corpus: "WikiCorpus") -> "TfIdfModel":
-        return cls.from_documents(rec.body_terms for rec in corpus.records())
+        # the records key their body terms by name_key already
+        return cls._from_key_sets(rec.body_terms for rec in corpus.records())
+
+    @classmethod
+    def _from_key_sets(cls, key_sets) -> "TfIdfModel":
+        """The model of documents given as sets of ``name_key`` terms."""
+        df: dict[str, int] = {}
+        n_docs = 0
+        for keys in key_sets:
+            n_docs += 1
+            for term in keys:
+                df[term] = df.get(term, 0) + 1
+        if n_docs == 0:
+            raise DomainError("tf-idf model needs at least one document")
+        model = cls({}, n_docs)
+        # keyed as it was counted, so __post_init__ need not key it again
+        object.__setattr__(model, "idf_table", {t: math.log(n_docs / d) for t, d in df.items()})
+        return model
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +489,9 @@ class SimilarityContext:
     tfidf: TfIdfModel | None = None
     wiki: WikiCorpus | None = None
     sentences: TopicSentenceCorpus | None = None
-    _vector_cache: dict = field(default_factory=dict, repr=False)
-    _title_cache: dict = field(default_factory=dict, repr=False)
+    # not init fields: a context made by dataclasses.replace starts empty
+    _vector_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _title_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def term_vector(self, kind: SimilarityKind, term: str):
         """The term's representation under ``kind``: its unit embedding

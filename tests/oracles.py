@@ -155,6 +155,82 @@ def ba_scores(ds_train, motion, k):
     return np.array(out)
 
 
+# --- logistic regression -----------------------------------------------------
+
+
+def sigmoid_masked(z):
+    """Sigmoid by boolean masks: 1 / (1 + exp(-z)) on z >= 0 and
+    exp(z) / (1 + exp(z)) on the rest (NaN among them); a float for a
+    0-d input."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def logreg_fit_reference(X, y, lam, tol, max_iters):
+    """Damped Newton from a zero start that recomputes the margins
+    ``X @ w + b`` for the gradient, for the Hessian and for every line
+    search candidate, and the sigmoid for the gradient and the Hessian:
+    the solver's loop written out, which ``classifiers.logreg_fit`` must
+    match bit for bit.  Returns (weights, bias, accepted steps, final
+    gradient norm, [(iteration, objective)] per accepted step, the number
+    of steps that fell back to -g)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, d = X.shape
+
+    def objective(w, b):
+        z = X @ w + b
+        signs = 2.0 * y - 1.0
+        nll = float(np.logaddexp(0.0, -signs * z).mean())
+        return nll + 0.5 * lam * float(w @ w)
+
+    A = np.hstack([X, np.ones((n, 1))])
+    ridge = np.diag(np.append(np.full(d, float(lam)), 0.0))
+    w = np.zeros(d)
+    b = 0.0
+    value = objective(w, b)
+    steps, fallbacks = [], 0
+    grad_sq = math.inf
+    for iteration in range(max_iters + 1):
+        residual = (sigmoid_masked(X @ w + b) - y) / n
+        grad_w = X.T @ residual + lam * w
+        grad_b = float(residual.sum())
+        grad = np.append(grad_w, grad_b)
+        grad_sq = float(grad_w @ grad_w) + grad_b * grad_b
+        if math.sqrt(grad_sq) < tol or iteration == max_iters:
+            break
+        p = sigmoid_masked(X @ w + b)
+        hessian = (A.T * (p * (1.0 - p) / n)) @ A + ridge
+        try:
+            direction = np.linalg.solve(hessian, -grad)
+        except np.linalg.LinAlgError:
+            direction = None
+        if direction is None or not (np.isfinite(direction).all() and grad @ direction < 0.0):
+            direction = -grad
+            fallbacks += 1
+        slope = float(grad @ direction)
+        step = 1.0
+        while step > 1e-20:
+            cand_w = w + step * direction[:d]
+            cand_b = b + step * float(direction[d])
+            cand_value = objective(cand_w, cand_b)
+            if cand_value <= value + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        w, b, value = cand_w, cand_b, cand_value
+        steps.append((iteration, value))
+    return w, b, len(steps), math.sqrt(grad_sq), steps, fallbacks
+
+
 # --- blacklists --------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -6,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copa import classifiers as clfmod
@@ -53,7 +54,14 @@ from helpers import (
     score_matrix,
     topic_words,
 )
-from oracles import ba_scores, build_blacklist, elementwise_max, knn_scores
+from oracles import (
+    ba_scores,
+    build_blacklist,
+    elementwise_max,
+    knn_scores,
+    logreg_fit_reference,
+    sigmoid_masked,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +410,96 @@ class TestLogregFit:
         assert isinstance(fit, LogRegFit)
         assert (fit.n_iters, fit.converged) == (3, False)
         assert fit.grad_norm >= 1e-6
+
+
+def _fit_problem(seed, n, d, spread, labels, duplicate):
+    """``n`` rows of ``d`` normal columns at magnitude 10**spread, the first
+    column repeated as the last when ``duplicate``; labels random, all
+    zero, or separable on the first column."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * 10.0 ** spread
+    if duplicate:
+        X = np.hstack([X, X[:, :1]])
+    y = {"random": (rng.random(n) < 0.5).astype(float), "zeros": np.zeros(n),
+         "separable": (X[:, 0] > 0).astype(float)}[labels]
+    return X, y
+
+
+#: one draw per solver branch, each checked to reach it below
+_FIT_BRANCHES = {
+    "unconverged": dict(seed=1, n=20, d=2, spread=0, labels="separable", duplicate=True,
+                        lam=0.0, tol=1e-6, max_iters=200),
+    "fallback": dict(seed=2, n=15, d=2, spread=0, labels="random", duplicate=True,
+                     lam=0.0, tol=1e-6, max_iters=200),
+    "capped": dict(seed=3, n=20, d=3, spread=0, labels="random", duplicate=False,
+                   lam=1e-3, tol=1e-6, max_iters=1),
+    "small": dict(seed=4, n=30, d=4, spread=-3, labels="random", duplicate=False,
+                  lam=1e-3, tol=1e-6, max_iters=200),
+    "large": dict(seed=5, n=30, d=4, spread=3, labels="random", duplicate=True,
+                  lam=1e-3, tol=1e-6, max_iters=200),
+}
+
+
+def test_fit_branch_examples_reach_their_branch():
+    for name, case in _FIT_BRANCHES.items():
+        problem = {k: case[k] for k in ("seed", "n", "d", "spread", "labels", "duplicate")}
+        X, y = _fit_problem(**problem)
+        _, _, n_iters, grad_norm, _, fallbacks = logreg_fit_reference(
+            X, y, case["lam"], case["tol"], case["max_iters"])
+        reached = {"unconverged": grad_norm >= case["tol"], "fallback": fallbacks > 0,
+                   "capped": n_iters == case["max_iters"] and grad_norm >= case["tol"],
+                   "small": n_iters > 0, "large": n_iters > 0}[name]
+        assert reached, name
+
+
+def _with_branch_examples(test):
+    for case in _FIT_BRANCHES.values():
+        test = example(**case)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 6),
+       spread=st.integers(-3, 3), labels=st.sampled_from(["random", "zeros", "separable"]),
+       duplicate=st.booleans(), lam=st.sampled_from([0.0, 1e-3]) | st.floats(1e-6, 1.0),
+       tol=st.sampled_from([1e-6, 1e-3]), max_iters=st.sampled_from([1, 2, 5, 200]))
+@_with_branch_examples
+def test_fit_matches_the_reference_loop_bit_for_bit(seed, n, d, spread, labels, duplicate,
+                                                     lam, tol, max_iters):
+    """One pass per iterate computes what the loop that recomputes every
+    margin and sigmoid computes: weights, bias, diagnostics and steps."""
+    X, y = _fit_problem(seed, n, d, spread, labels, duplicate)
+    want_w, want_b, want_iters, want_norm, want_steps, _ = logreg_fit_reference(
+        X, y, lam, tol, max_iters)
+    steps = []
+    fit = logreg_fit(X, y, lam=lam, tol=tol, max_iters=max_iters,
+                     on_step=lambda i, v: steps.append((i, v)))
+    weights, bias = fit
+    assert np.array_equal(weights, want_w) and type(bias) is float and bias == want_b
+    assert (fit.n_iters, fit.grad_norm, fit.converged) == (want_iters, want_norm, want_norm < tol)
+    assert steps == want_steps
+
+
+#: signed zeros, infinities, NaN, subnormals, and margins whose exp underflows
+#: or would overflow
+_SIGMOID_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+                     -1e-310, 750.0, -750.0, 745.2, -745.2, 709.8, -709.8, 36.0, -36.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_subnormal=True) | st.sampled_from(_SIGMOID_SPECIALS),
+                max_size=40))
+@example(_SIGMOID_SPECIALS)
+def test_sigmoid_matches_the_masked_reference(values):
+    """Bit for bit on arrays and on scalars (NaN stays NaN), warning-free."""
+    z = np.array(values, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, scalars = sigmoid(z), [sigmoid(v) for v in values]
+    assert np.array_equal(got, sigmoid_masked(z), equal_nan=True)
+    for v, s in zip(values, scalars, strict=True):
+        want = sigmoid_masked(v)
+        assert type(s) is float and (s == want or (math.isnan(s) and math.isnan(want)))
 
 
 # ---------------------------------------------------------------------------

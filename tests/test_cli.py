@@ -582,6 +582,22 @@ class TestEvalCommand:
         modules = {name: importlib.import_module(f"copa.{name}") for name in
                    ("kb", "textsim", "features", "classifiers", "evaluation", "cli")}
         tracer = trace.Tracer(modules)
+        # the fits each trainer returns, to hold the tracer's step counts against
+        returned = {"w2v": [], "feature_lr": []}
+        train_w2v_lr, train_feature_lr = clfmod.train_w2v_lr, clfmod.train_feature_lr
+
+        def w2v_recording(*args, **kwargs):
+            fits = train_w2v_lr(*args, **kwargs)
+            returned["w2v"].extend(fits)
+            return fits
+
+        def feature_lr_recording(*args, **kwargs):
+            model = train_feature_lr(*args, **kwargs)
+            returned["feature_lr"].append(model[1])
+            return model
+
+        monkeypatch.setattr(clfmod, "train_w2v_lr", w2v_recording)
+        monkeypatch.setattr(clfmod, "train_feature_lr", feature_lr_recording)
         monkeypatch.chdir(data_dir.parent)
         tracer.install()
         try:
@@ -596,6 +612,10 @@ class TestEvalCommand:
         fits = {kind: (f["calls"] > 0, f["unchecked"], f["unconverged"])
                 for kind, f in tracer.fits.items()}
         assert fits == {"w2v": (True, 0, 0), "feature_lr": (True, 0, 0)}
+        # on_step fires once per accepted step of every fit
+        for kind, returned_fits in returned.items():
+            assert tracer.fits[kind]["calls"] == len(returned_fits), kind
+            assert tracer.fits[kind]["iters"] == sum(f.n_iters for f in returned_fits) > 0, kind
         # every scorer's span fires, so no method reaches classifiers past the tracer
         for name in ("train_ba", "predict_ba", "predict_knn", "train_nb", "predict_nb",
                      "train_w2v_lr", "predict_w2v", "train_feature_lr", "predict_feature_lr"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copa.features import (
     FEATURE_NAMES,
@@ -229,6 +231,19 @@ class TestStandardizer:
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
             standardize([])
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 17),
+           spread=st.integers(-3, 3), layout=st.sampled_from(["C", "F", "strided"]))
+    def test_an_array_standardizes_as_the_list_of_its_rows(self, seed, n, d, spread, layout):
+        # the column sums run in one order whatever the block's memory layout
+        rng = np.random.default_rng(seed)
+        block = rng.normal(size=(n, 2 * d)) * 10.0 ** spread
+        block[:, 1] = 7.0  # a constant feature
+        array = {"C": np.ascontiguousarray(block[:, :d]), "F": np.asfortranarray(block[:, :d]),
+                 "strided": block[:, ::2]}[layout]
+        got, want = standardize(array), standardize(list(array))
+        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.scale, want.scale)
 
 
 # ---------------------------------------------------------------------------

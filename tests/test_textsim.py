@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -331,6 +332,15 @@ class TestTermSimilarity:
         got = term_similarity(SimilarityKind.TFIDF, "solar", "lunar", ctx)
         # panel has df=2=n_docs -> idf 0, dropped; sun vs moon share nothing
         assert got == 0.0
+
+    def test_a_replaced_context_forgets_the_removed_stores(self, store):
+        corpus = _toy_corpus({"health": 2}, {"health": 1}, 10)
+        ctx = SimilarityContext(embeddings=store, wiki=corpus)
+        assert ctx.term_vector(SimilarityKind.EMBEDDING, "east") is not None
+        assert ctx.related_titles("topic") == ("health",)
+        bare = dataclasses.replace(ctx, embeddings=None, wiki=None)
+        assert bare.term_vector(SimilarityKind.EMBEDDING, "east") is None
+        assert bare.related_titles("topic") == ()
 
     def test_symmetry_all_kinds(self, store):
         tfidf = TfIdfModel.from_documents([["a", "b"], ["b", "c"], ["a", "c", "d"]])
@@ -694,6 +704,16 @@ class TestAvgIdf:
     def test_unknown_title_idf_uses_full_log(self):
         tfidf, _ = self._fixture()
         assert tfidf.idf("zeta") == pytest.approx(math.log(4), abs=1e-12)
+
+    def test_wiki_idf_is_the_idf_of_its_body_term_documents(self):
+        corpus = WikiCorpus(
+            articles={"a": ArticleRecord({}, frozenset({"Alpha", " beta"})),
+                      "b": ArticleRecord({}, frozenset({"alpha", "Gamma "}))},
+            background_link_counts={}, background_total_links=0)
+        tfidf = TfIdfModel.from_wiki_corpus(corpus)
+        want = TfIdfModel.from_documents([["Alpha", " beta"], ["alpha", "Gamma "]])
+        assert tfidf == want
+        assert tfidf.idf_table == {"alpha": 0.0, "beta": math.log(2), "gamma": math.log(2)}
 
     def test_idf_keys_built_in_code_are_normalized(self):
         # as from_documents keys them; the later of two spellings wins
