@@ -343,26 +343,35 @@ def train_w2v_lr(
     lam: float = 1e-3,
     tol: float = 1e-6,
     max_iters: int = 10000,
-) -> list[LogRegFit]:
+    columns: np.ndarray | None = None,
+) -> list[LogRegFit | None]:
     """One-vs-rest logistic regression per CoPA over the table's unit
-    topic vectors, in ``copa_ids`` order; none when no training motion
-    has an embedding."""
+    topic vectors, in ``copa_ids`` order: a fit for each CoPA that the
+    boolean mask ``columns`` keeps (``None`` keeps every CoPA), ``None``
+    for the others; none at all when no training motion has an
+    embedding."""
     if not len(table.X):
         return []
-    return [logreg_fit(table.X, y, lam=lam, tol=tol, max_iters=max_iters)
-            for y in table.labels.T]
+    keep = np.ones(table.labels.shape[1], dtype=bool) if columns is None else columns
+    return [logreg_fit(table.X, table.labels[:, j], lam=lam, tol=tol, max_iters=max_iters)
+            if kept else None for j, kept in enumerate(keep)]
 
 
-def predict_w2v(fits: list[LogRegFit], counts: LabelCounts, motion: Motion,
+def predict_w2v(fits: list[LogRegFit | None], counts: LabelCounts, motion: Motion,
                 ctx: SimilarityContext) -> np.ndarray:
     """Each CoPA's fit's sigmoid of ``weights @ x + bias`` for the topic
     vector x; abstains when the topic has no embedding or there are no
-    fits, 0 where the blacklist of ``counts`` vetoes the action."""
+    fits, 0 where the blacklist of ``counts`` vetoes the action, and
+    abstains at the other CoPAs without a fit."""
     x = ctx.term_vector(SimilarityKind.EMBEDDING, motion.topic)
     if x is None or not fits:
         return np.full(len(counts.copa_ids), np.nan)
-    z = np.array([weights @ x + bias for weights, bias in fits])
-    return score_row(np.where(counts.blacklisted(motion.action), 0.0, sigmoid(z)))
+    fitted = np.array([fit is not None for fit in fits], dtype=bool)
+    z = np.array([weights @ x + bias for weights, bias in (f for f in fits if f is not None)])
+    scores = np.full(len(fits), np.nan)
+    scores[fitted] = sigmoid(z)
+    blacklisted = counts.blacklisted(motion.action)
+    return score_row(np.where(blacklisted, 0.0, scores), abstain=~(fitted | blacklisted))
 
 
 # ---------------------------------------------------------------------------
@@ -449,19 +458,27 @@ def train_nb(ds: Dataset, corpus: TopicSentenceCorpus, alpha: float = 1.0) -> NB
     return clf
 
 
-def predict_nb(clf: NBClassifier, motion: Motion, corpus: TopicSentenceCorpus) -> np.ndarray:
-    """Mean per-sentence posterior over the topic's sentences; abstains
-    when the corpus has none, 0 where the blacklist vetoes the action.
+def predict_nb(clf: NBClassifier, motion: Motion, corpus: TopicSentenceCorpus,
+               columns: np.ndarray | None = None) -> np.ndarray:
+    """Mean per-sentence posterior over the topic's sentences for each CoPA
+    that the boolean mask ``columns`` keeps (``None`` keeps every CoPA);
+    abstains when the corpus has none, 0 where the blacklist vetoes the
+    action, and abstains at the other CoPAs.
 
     Each CoPA's positive and negative classes get log-priors from the
     sentence counts and Laplace-smoothed unigram log-probabilities over
     the vocabulary (words with a positive total); a sentence's words
     outside it are skipped, and a sentence whose two log-posteriors are
-    both -inf (no training sentences) scores 0.5."""
+    both -inf (no training sentences) scores 0.5.  Only the kept CoPAs
+    that the blacklist does not veto are computed; each one's posterior
+    reads only its own counts."""
     copa_ids = clf.counts.copa_ids
     sentences = [tokenize(s) for s in corpus.get(motion.topic)]
     if not sentences:
         return np.full(len(copa_ids), np.nan)
+    blacklisted = clf.counts.blacklisted(motion.action)
+    scored = ~blacklisted if columns is None else columns & ~blacklisted
+    rows = np.flatnonzero(scored)
     vocab_cols = {w: j for tokens in sentences for w in tokens
                   if (j := clf.vocab.get(w)) is not None and clf.totals[j] > 0}
     known = {w: i for i, w in enumerate(vocab_cols)}  # query word -> log-table column
@@ -470,13 +487,14 @@ def predict_nb(clf: NBClassifier, motion: Motion, corpus: TopicSentenceCorpus) -
     n_vocab = int(np.count_nonzero(clf.totals))
     n_words = int(clf.totals.sum())
     totals = clf.totals[cols].tolist()
-    # CoPA x query-word log tables and log-priors, with math.log
-    shape = (len(copa_ids), len(known))
+    # scored-CoPA x query-word log tables and log-priors, with math.log
+    shape = (len(rows), len(known))
     log_pos, log_neg = np.empty(shape), np.empty(shape)
-    prior_pos, prior_neg = np.empty(len(copa_ids)), np.empty(len(copa_ids))
+    prior_pos, prior_neg = np.empty(len(rows)), np.empty(len(rows))
+    positive = clf.positive[rows]
     for c, (pos_counts, pos_words, pos_sentences) in enumerate(zip(
-        clf.positive[:, cols].tolist(), clf.positive.sum(axis=1).tolist(),
-        clf.positive_sentences.tolist(),
+        positive[:, cols].tolist(), positive.sum(axis=1).tolist(),
+        clf.positive_sentences[rows].tolist(),
     )):
         denom_pos = pos_words + alpha * n_vocab
         denom_neg = (n_words - pos_words) + alpha * n_vocab
@@ -484,7 +502,7 @@ def predict_nb(clf: NBClassifier, motion: Motion, corpus: TopicSentenceCorpus) -
         prior_neg[c] = math.log((n - pos_sentences) / n) if n - pos_sentences else -math.inf
         log_pos[c] = [math.log((k + alpha) / denom_pos) for k in pos_counts]
         log_neg[c] = [math.log((t - k + alpha) / denom_neg) for k, t in zip(pos_counts, totals)]
-    total = np.zeros(len(copa_ids))
+    total = np.zeros(len(rows))
     for tokens in sentences:
         lp, ln = prior_pos.copy(), prior_neg.copy()
         for w in tokens:
@@ -494,8 +512,9 @@ def predict_nb(clf: NBClassifier, motion: Motion, corpus: TopicSentenceCorpus) -
         both_inf = (lp == -math.inf) & (ln == -math.inf)
         lp[both_inf] = ln[both_inf] = 0.0
         total += sigmoid(lp - ln)  # sigmoid of the log-odds: exact 0.5 under symmetry
-    posterior = np.minimum(1.0, np.maximum(0.0, total / len(sentences)))
-    return score_row(np.where(clf.counts.blacklisted(motion.action), 0.0, posterior))
+    scores = np.where(blacklisted, 0.0, np.nan)
+    scores[rows] = np.minimum(1.0, np.maximum(0.0, total / len(sentences)))
+    return score_row(scores, abstain=~(scored | blacklisted))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from . import classifiers as clf
 from .classifiers import ScoreMatrix, ensemble
 from .features import FeatureTable
 from .kb import Dataset, Motion
-from .textsim import SimilarityContext
+from .textsim import SimilarityContext, SimilarityKind
 
 
 class LengthMismatch(Exception):
@@ -63,10 +63,13 @@ class Method(NamedTuple):
     its ``topic_method_copas`` (``topic_only``); ``build(ds, config, ctx)``,
     its inputs from ``ds``, built once per command, whose
     ``without_motion(h)`` is the fold without motion h; and ``score(inputs,
-    motion, config, ctx)``, ``motion``'s row against every CoPA of the
-    inputs' dataset (``copa_ids`` order, NaN for abstentions).  ``inputs``
-    is ``build``'s result, against which ``motion`` is a new query, or its
-    ``without_motion(motion.id)``; W2V and the feature LR train there."""
+    motion, config, ctx, columns)``, ``motion``'s row against every CoPA of
+    the inputs' dataset (``copa_ids`` order, NaN for abstentions).
+    ``inputs`` is ``build``'s result, against which ``motion`` is a new
+    query, or its ``without_motion(motion.id)``; W2V and the feature LR
+    train there.  ``columns`` is a boolean mask over ``copa_ids`` (``None``
+    for every CoPA) whose unkept entries ``score_motion`` sets to NaN: W2V
+    and NB skip their work there, the other methods ignore it."""
 
     needs: tuple[str, ...]
     optional: tuple[str, ...]
@@ -80,26 +83,39 @@ def _feature_table(ds: Dataset, config: EvalConfig, ctx: SimilarityContext) -> F
     return FeatureTable(ds, ctx)
 
 
+def _score_w2v(table: clf.W2VTable, motion: Motion, config: EvalConfig,
+               ctx: SimilarityContext, columns) -> np.ndarray:
+    """W2V fits only the kept CoPAs whose blacklist does not veto the
+    action, and none when the topic has no embedding: each fit reads only
+    its own CoPA's labels, and ``predict_w2v`` fixes every other score."""
+    if ctx.term_vector(SimilarityKind.EMBEDDING, motion.topic) is None:
+        return np.full(len(table.counts.copa_ids), np.nan)
+    fitted = ~table.counts.blacklisted(motion.action)
+    if columns is not None:
+        fitted &= columns
+    fits = clf.train_w2v_lr(table, lam=config.l2_lambda, tol=config.tol,
+                            max_iters=config.max_iters, columns=fitted)
+    return clf.predict_w2v(fits, table.counts, motion, ctx)
+
+
 # classifiers' functions are looked up when called, so that patching the
 # module (tests, the benchmark's tracer) reaches every method
 METHODS = {
     "ba": Method((), (), False, lambda ds, config, ctx: clf.train_ba(ds, k=config.ba_k),
-                 lambda model, motion, config, ctx: clf.predict_ba(model, motion)),
+                 lambda model, motion, config, ctx, columns: clf.predict_ba(model, motion)),
     "knn": Method(("embeddings",), (), True, lambda ds, config, ctx: clf.KNNCandidates(ds),
-                  lambda inputs, motion, config, ctx: clf.predict_knn(
+                  lambda inputs, motion, config, ctx, columns: clf.predict_knn(
                       inputs.ds, motion, ctx, threshold=config.knn_threshold,
                       min_neighbors=config.knn_min_neighbors, top=config.knn_top,
                       exclude_topic=inputs.exclude_topic)),
     "w2v": Method(("embeddings",), (), True, lambda ds, config, ctx: clf.W2VTable(ds, ctx),
-                  lambda table, motion, config, ctx: clf.predict_w2v(
-                      clf.train_w2v_lr(table, lam=config.l2_lambda, tol=config.tol,
-                                       max_iters=config.max_iters),
-                      table.counts, motion, ctx)),
+                  _score_w2v),
     "nb": Method(("sentences",), (), True,
                  lambda ds, config, ctx: clf.train_nb(ds, ctx.sentences, alpha=config.nb_alpha),
-                 lambda model, motion, config, ctx: clf.predict_nb(model, motion, ctx.sentences)),
+                 lambda model, motion, config, ctx, columns: clf.predict_nb(
+                     model, motion, ctx.sentences, columns=columns)),
     "lr": Method((), ("embeddings", "alt_embeddings", "wiki"), False, _feature_table,
-                 lambda table, motion, config, ctx: clf.predict_feature_lr(
+                 lambda table, motion, config, ctx, columns: clf.predict_feature_lr(
                      clf.train_feature_lr(table.values, table.labels, lam=config.l2_lambda,
                                           tol=config.tol, max_iters=config.max_iters),
                      table.query_rows(motion))),
@@ -179,17 +195,17 @@ def leave_one_out(ds: Dataset, config: EvalConfig, ctx: SimilarityContext) -> di
     _require(ds, 2, "leave-one-out")
     rows = {method: [] for method in config.methods}
     eligible = topic_method_copas(ds, config.topic_min_motions)
-    ineligible = np.array([cid not in eligible for cid in ds.copa_ids], dtype=bool)
+    topic_columns = np.array([cid in eligible for cid in ds.copa_ids], dtype=bool)
+    columns = {method: topic_columns if METHODS[method].topic_only else None
+               for method in config.methods}
     inputs = {method: method_inputs(method, ds, config, ctx) for method in config.methods}
 
     for held_out in ds.motions:
         try:
             for method in config.methods:
                 fold = inputs[method].without_motion(held_out.id)
-                row = score_motion(method, fold, held_out, config, ctx)
-                if METHODS[method].topic_only:
-                    row[ineligible] = np.nan
-                rows[method].append(row)
+                rows[method].append(score_motion(method, fold, held_out, config, ctx,
+                                                 columns[method]))
         except Exception as exc:
             raise FoldError(f"fold holding out {held_out.id!r}: {exc}") from exc
 
@@ -211,9 +227,14 @@ def method_inputs(method: str, ds: Dataset, config: EvalConfig, ctx: SimilarityC
 
 
 def score_motion(method: str, inputs, motion: Motion, config: EvalConfig,
-                 ctx: SimilarityContext) -> np.ndarray:
-    """``METHODS[method].score``: ``motion``'s row against ``inputs``."""
-    return METHODS[method].score(inputs, motion, config, ctx)
+                 ctx: SimilarityContext, columns: np.ndarray | None = None) -> np.ndarray:
+    """``METHODS[method].score``: ``motion``'s row against ``inputs``, NaN
+    outside the boolean mask ``columns`` over ``copa_ids`` (``None`` keeps
+    every CoPA).  This is where ``eval`` applies the topic eligibility."""
+    row = METHODS[method].score(inputs, motion, config, ctx, columns)
+    if columns is not None:
+        row[~columns] = np.nan
+    return row
 
 
 # ---------------------------------------------------------------------------

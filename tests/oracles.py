@@ -231,6 +231,23 @@ def logreg_fit_reference(X, y, lam, tol, max_iters):
     return w, b, len(steps), math.sqrt(grad_sq), steps, fallbacks
 
 
+def w2v_row_reference(X, labels, blacklisted, x, fit, lam, tol, max_iters):
+    """The W2V row of a query with unit topic vector ``x`` (None when its
+    topic has none), one fit per CoPA: every label column of ``labels``
+    (training rows x CoPAs) is fitted on the rows of ``X`` with ``fit``
+    (``classifiers.logreg_fit``) and scored as sigmoid(weights . x + bias),
+    then 0.0 where ``blacklisted``; NaN everywhere when x is None or ``X``
+    has no rows."""
+    n_copas = labels.shape[1]
+    if x is None or len(X) == 0:
+        return np.full(n_copas, math.nan)
+    row = []
+    for j in range(n_copas):
+        weights, bias = fit(X, labels[:, j], lam=lam, tol=tol, max_iters=max_iters)
+        row.append(0.0 if blacklisted[j] else sigmoid_masked(weights @ x + bias))
+    return np.array(row)
+
+
 # --- blacklists --------------------------------------------------------------
 
 

@@ -582,13 +582,14 @@ class TestEvalCommand:
         modules = {name: importlib.import_module(f"copa.{name}") for name in
                    ("kb", "textsim", "features", "classifiers", "evaluation", "cli")}
         tracer = trace.Tracer(modules)
-        # the fits each trainer returns, to hold the tracer's step counts against
+        # the fits each trainer returns, to hold the tracer's step counts against;
+        # train_w2v_lr returns None for each CoPA it did not fit
         returned = {"w2v": [], "feature_lr": []}
         train_w2v_lr, train_feature_lr = clfmod.train_w2v_lr, clfmod.train_feature_lr
 
         def w2v_recording(*args, **kwargs):
             fits = train_w2v_lr(*args, **kwargs)
-            returned["w2v"].extend(fits)
+            returned["w2v"].extend(fit for fit in fits if fit is not None)
             return fits
 
         def feature_lr_recording(*args, **kwargs):

@@ -45,7 +45,9 @@ from oracles import (
     p_at_1_points,
     pr_points,
     predicted_pairs,
+    w2v_row_reference,
 )
+from test_classifiers import _reference_scores as nb_row_reference
 
 GRID = default_threshold_grid()
 
@@ -251,6 +253,95 @@ class TestLeaveOneOut:
             want = knn_scores(fold, m, store, min_neighbors=1, top=5, exclude_topic=m.topic)
             want[ineligible] = np.nan
             assert np.array_equal(out["knn"].scores[i], want, equal_nan=True), ("knn", m.id)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_w2v_and_nb_rows_equal_their_every_column_references(self, seed):
+        """W2V and NB skip the CoPAs a row does not keep and those whose
+        blacklist vetoes the action, yet every row, of a new query or of a
+        fold, with every CoPA kept or a random mask, is bit for bit the
+        one-fit-per-CoPA W2V reference and the per-CoPA tokenizing NB
+        reference, NaN outside the mask."""
+        rng = np.random.default_rng(seed)
+        ds, store, corpus = _fold_fixture(rng)
+        config = EvalConfig(methods=("w2v", "nb"), topic_min_motions=1)
+        masks = (None, rng.random(len(ds.copa_ids)) < 0.5)
+        # a store of m2's topic alone: m2's fold has a W2V table with no rows
+        lone = EmbeddingStore({"private": store.get("private")}, store.dimension)
+        queries = [Motion("q", action, topic) for action in ("limit", "promote", "ban")
+                   for topic in ("shared", "private", "silent")]
+        assert all(build_blacklist(ds)[c.id] >= {"promote"} for c in ds.copas)
+        for embeddings in (store, lone):
+            ctx = SimilarityContext(embeddings=embeddings, sentences=corpus)
+            inputs = {method: method_inputs(method, ds, config, ctx) for method in ("w2v", "nb")}
+            cases = [(ds, q, lambda method: inputs[method]) for q in queries]
+            cases += [(ds.without_motion(m.id), m,
+                       lambda method, mid=m.id: inputs[method].without_motion(mid))
+                      for m in ds.motions]
+            for train, motion, fold_inputs in cases:
+                vector = {m.id: ctx.term_vector(SimilarityKind.EMBEDDING, m.topic)
+                          for m in [*train.motions, motion]}
+                embedded = [m for m in train.motions if vector[m.id] is not None]
+                blacklist = build_blacklist(train)
+                dim = store.dimension
+                w2v = w2v_row_reference(
+                    np.array([vector[m.id] for m in embedded]).reshape(len(embedded), dim),
+                    np.array([[m.id in c.motion_ids for c in train.copas] for m in embedded],
+                             dtype=float).reshape(len(embedded), len(train.copas)),
+                    [motion.action in blacklist[c.id] for c in train.copas], vector[motion.id],
+                    clfmod.logreg_fit, config.l2_lambda, config.tol, config.max_iters)
+                nb = nb_row_reference(train, corpus, motion, config.nb_alpha)
+                for mask in masks:
+                    for method, reference in (("w2v", w2v), ("nb", nb)):
+                        want = reference.copy()
+                        if mask is not None:
+                            want[~mask] = np.nan
+                        got = score_motion(method, fold_inputs(method), motion, config, ctx, mask)
+                        assert np.array_equal(got, want, equal_nan=True), (method, motion)
+
+    def test_w2v_fits_only_kept_columns_the_blacklist_does_not_veto(self, monkeypatch):
+        """The fit count of a ``w2v`` eval and of new queries: a fold fits
+        its eligible CoPAs whose fold blacklist does not veto the held-out
+        action, none when the held-out topic has no embedding or no other
+        motion's has; a new query fits every CoPA that does not veto its
+        action, none for a topic without an embedding."""
+        fits = []
+        logreg_fit = clfmod.logreg_fit
+
+        def counting(*args, **kwargs):
+            fits.append(1)
+            return logreg_fit(*args, **kwargs)
+
+        monkeypatch.setattr(clfmod, "logreg_fit", counting)
+        skipped_ineligible = False
+        for seed in range(6):
+            ds, store, corpus = _fold_fixture(np.random.default_rng(seed))
+            ctx = SimilarityContext(embeddings=store)
+            embedded = {m.id for m in ds.motions
+                        if ctx.term_vector(SimilarityKind.EMBEDDING, m.topic) is not None}
+            for min_motions in (1, 2, 3):
+                config = EvalConfig(methods=("w2v",), topic_min_motions=min_motions)
+                eligible = topic_method_copas(ds, min_motions)
+                skipped_ineligible |= len(eligible) < len(ds.copas)
+                want = sum(
+                    sum(c.id in eligible and m.action not in blacklist[c.id] for c in ds.copas)
+                    for m in ds.motions if m.id in embedded and embedded - {m.id}
+                    for blacklist in [build_blacklist(ds.without_motion(m.id))]
+                )
+                fits.clear()
+                leave_one_out(ds, config, ctx)
+                assert len(fits) == want, (seed, min_motions)
+
+            table = method_inputs("w2v", ds, config, ctx)
+            blacklist = build_blacklist(ds)
+            for action in ("limit", "promote", "ban"):
+                for topic in ("shared", "silent"):
+                    fits.clear()
+                    score_motion("w2v", table, Motion("q", action, topic), config, ctx)
+                    want = 0 if topic == "silent" else sum(
+                        action not in blacklist[c.id] for c in ds.copas)
+                    assert len(fits) == want, (seed, action, topic)
+        assert skipped_ineligible
 
 
 # ---------------------------------------------------------------------------
