@@ -220,8 +220,11 @@ def embed_term(store: EmbeddingStore, term: str) -> np.ndarray | None:
     if not vectors:
         return None
     with np.errstate(over="ignore"):
-        total = np.sum(vectors, axis=0)
-        length = float(np.linalg.norm(total))
+        # one vector: np.sum's bits without its list-to-array copy (its
+        # sum turns -0.0 into +0.0, as + 0.0 does); the length is
+        # np.linalg.norm's, which is sqrt(x.dot(x)) for a 1-D array
+        total = vectors[0] + 0.0 if len(vectors) == 1 else np.sum(vectors, axis=0)
+        length = math.sqrt(total.dot(total))
     if not math.isfinite(length):
         raise DomainError(f"embedding of {term!r}: the norm of its word vectors' sum is not finite")
     if length == 0.0:
@@ -577,7 +580,8 @@ SIMILARITY_STEP = 2.0**-40
 #: the most term pairs (with multiplicity) one set similarity may sum
 MAX_SET_PAIRS = 2**13
 
-#: bytes of one broadcast product in ``_cosine_block``
+#: bytes of one gathered (pairs, d) array when ``_cosine_block``
+#: recomputes its guarded entries pair by pair
 _CHUNK_BYTES = 1 << 22
 
 
@@ -588,11 +592,13 @@ def similarity_block(kind: SimilarityKind, terms_a, terms_b, ctx: SimilarityCont
     (their sims are 0).
 
     Each entry depends only on its own two terms, never on the block's
-    shape or order: no BLAS reduction is involved.  Embedding entries are
-    the mapped cosine of ``term_similarity`` with the dot product taken as
-    ``np.sum(u * v)``; tf-idf entries are ``term_similarity`` exactly.
-    Every similarity in the package goes through this kernel: the set
-    similarities of the feature table and KNN's candidate row."""
+    shape or order, the BLAS library or its thread count.  Embedding
+    entries are the mapped cosine of ``term_similarity`` with the dot
+    product taken as ``np.sum(u * v)``, rounded (``_cosine_block`` gets
+    them from one BLAS product and a rounding guard); tf-idf entries are
+    ``term_similarity`` exactly, rounded.  Every similarity in the
+    package goes through this kernel: the set similarities of the
+    feature table and KNN's candidate row."""
     va = [ctx.term_vector(kind, t) for t in terms_a]
     vb = [ctx.term_vector(kind, t) for t in terms_b]
     present = np.outer(
@@ -602,10 +608,9 @@ def similarity_block(kind: SimilarityKind, terms_a, terms_b, ctx: SimilarityCont
     if not present.any():
         return np.zeros(present.shape), present
     if kind is SimilarityKind.TFIDF:
-        sims = _tfidf_block(va, vb)
+        sims = np.rint(_tfidf_block(va, vb) / SIMILARITY_STEP) * SIMILARITY_STEP
     else:
         sims = _cosine_block(va, vb)
-    sims = np.rint(sims / SIMILARITY_STEP) * SIMILARITY_STEP
     sims[~present] = 0.0
     return sims, present
 
@@ -615,16 +620,58 @@ def _stack(vectors) -> np.ndarray:
     return np.array([zero if v is None else v for v in vectors])
 
 
+def _mapped(dots: np.ndarray) -> np.ndarray:
+    return (np.clip(dots, -1.0, 1.0) + 1.0) / 2.0
+
+
+def _pair_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``u`` with the same row of ``v``,
+    each summed as ``np.sum(u[k] * v[k])`` sums it."""
+    return np.sum(u * v, axis=-1)
+
+
+def _rounding_margin(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """2·(γ_d‖u_i‖‖v_j‖ + 2⁻⁵³) / SIMILARITY_STEP for every row pair, with
+    γ_d = d·2⁻⁵³/(1 − d·2⁻⁵³): ``_cosine_block``'s guard band."""
+    d = u.shape[1]
+    gamma = d * 2.0**-53 / (1.0 - d * 2.0**-53)
+    norms_u = np.sqrt(np.einsum("ij,ij->i", u, u))
+    norms_v = np.sqrt(np.einsum("ij,ij->i", v, v))
+    return 2.0 * (np.outer(gamma * norms_u, norms_v) + 2.0**-53) / SIMILARITY_STEP
+
+
 def _cosine_block(va, vb) -> np.ndarray:
-    # a reduction along the last axis of a broadcast product sums each
-    # pair exactly as np.sum(u * v) does, whatever the block's shape
+    """The mapped cosine (clip(u·v, -1, 1) + 1) / 2 of every pair, rounded
+    to a multiple of SIMILARITY_STEP, bit for bit as when each dot product
+    is the pair's own ``np.sum(u * v)``; a None vector is a zero row.
+
+    The dot products come from one BLAS product ``u @ v.T``, whose
+    summation order depends on the library, the block's shape and the
+    thread count.  Any order of a length-d dot product lies within
+    γ_d·Σ|u_k v_k| ≤ γ_d‖u‖‖v‖ of the exact value (γ_d = d·2⁻⁵³/(1 − d·2⁻⁵³),
+    with or without fused multiply-adds), so BLAS's and ``np.sum``'s
+    differ by at most 2γ_d‖u‖‖v‖.  The clip does not widen that and the
+    halving halves it; rounding c + 1 adds at most 2⁻⁵⁴ per side after
+    the halving.  Dividing by SIMILARITY_STEP, a power of two, is exact.
+    So the two scaled values x = mapped / SIMILARITY_STEP differ by at
+    most (γ_d‖u‖‖v‖ + 2⁻⁵³) / SIMILARITY_STEP, half of
+    ``_rounding_margin``, and where BLAS's x is farther than the margin
+    from every half-integer, ``np.rint`` rounds both alike.  Only the
+    entries within it are recomputed as ``np.sum(u * v)``, pair by pair
+    (a few percent of a block of unit vectors).  The margin's spare half
+    covers the rounding of the margin and of the distance themselves and
+    products that underflow."""
     u, v = _stack(va), _stack(vb)
-    sims = np.empty((len(u), len(v)))
-    step = max(1, _CHUNK_BYTES // max(1, v.nbytes))
-    for lo in range(0, len(u), step):
-        dots = np.sum(u[lo:lo + step, None, :] * v[None, :, :], axis=-1)
-        sims[lo:lo + step] = (np.clip(dots, -1.0, 1.0) + 1.0) / 2.0
-    return sims
+    scaled = _mapped(u @ v.T) / SIMILARITY_STEP
+    rounded = np.rint(scaled)
+    # x is near a half-integer where |x - rint(x)|, which is exact, is near 0.5
+    near = np.abs(scaled - rounded) >= 0.5 - _rounding_margin(u, v)
+    rows, cols = np.nonzero(near)
+    step = max(1, _CHUNK_BYTES // (u.itemsize * u.shape[1]))
+    for lo in range(0, len(rows), step):
+        i, j = rows[lo:lo + step], cols[lo:lo + step]
+        rounded[i, j] = np.rint(_mapped(_pair_dots(u[i], v[j])) / SIMILARITY_STEP)
+    return rounded * SIMILARITY_STEP
 
 
 def _tfidf_block(va, vb) -> np.ndarray:

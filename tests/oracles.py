@@ -37,6 +37,20 @@ def mapped_cosine(store, a, b):
     return (cos + 1.0) / 2.0
 
 
+def cosine_block_reference(va, vb, chunk_bytes=1 << 22):
+    """(clip(u·v, -1, 1) + 1) / 2 of every pair of rows, unrounded, each dot
+    product the pair's own ``np.sum(u * v)``: a reduction along the last
+    axis of a broadcast product sums every pair alike, whatever the
+    block's shape or chunk, and no BLAS reduction is involved."""
+    u, v = np.array(va, dtype=float), np.array(vb, dtype=float)
+    sims = np.empty((len(u), len(v)))
+    step = max(1, chunk_bytes // max(1, v.nbytes))
+    for lo in range(0, len(u), step):
+        dots = np.sum(u[lo:lo + step, None, :] * v[None, :, :], axis=-1)
+        sims[lo:lo + step] = (np.clip(dots, -1.0, 1.0) + 1.0) / 2.0
+    return sims
+
+
 class EmbeddingFileError(Exception):
     """The reference loader's rejection; its message is the one the
     library's DomainError must carry."""

@@ -660,8 +660,9 @@ class TestFeaturesCommand:
         assert "Traceback" not in result.output
 
     def test_output_does_not_depend_on_blas_threads(self, tmp_path):
-        load_bench_generator().write_workload(str(tmp_path), seed=2, n_motions=150, n_copas=37)
-        outputs = []
+        manifest = load_bench_generator().write_workload(
+            str(tmp_path), seed=2, n_motions=150, n_copas=37)
+        outputs, matches = [], []
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
             env["PYTHONPATH"] = os.pathsep.join(
@@ -673,8 +674,19 @@ class TestFeaturesCommand:
             )
             assert result.returncode == 0, result.stderr
             outputs.append(result.stdout)
+            # a new query: KNN's similarity row and the feature LR's inputs
+            action, topic = manifest["queries"][0]
+            result = subprocess.run(
+                [sys.executable, "-m", "copa.cli", "--config", "config.json", "match",
+                 action, topic],
+                cwd=tmp_path, env=env, capture_output=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            matches.append(result.stdout)
         assert outputs[0].count(b"\n") == 150 * 37 + 1
         assert outputs[0] == outputs[1]
+        assert matches[0].count(b"\t") > 0
+        assert matches[0] == matches[1]
 
 
 class TestEnvOverrides:

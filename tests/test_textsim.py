@@ -34,10 +34,12 @@ from copa.textsim import (
 from helpers import EMBEDDING_TOKENS, load_bench_generator
 from oracles import (
     EmbeddingFileError,
+    cosine_block_reference,
     embedding_file_reference,
     hypergeom_tail_by_draws,
     hypergeom_tail_exact,
     set_similarity_mean,
+    unit_topic_vector,
 )
 
 
@@ -76,6 +78,28 @@ class TestEmbedTerm:
 
     def test_case_normalized(self, store):
         assert np.allclose(embed_term(store, "Smoking"), embed_term(store, "smoking"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           words=st.lists(st.sampled_from(["w0", "w1", "w2", "zero", "qzx"]),
+                          min_size=1, max_size=4))
+    def test_equals_the_reference_bit_for_bit(self, dim, seed, words):
+        # single words and multi-word terms over vectors with -0.0
+        # components: the reference's sum turns each into +0.0
+        rng = np.random.default_rng(seed)
+        table = {}
+        for word in ("w0", "w1", "w2"):
+            vec = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3)
+            vec[rng.random(dim) < 0.4] = -0.0
+            table[word] = vec
+        table["zero"] = np.full(dim, -0.0)
+        store = EmbeddingStore(table, dim)
+        term = " ".join(words)
+        got, want = embed_term(store, term), unit_topic_vector(store, term)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert got.tobytes() == want.tobytes()
 
 
 def _mostly(valid, other):
@@ -434,6 +458,54 @@ KERNEL_TERMS = ("east", "north", "smoking", "renewable energy", "tax", "law", "q
 term_lists = st.lists(st.sampled_from(KERNEL_TERMS), max_size=6)  # repeats allowed
 
 
+def _half_step_cosine(rng) -> float:
+    """A cosine c whose mapped (c + 1) / 2 is exactly a half-step,
+    (k + 1/2)·SIMILARITY_STEP; c is exact in float64."""
+    return (2 * int(rng.integers(0, 2**40)) + 1) * SIMILARITY_STEP - 1.0
+
+
+@st.composite
+def _cosine_rows(draw):
+    """Two lists of vectors in one dimension d (1-300), pairwise: random
+    directions of random magnitudes, a near-duplicate and a near-antipodal
+    pair, pairs built with a mapped cosine within ~1e-15 of a half-step
+    (scaled by powers of two, which keeps their dot product) and one pair
+    exactly on a half-step in any summation order."""
+    d = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unit():
+        x = rng.normal(size=d)
+        return x / np.linalg.norm(x)
+
+    u, v = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        u.append(unit() * 10.0 ** rng.uniform(-2, 1))
+        v.append(unit() * 10.0 ** rng.uniform(-2, 1))
+    for sign in (1.0, -1.0):
+        a = unit()
+        u.append(a)
+        v.append(sign * a + rng.normal(size=d) * 10.0 ** rng.uniform(-12, -6))
+    for _ in range(draw(st.integers(1, 8))):
+        a, c = unit(), _half_step_cosine(rng)
+        b = c * a
+        if d > 1:
+            w = unit()
+            w -= (w @ a) * a
+            b += math.sqrt(1.0 - c * c) * w / np.linalg.norm(w)
+        scale = 2.0 ** int(rng.integers(-4, 5))
+        u.append(a * scale)
+        v.append(b / scale)
+    c = _half_step_cosine(rng)
+    a, b = np.zeros(d), np.zeros(d)
+    a[0], b[0] = 1.0, c
+    if d > 1:
+        b[d - 1] = math.sqrt(1.0 - c * c)
+    u.append(a)
+    v.append(b)
+    return u, v
+
+
 class TestSimilarityBlock:
     @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(list(SimilarityKind)), a=term_lists, b=term_lists)
@@ -473,16 +545,35 @@ class TestSimilarityBlock:
         assert got == pytest.approx(set_similarity_mean(sims), abs=1e-12)
 
     def test_cosine_entries_are_per_pair_sums(self):
-        # before rounding: every entry is its own pair's np.sum(u * v), in
-        # every chunk of the broadcast product (a BLAS product is not)
+        # every entry is its own pair's np.sum(u * v), mapped and rounded, in
+        # every chunk; these vectors are far from unit, so the guard
+        # recomputes every entry
         rng = np.random.default_rng(62)
         u = [rng.normal(size=300) for _ in range(40)]
         v = [rng.normal(size=300) for _ in range(25)]
-        got = _cosine_block(u * 30, v)
+        reference = cosine_block_reference(u * 30, v)
         for i, a in enumerate(u):
             for j, b in enumerate(v):
-                assert got[i, j] == (np.clip(np.sum(a * b), -1.0, 1.0) + 1.0) / 2.0
+                assert reference[i, j] == (np.clip(np.sum(a * b), -1.0, 1.0) + 1.0) / 2.0
+        got = _cosine_block(u * 30, v)
+        want = np.rint(reference / SIMILARITY_STEP) * SIMILARITY_STEP
+        assert got.tobytes() == want.tobytes()
         assert np.array_equal(got, np.tile(got[:40], (30, 1)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_cosine_rows())
+    def test_guarded_cosines_equal_the_reference(self, rows):
+        u, v = rows
+        want = np.rint(cosine_block_reference(u, v) / SIMILARITY_STEP) * SIMILARITY_STEP
+        with mock.patch.object(textsim, "_pair_dots", wraps=textsim._pair_dots) as spy:
+            got = _cosine_block(u, v)
+        assert got.tobytes() == want.tobytes()
+        # the pair exactly on a half-step is among the recomputed ones
+        assert sum(len(call.args[0]) for call in spy.call_args_list) >= 1
+        # every entry recomputed, three pairs per chunk
+        with mock.patch.object(textsim, "_rounding_margin", lambda u, v: np.inf), \
+                mock.patch.object(textsim, "_CHUNK_BYTES", 3 * 8 * len(u[0])):
+            assert _cosine_block(u, v).tobytes() == want.tobytes()
 
     def test_tfidf_entries_are_dict_cosines(self):
         # before rounding, with many common units per pair, so that the
