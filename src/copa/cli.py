@@ -16,6 +16,8 @@ held-out motion).
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import dataclasses
 import json
 import math
@@ -399,11 +401,14 @@ def _write_summary(path: str, ds: kb.Dataset, cfg: AppConfig):
         fh.write("\n")
 
 
-def _write_csv(path: str, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(cell) for cell in row) + "\n")
+def _write_csv(path: str | None, header, rows):
+    """CSV to ``path`` (stdout when None), a field quoted when it must be."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="")) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        fh.flush()  # a closed pipe fails here, inside _guarded
 
 
 @main.command()
@@ -423,12 +428,7 @@ def features(ctx, out_file):
         for m, vectors, labels in zip(ds.motions, table.values, table.labels):
             for c, vector, label in zip(ds.copas, vectors, labels):
                 rows.append([_fmt(v) for v in vector] + [m.id, c.id, str(int(label))])
-        if out_file is None:
-            click.echo(",".join(header))
-            for row in rows:
-                click.echo(",".join(row))
-        else:
-            _write_csv(out_file, header, rows)
+        _write_csv(out_file, header, rows)
 
     _guarded(body)
 

@@ -6,8 +6,9 @@ names by ``name_key``, applied once where the store is built, so a store
 built in code equals one read from a file.
 
 Everything here is pure and operates on stores that are immutable after
-loading.  "Absent" similarity values are represented as ``None``; callers
-that average over pairs simply skip them.
+loading: the arrays a store or a context's memo hands out are read-only.
+"Absent" similarity values are represented as ``None``; callers that
+average over pairs simply skip them.
 
 Cosine similarities over embeddings are affinely mapped from [-1, 1] to
 [0, 1] so that all similarity features share one range; the map is
@@ -17,7 +18,6 @@ monotone, so rankings are unaffected.
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -86,6 +86,7 @@ class EmbeddingStore:
             raise DomainError(
                 f"{where(row)}vector for {words[row]!r} has a non-finite component or norm"
             )
+        matrix.setflags(write=False)
         self.dimension = dimension
         self._matrix = matrix
         self._rows = {word: row for row, word in enumerate(words)}
@@ -106,13 +107,33 @@ class EmbeddingStore:
         line, each value spelled as Python's ``float`` reads it, with an
         optional "count dim" header (detected on the first non-blank line
         only) whose count must equal the number of records.  Later records
-        win on duplicate words; every record must be finite."""
+        win on duplicate words; every record must be finite.  The file is
+        read once, its records parsed in blocks of _BLOCK_LINES."""
+        count = dimension = None
+        words, lines, rows, fields = [], [], [], []
         try:
-            count, dimension, words, lines, rows = _parse_blocks(path)
-        except (ValueError, DomainError):
-            # the per-line parse reads the file again and raises the error
-            # of the first bad line, which may precede the bad block
-            count, dimension, words, lines, rows = _parse_lines(path)
+            for lineno, line in read_lines(path):
+                parts = line.split(None, 1)
+                if not parts:
+                    continue
+                if count is None and not words:  # the first non-blank line
+                    tokens = line.split()
+                    if len(tokens) == 2 and all(_is_int(t) for t in tokens):
+                        count, dimension = int(tokens[0]), int(tokens[1])
+                        continue
+                words.append(name_key(parts[0]))
+                lines.append(lineno)
+                fields.append(parts[1] if len(parts) == 2 else "")
+                if len(fields) == _BLOCK_LINES:
+                    dimension = _parse_block(path, fields, lines, dimension, rows)
+        except DomainError:
+            # not UTF-8: a bad line read before the undecodable bytes is the
+            # error (a block's own error has left no fields pending)
+            if fields:
+                _parse_block(path, fields, lines, dimension, rows)
+            raise
+        if fields:
+            dimension = _parse_block(path, fields, lines, dimension, rows)
         if dimension is None:
             raise DomainError(f"{path}: empty embedding file")
         if count is not None and count != len(words):
@@ -126,70 +147,42 @@ class EmbeddingStore:
         return store
 
 
-def _header_and_records(path):
-    """An embedding file's "count dim" header as (count, dim), or (None,
-    None) when its first non-blank line is not one, and an iterator of
-    its other non-blank (line number, line) pairs."""
-    lines = ((lineno, line) for lineno, line in read_lines(path) if not line.isspace())
-    first = next(lines, None)
-    if first is None:
-        return (None, None), lines
-    tokens = first[1].split()
-    if len(tokens) == 2 and all(_is_int(t) for t in tokens):
-        return (int(tokens[0]), int(tokens[1])), lines
-    return (None, None), itertools.chain([first], lines)
-
-
 #: value fields per ``np.loadtxt`` call: one call over the whole file's
 #: lines raised the peak RSS of a ``copa match`` process by ~7 MB
 _BLOCK_LINES = 1000
 
 
-def _parse_blocks(path):
-    """``EmbeddingStore.from_file``'s fast parse: (header count or None,
-    dimension or None, the records' keys, line numbers and (k, d) value
-    blocks), each block of _BLOCK_LINES value fields parsed by one
-    ``np.loadtxt`` call.  ValueError when a line needs ``_parse_lines``: a
-    spelling ``loadtxt`` rejects (non-numeric, ``1_0``, non-ASCII digits),
-    a ragged row or a word with no values."""
-    (count, dimension), records = _header_and_records(path)
-    words, lines, fields, blocks = [], [], [], []
-    for lineno, line in records:
-        parts = line.split(None, 1)
-        if len(parts) == 1:
-            raise ValueError(f"line {lineno}: a word with no values")
-        words.append(name_key(parts[0]))
-        lines.append(lineno)
-        fields.append(parts[1])
-        if len(fields) == _BLOCK_LINES:
-            dimension = _add_block(blocks, fields, dimension)
-            fields = []
-    if fields:
-        dimension = _add_block(blocks, fields, dimension)
-    return count, dimension, words, lines, blocks
-
-
-def _add_block(blocks: list, fields: list[str], dimension: int | None) -> int:
-    """Parse value fields into one (len(fields), d) block, append it and
-    return d; ValueError unless d equals ``dimension`` (when known)."""
-    # comments=None: a '#' in a value field is a bad token, not a comment
-    block = np.loadtxt(fields, dtype=float, comments=None, ndmin=2)
-    if block.shape[0] != len(fields) or dimension not in (None, block.shape[1]):
-        raise ValueError(f"a block of {block.shape} values, expected {dimension} columns")
-    blocks.append(block)
+def _parse_block(path, fields, lines, dimension, rows) -> int:
+    """Parse ``fields``, the value fields of the last len(fields) records,
+    into one (len(fields), d) block, append it to ``rows`` and return d.
+    ``fields`` is emptied first: none stay pending if the parse fails, and
+    their text does not outlive it.  One ``np.loadtxt`` call parses the
+    block; ``_parse_lines`` parses it again when loadtxt rejects it
+    (``1_0``, a ragged row), when its width is not ``dimension`` or when a
+    record has no values (loadtxt warns)."""
+    pending = fields.copy()
+    fields.clear()
+    block = None
+    if all(pending):
+        try:
+            # comments=None: a '#' in a value field is a bad token, not a comment
+            block = np.loadtxt(pending, dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if block is None or dimension not in (None, block.shape[1]):
+        block = _parse_lines(path, pending, lines[-len(pending):], dimension)
+    rows.append(block)
     return block.shape[1]
 
 
-def _parse_lines(path):
-    """``EmbeddingStore.from_file``'s per-line parse, ``float`` on each
-    token: ``_parse_blocks``' result, or DomainError naming the line of
-    the first record that is not numeric or not of the dimension."""
-    (count, dimension), records = _header_and_records(path)
-    words, lines, vectors = [], [], []
-    for lineno, line in records:
-        word, *values = line.split()
+def _parse_lines(path, fields: list[str], lines: list[int], dimension: int | None) -> np.ndarray:
+    """``_parse_block``'s per-token parse, ``float`` on each token: the
+    fields' (len(fields), d) values, or DomainError naming the line of the
+    first record that is not numeric or not of the dimension."""
+    vectors = []
+    for lineno, field in zip(lines, fields):
         try:
-            vec = np.array(values, dtype=float)
+            vec = np.array(field.split(), dtype=float)
         except ValueError:
             raise DomainError(f"{path}:{lineno}: non-numeric vector component") from None
         if dimension is None:
@@ -198,10 +191,8 @@ def _parse_lines(path):
             raise DomainError(
                 f"{path}:{lineno}: expected {dimension} components, got {len(vec)}"
             )
-        words.append(name_key(word))
-        lines.append(lineno)
         vectors.append(vec)
-    return count, dimension, words, lines, vectors
+    return np.array(vectors)
 
 
 def _is_int(token: str) -> bool:
@@ -509,6 +500,8 @@ class SimilarityContext:
                 vector = None if store is None else embed_term(store, term)
             else:
                 raise DomainError(f"unknown similarity kind {kind!r}")
+            if isinstance(vector, np.ndarray):
+                vector.setflags(write=False)
             self._vector_cache[key] = vector
         return self._vector_cache[key]
 

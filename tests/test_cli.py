@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -644,6 +646,24 @@ class TestFeaturesCommand:
         assert result.exit_code == 0
         assert out.read_text().count("\n") == 13  # header + 12 rows
 
+    def test_fields_are_quoted_when_they_need_it(self, runner, workspace, tmp_path):
+        # a motion id holding a comma, a quote and a line break stays one field
+        odd = 'm,"0\nx'
+        doc = json.loads((workspace / "ds.json").read_text())
+        doc["motions"][0]["id"] = odd
+        doc["labels"][0]["motion"] = odd
+        (tmp_path / "ds.json").write_text(json.dumps(doc))
+        cfg = tmp_path / "c.json"
+        base = json.loads((workspace / "config.json").read_text())
+        cfg.write_text(json.dumps({**base, "dataset": str(tmp_path / "ds.json")}))
+        out = tmp_path / "features.csv"
+        result = runner.invoke(main, ["--config", str(cfg), "features"])
+        written = runner.invoke(main, ["--config", str(cfg), "features", "--out", str(out)])
+        assert result.exit_code == 0 and written.exit_code == 0, result.output
+        assert out.read_text(encoding="utf-8") == result.output
+        rows = list(csv.reader(io.StringIO(result.output, newline="")))
+        assert len(rows) == 13 and {len(row) for row in rows} == {20}
+        assert [row[-3] for row in rows[1:4]] == [odd, odd, "m1"]
 
     def test_exact_sum_bound_exits_4_naming_the_copa(self, runner, workspace, tmp_path):
         # m_t = {"ban", "t0"} against 4,097 titles is 8,194 term pairs

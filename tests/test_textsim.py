@@ -257,18 +257,42 @@ class TestEmbeddingFile:
             self._assert_loads_like_reference(path)
 
     def test_bad_line_before_bytes_that_are_not_utf8_is_named(self, tmp_path):
-        # the block parse meets the undecodable bytes before it parses the
-        # block holding the bad line; the per-line parse names that line
+        # in blocks of 1000 the loader meets the undecodable bytes before it
+        # parses the block holding the bad line, and parses that block
+        # first; in smaller ones the bad line's block is parsed earlier
         path = tmp_path / "emb.txt"
         good = "".join(f"w{i} 1 2\n" for i in range(3, 1000))
         path.write_bytes(b"foo 1 2\nbar 1 x\n" + good.encode() + b"\xff\n")
-        with pytest.raises(DomainError, match=r"emb.txt:2: non-numeric"):
-            EmbeddingStore.from_file(path)
+        for block in (1, 2, 3, 1000):
+            with mock.patch.object(textsim, "_BLOCK_LINES", block):
+                with pytest.raises(DomainError, match=r"emb.txt:2: non-numeric"):
+                    EmbeddingStore.from_file(path)
+
+    @pytest.mark.parametrize("block", [1, 1000])
+    @pytest.mark.parametrize("text", ["foo 1_0 2\nbar 3 4\n", "foo 1 2\nbar 3 x\n",
+                                      "foo 1 2\nbar 3 4 5\n", "foo 1 2\nbar\n",
+                                      "2 2\nfoo 1 2\nbar \u0661 4\n"])
+    def test_a_file_the_per_line_parse_reads_is_read_once(self, tmp_path, monkeypatch,
+                                                          text, block):
+        # a block np.loadtxt rejects is parsed again from the lines already
+        # read, never from a second read of the file
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        reads, read_lines = [], textsim.read_lines
+
+        def counted(p):
+            reads.append(p)
+            return read_lines(p)
+
+        monkeypatch.setattr(textsim, "read_lines", counted)
+        with mock.patch.object(textsim, "_BLOCK_LINES", block):
+            self._assert_loads_like_reference(path)
+        assert reads == [path]
 
     def test_well_formed_files_take_the_block_parse(self, data_dir, tmp_path, monkeypatch):
         # a change that sent these files to the per-line parse would only
         # show as a slower benchmark
-        def per_line(path):
+        def per_line(path, *block):
             raise AssertionError(f"{path} took the per-line parse")
 
         monkeypatch.setattr(textsim, "_parse_lines", per_line)
@@ -305,6 +329,19 @@ class TestEmbeddingFile:
         assert np.allclose(embed_term(s, "b"), [0.0, 1.0])
         with pytest.raises(DomainError):
             EmbeddingStore({"a": [1.0, 0.0, 0.0]}, 2)
+
+    def test_stored_and_memoized_vectors_are_read_only(self, store, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1 2\nb 3 4\n")
+        for s, word in ((store, "smoking"), (EmbeddingStore.from_file(path), "a")):
+            with pytest.raises(ValueError):
+                s.get(word)[0] = 5.0
+        ctx = SimilarityContext(embeddings=store)
+        vector = ctx.term_vector(SimilarityKind.EMBEDDING, "energy")
+        with pytest.raises(ValueError):
+            vector *= 0
+        assert term_similarity(SimilarityKind.EMBEDDING, "energy", "energy", ctx) == 1.0
+        assert store.get("smoking").tolist() == [1.0, 0.0]
 
 
 class TestTermSimilarity:
