@@ -21,7 +21,7 @@ print()
 print("== a few motions ==")
 for m in ds.motions[:5]:
     surface = ds.actions.surface(m.action)
-    members = sorted(ds.memberships(m.id))
+    members = sorted(c.id for c in ds.copas if m.id in c.motion_ids)
     print(f"  {m.id}: we should {surface} {m.topic}  ->  {members}")
 print()
 

@@ -8,19 +8,20 @@ from pathlib import Path
 
 from copa import (
     EmbeddingStore,
+    FeatureTable,
     SimilarityContext,
     SimilarityKind,
     TfIdfModel,
     WikiCorpus,
-    compute_features,
     embed_term,
     hypergeom_pvalue,
     load_dataset,
-    set_similarity,
-    term_similarity,
+    motion_features,
+    similarity_block,
     topic_related_titles,
 )
 from copa.features import FEATURE_NAMES
+from copa.textsim import mean_similarity
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -44,14 +45,16 @@ pairs = [
 ]
 for a, b in pairs:
     for kind in SimilarityKind:
-        sim = term_similarity(kind, a, b, ctx)
-        print(f"  {kind.value:>13}({a!r}, {b!r}) = {sim:.3f}")
+        sims, _ = similarity_block(kind, [a], [b], ctx)
+        print(f"  {kind.value:>13}({a!r}, {b!r}) = {sims[0, 0]:.3f}")
 print()
 
+# A set similarity is the mean over the cross pairs that are present.
 print("== set-to-set similarity averages over all cross pairs ==")
-copa_titles = set(ds.copa("clean_energy").manual_titles)
-motion_texts = {"further exploit", "solar energy"}
-value = set_similarity(SimilarityKind.EMBEDDING, motion_texts, copa_titles, ctx)
+copa_titles = ds.copa("clean_energy").manual_titles
+motion_texts = ["further exploit", "solar energy"]
+sims, present = similarity_block(SimilarityKind.EMBEDDING, motion_texts, copa_titles, ctx)
+value = mean_similarity(sims.sum(), present.sum())
 print(f"  m_t x c_m for (further exploit, solar energy) vs Clean energy: {value:.3f}")
 print()
 
@@ -69,10 +72,11 @@ print("  P[X >= 1] for a common title:            ", f"{hypergeom_pvalue(1, 18, 
 print("  P[X >= 3] for a rare, repeated title:    ", f"{hypergeom_pvalue(3, 18, 4, 2518):.9f}")
 print()
 
-# Everything above feeds the engineered feature vector.
+# Everything above feeds the engineered feature vector: one row per CoPA.
 motion = next(m for m in ds.motions if m.topic == "solar energy")
 copa = ds.copa("clean_energy")
-vector = compute_features(motion, copa, ds, ctx)
+row = ds.copa_ids.index(copa.id)
+vector = motion_features(motion, ds, ctx)[row]
 print(f"== 17 features for ({motion.action}, {motion.topic}) x {copa.name} ==")
 for name, value in zip(FEATURE_NAMES, vector):
     print(f"  {name:<40} {value:.4f}")
@@ -80,6 +84,6 @@ print()
 
 # Holding the motion out (as leave-one-out training does) shrinks the
 # count features because the pair no longer witnesses itself.
-held = compute_features(motion, copa, ds, ctx, loo_holdout=motion.id)
+held = FeatureTable(ds, ctx).without_motion(motion.id).query_rows(motion)[row]
 for name, before, after in zip(FEATURE_NAMES[-4:], vector[-4:], held[-4:]):
     print(f"  {name}: {before:.4f} -> {after:.4f} when held out")

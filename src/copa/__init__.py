@@ -23,7 +23,6 @@ from .kb import (
     copa_stats,
     instantiate_claim,
     load_dataset,
-    save_dataset,
 )
 from .textsim import (
     DomainError,

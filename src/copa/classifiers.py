@@ -108,25 +108,17 @@ def sigmoid(z):
 
 
 def _objective_at(z, neg_signs, w, lam) -> float:
-    """``logreg_objective`` from the margins ``z = X @ w + b`` and
-    ``neg_signs = -(2y - 1)``."""
+    """The fit's objective, the mean negative log-likelihood plus
+    (lam/2)*||w||^2 (bias excluded from the penalty), from the margins
+    ``z = X @ w + b`` and ``neg_signs = -(2y - 1)``."""
     return float(np.logaddexp(0.0, neg_signs * z).mean()) + 0.5 * lam * float(w @ w)
 
 
 def _gradient_at(X, y, p, w, lam):
-    """``_logreg_gradient`` from the probabilities ``p = sigmoid(X @ w + b)``."""
+    """The objective's gradient ``(grad_w, grad_b)`` from the
+    probabilities ``p = sigmoid(X @ w + b)``."""
     residual = (p - y) / len(y)
     return X.T @ residual + lam * w, float(residual.sum())
-
-
-def logreg_objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, lam: float) -> float:
-    """Mean negative log-likelihood plus (lam/2)*||w||^2; bias excluded
-    from the penalty."""
-    return _objective_at(X @ w + b, -(2.0 * y - 1.0), w, lam)
-
-
-def _logreg_gradient(X, y, w, b, lam):
-    return _gradient_at(X, y, sigmoid(X @ w + b), w, lam)
 
 
 class LogRegFit(tuple):

@@ -177,6 +177,19 @@ def _build_context(cfg: AppConfig, methods) -> SimilarityContext:
     return SimilarityContext(**stores)
 
 
+def _query_motion(ds: kb.Dataset, action: str, topic: str) -> kb.Motion:
+    """The motion (ACTION, TOPIC) a command is asked about, held to the
+    loader's rules for a dataset motion: a known action and a non-empty
+    topic (CliDomainError otherwise).  Its id is longer than every
+    dataset motion id, so KNN's self-exclusion drops none."""
+    if action not in ds.actions:
+        raise CliDomainError(f"unknown action {action!r}")
+    if not topic:
+        raise CliDomainError("empty topic")
+    return kb.Motion(id="@" * (1 + max(map(len, ds.motion_ids), default=0)),
+                     action=action, topic=topic)
+
+
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -275,11 +288,7 @@ def match(ctx, action, topic, method, threshold):
     def body():
         cfg = _config_from_ctx(ctx)
         ds = _load_dataset(cfg)
-        if action not in ds.actions:
-            raise CliDomainError(f"unknown action {action!r}")
-        # longer than every dataset motion id, so KNN's self-exclusion drops none
-        query_id = "@" * (1 + max(map(len, ds.motion_ids), default=0))
-        query = kb.Motion(id=query_id, action=action, topic=topic)
+        query = _query_motion(ds, action, topic)
         methods = cfg.methods if method == "ensemble" else (method,)
         ctx_sim = _build_context(cfg, methods)
         rows = [evalmod.score_motion(m, evalmod.method_inputs(m, ds, cfg, ctx_sim), query,
@@ -315,13 +324,11 @@ def invent(ctx, action, topic, copa_id, stance, minor):
     def body():
         cfg = _config_from_ctx(ctx)
         ds = _load_dataset(cfg)
-        if action not in ds.actions:
-            raise CliDomainError(f"unknown action {action!r}")
+        motion = _query_motion(ds, action, topic)
         try:
             copa = ds.copa(copa_id)
         except KeyError:
             raise CliDomainError(f"unknown copa {copa_id!r}") from None
-        motion = kb.Motion(id="@query", action=action, topic=topic)
         syllogism = kb.build_syllogism(
             motion, copa, kb.Stance(stance), ds.actions, minor_override=minor
         )

@@ -5,7 +5,7 @@ A *motion* is an (action, topic) pair such as (ban, smoking), read as
 named recurring theme carrying exactly two opposing claims plus the set
 of motions the theme applies to.  A :class:`Dataset` bundles the action
 registry, the motions, the CoPAs and the binary match relation, and is
-loaded from / saved to a single JSON file.
+loaded from a single JSON file.
 
 Datasets are treated as immutable after loading; all operations here are
 pure and safe for concurrent reads.
@@ -173,10 +173,6 @@ class Dataset:
     @property
     def copa_ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.copas)
-
-    def memberships(self, motion_id: str) -> set[str]:
-        """Ids of the CoPAs the given motion belongs to."""
-        return {c for (m, c) in self.labels if m == motion_id}
 
     def included_copa_ids(self, exclude_general: bool) -> tuple[str, ...]:
         if not exclude_general:
@@ -414,47 +410,6 @@ def load_dataset(path) -> Dataset:
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, long integer, nesting
             raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     return dataset_from_dict(doc, source=str(path))
-
-
-def dataset_to_dict(ds: Dataset) -> dict:
-    doc: dict = {
-        "actions": [
-            {"id": a.id, "surface": a.surface}
-            | ({"conclusion": a.conclusion} if a.conclusion is not None else {})
-            for a in ds.actions
-        ],
-        "copas": [
-            {
-                "id": c.id,
-                "name": c.name,
-                "topic_related": c.topic_related,
-                "manual_titles": list(c.manual_titles),
-                "claims": [
-                    {"stance": cl.stance.value, "template": cl.template} for cl in c.claims
-                ],
-            }
-            for c in ds.copas
-        ],
-        "motions": [{"id": m.id, "action": m.action, "topic": m.topic} for m in ds.motions],
-        "labels": [
-            {"motion": mid, "copa": cid}
-            | (
-                {"claim_stance_pro_means_support": ds.label_flags[(mid, cid)]}
-                if (mid, cid) in ds.label_flags
-                else {}
-            )
-            for mid, cid in sorted(ds.labels)
-        ],
-        "general_copas": sorted(ds.general_copa_ids),
-    }
-    return doc
-
-
-def save_dataset(ds: Dataset, path) -> None:
-    """Write the dataset back out; ``load_dataset`` round-trips it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset_to_dict(ds), fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -247,27 +247,16 @@ class TfIdfModel:
         return self.idf_table.get(name_key(term), math.log(self.n_docs) if self.n_docs > 0 else 0.0)
 
     @classmethod
-    def from_documents(cls, documents) -> "TfIdfModel":
-        """``documents`` is an iterable of term collections; each document
-        contributes at most one df count per distinct term."""
-        return cls._from_key_sets({name_key(t) for t in doc} for doc in documents)
-
-    @classmethod
     def from_wiki_corpus(cls, corpus: "WikiCorpus") -> "TfIdfModel":
-        # the records key their body terms by name_key already
-        return cls._from_key_sets(rec.body_terms for rec in corpus.records())
-
-    @classmethod
-    def _from_key_sets(cls, key_sets) -> "TfIdfModel":
-        """The model of documents given as sets of ``name_key`` terms."""
-        df: dict[str, int] = {}
-        n_docs = 0
-        for keys in key_sets:
-            n_docs += 1
-            for term in keys:
-                df[term] = df.get(term, 0) + 1
+        """One document per article: its body terms, keyed by ``name_key``
+        already, each counted once."""
+        n_docs = len(corpus.records())
         if n_docs == 0:
             raise DomainError("tf-idf model needs at least one document")
+        df: dict[str, int] = {}
+        for rec in corpus.records():
+            for term in rec.body_terms:
+                df[term] = df.get(term, 0) + 1
         model = cls({}, n_docs)
         # keyed as it was counted, so __post_init__ need not key it again
         object.__setattr__(model, "idf_table", {t: math.log(n_docs / d) for t, d in df.items()})

@@ -1,17 +1,22 @@
-"""Shared builders for toy datasets, score matrices and synthetic
-embedding stores, and the Hypothesis strategies of file contents."""
+"""Shared builders for toy datasets, score matrices, synthetic
+embedding stores and tf-idf models, the Hypothesis strategies of file
+contents, a dataset file writer, and the logistic-regression objective and
+gradient at a point."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
-from copa.classifiers import ScoreMatrix
+from copa.classifiers import ScoreMatrix, _gradient_at, _objective_at, sigmoid
 from copa.kb import Action, ActionRegistry, Claim, CoPA, Dataset, Motion, Stance
-from copa.textsim import EmbeddingStore
+from copa.textsim import EmbeddingStore, TfIdfModel, name_key
 
 ACTION_POOL = ("ban", "legalize", "subsidize", "promote", "limit")
 
@@ -78,6 +83,64 @@ def random_dataset(rng: np.random.Generator, max_motions=20, max_copas=5,
         (m[0], c[0]) for m in motions for c in copas if rng.random() < label_prob
     ]
     return build_dataset(motions, copas, labels)
+
+
+def save_dataset(ds: Dataset, path) -> None:
+    """Write the dataset as a JSON file; ``kb.load_dataset`` reads it back."""
+    doc = {
+        "actions": [
+            {"id": a.id, "surface": a.surface}
+            | ({"conclusion": a.conclusion} if a.conclusion is not None else {})
+            for a in ds.actions
+        ],
+        "copas": [
+            {
+                "id": c.id,
+                "name": c.name,
+                "topic_related": c.topic_related,
+                "manual_titles": list(c.manual_titles),
+                "claims": [
+                    {"stance": cl.stance.value, "template": cl.template} for cl in c.claims
+                ],
+            }
+            for c in ds.copas
+        ],
+        "motions": [{"id": m.id, "action": m.action, "topic": m.topic} for m in ds.motions],
+        "labels": [
+            {"motion": mid, "copa": cid}
+            | (
+                {"claim_stance_pro_means_support": ds.label_flags[(mid, cid)]}
+                if (mid, cid) in ds.label_flags
+                else {}
+            )
+            for mid, cid in sorted(ds.labels)
+        ],
+        "general_copas": sorted(ds.general_copa_ids),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, ensure_ascii=False, indent=2)
+        fh.write("\n")
+
+
+def tfidf_model(documents) -> TfIdfModel:
+    """The tf-idf model of ``documents``, each an iterable of terms that
+    adds at most one document-frequency count per distinct ``name_key``."""
+    key_sets = [{name_key(t) for t in doc} for doc in documents]
+    df = Counter(term for keys in key_sets for term in keys)
+    n_docs = len(key_sets)
+    return TfIdfModel({t: math.log(n_docs / d) for t, d in df.items()}, n_docs)
+
+
+def logreg_objective(X, y, w, b, lam) -> float:
+    """The objective ``logreg_fit`` minimizes, at (w, b): the solver's own
+    ``_objective_at`` of the margins."""
+    return _objective_at(X @ w + b, -(2.0 * y - 1.0), w, lam)
+
+
+def logreg_gradient(X, y, w, b, lam):
+    """``(grad_w, grad_b)`` of that objective at (w, b): the solver's own
+    ``_gradient_at`` of the probabilities."""
+    return _gradient_at(X, y, sigmoid(X @ w + b), w, lam)
 
 
 def random_embeddings(rng: np.random.Generator, words, dim=8) -> EmbeddingStore:

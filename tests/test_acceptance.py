@@ -18,10 +18,8 @@ from click.testing import CliRunner
 
 from copa.classifiers import (
     TopicSentenceCorpus,
-    _logreg_gradient,
     ensemble,
     logreg_fit,
-    logreg_objective,
     predict_ba,
     predict_knn,
     predict_nb,
@@ -35,11 +33,13 @@ from copa.evaluation import (
     p_at_1_curve,
     pr_curve,
 )
-from copa.features import FEATURE_NAMES, compute_features
+from copa.features import FEATURE_NAMES, FeatureTable, compute_features, motion_features
 from copa.kb import Motion, Stance, build_syllogism, copa_stats, instantiate_claim, load_dataset
 from copa.textsim import SimilarityContext, hypergeom_pvalue
 from helpers import (
     build_dataset,
+    logreg_gradient,
+    logreg_objective,
     matrix_entries,
     random_dataset,
     random_embeddings,
@@ -102,8 +102,14 @@ def test_c02_ba_and_count_features_match_counting_oracles():
             fold_model = train_ba(fold, k=model.k)
             assert np.array_equal(predict_ba(fold_model, m), ba_scores(fold, m, k=model.k),
                                   equal_nan=True)
+        table = FeatureTable(ds, ctx)
         for m in ds.motions[:5]:
-            for c in ds.copas:
+            # the program's rows: a new query's, and the held-out motion's in its fold
+            query_rows = motion_features(m, ds, ctx)[:, COUNT_IDX]
+            fold_rows = table.without_motion(m.id).query_rows(m)[:, COUNT_IDX]
+            for c, query_row, fold_row in zip(ds.copas, query_rows, fold_rows):
+                assert tuple(query_row) == count_features(m, c, ds)
+                assert tuple(fold_row) == count_features(m, c, ds, holdout=m.id)
                 plain = compute_features(m, c, ds, ctx)
                 assert tuple(plain[COUNT_IDX]) == count_features(m, c, ds)
                 held = compute_features(m, c, ds, ctx, loo_holdout=m.id)
@@ -133,7 +139,7 @@ def test_c03_logreg_gradient_and_descent():
         for _ in range(10):
             w = rng.normal(size=d)
             b = float(rng.normal())
-            grad_w, grad_b = _logreg_gradient(X, y, w, b, lam)
+            grad_w, grad_b = logreg_gradient(X, y, w, b, lam)
             analytic = np.append(grad_w, grad_b)
             numeric = np.empty(d + 1)
             for j in range(d):

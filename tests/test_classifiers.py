@@ -17,10 +17,8 @@ from copa.classifiers import (
     ScoreMatrix,
     TopicSentenceCorpus,
     W2VTable,
-    _logreg_gradient,
     ensemble,
     logreg_fit,
-    logreg_objective,
     predict_ba,
     predict_feature_lr,
     predict_knn,
@@ -48,6 +46,8 @@ from copa.textsim import (
 from helpers import (
     ACTION_POOL,
     build_dataset,
+    logreg_gradient,
+    logreg_objective,
     matrix_entries,
     random_dataset,
     random_embeddings,
@@ -270,7 +270,7 @@ class TestLogregFit:
             for _ in range(10):
                 w = rng.normal(size=d)
                 b = float(rng.normal())
-                grad_w, grad_b = _logreg_gradient(X, y, w, b, lam)
+                grad_w, grad_b = logreg_gradient(X, y, w, b, lam)
                 analytic = np.append(grad_w, grad_b)
                 numeric = np.empty(d + 1)
                 for j in range(d):
@@ -322,7 +322,7 @@ class TestLogregFit:
         assert fit.converged is False
         assert fit.grad_norm >= 1e-6
         w, b = fit
-        grad_w, grad_b = _logreg_gradient(X, y, w, b, 1e-3)
+        grad_w, grad_b = logreg_gradient(X, y, w, b, 1e-3)
         assert fit.grad_norm == math.sqrt(float(grad_w @ grad_w) + grad_b * grad_b)
 
     def test_reports_convergence(self):
@@ -369,7 +369,7 @@ class TestLogregFit:
             fit = logreg_fit(X, y, lam=0.0, max_iters=200)
             w, b = fit
             assert np.isfinite(w).all() and math.isfinite(b)
-            grad_w, grad_b = _logreg_gradient(X, y, w, b, 0.0)
+            grad_w, grad_b = logreg_gradient(X, y, w, b, 0.0)
             assert fit.converged == (math.hypot(*grad_w, grad_b) < 1e-6)
             assert fit.converged or not has_optimum
 
@@ -392,7 +392,7 @@ class TestLogregFit:
         assert np.isfinite(w).all() and math.isfinite(b)
         assert all(later <= earlier for earlier, later in zip(values, values[1:]))
         assert fit.n_iters == len(values)
-        grad_w, grad_b = _logreg_gradient(X, y, w, b, lam)
+        grad_w, grad_b = logreg_gradient(X, y, w, b, lam)
         assert fit.converged == (math.sqrt(float(grad_w @ grad_w) + grad_b * grad_b) < 1e-6)
         if fit.converged:
             best = logreg_objective(X, y, w, b, lam)

@@ -210,6 +210,13 @@ class TestExitCodes:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("command", [["match", "ban", ""], ["invent", "ban", "", "c1"]])
+    def test_empty_topic_is_domain_error(self, runner, workspace, command):
+        """A query topic the dataset loader would reject in a motion."""
+        result = runner.invoke(main, ["--config", str(workspace / "config.json"), *command])
+        assert result.exit_code == 3, result.output
+        assert result.output == "error: empty topic\n"
+
     def test_unknown_copa_is_domain_error(self, runner, workspace):
         result = runner.invoke(
             main,

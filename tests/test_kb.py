@@ -18,9 +18,8 @@ from copa.kb import (
     dataset_from_dict,
     instantiate_claim,
     load_dataset,
-    save_dataset,
 )
-from helpers import build_dataset, default_claims, make_registry, random_dataset
+from helpers import build_dataset, default_claims, make_registry, random_dataset, save_dataset
 
 TOY_DOC = {
     "actions": [{"id": "ban", "surface": "ban"}, {"id": "legalize", "surface": "legalize"}],

@@ -31,7 +31,7 @@ from copa.textsim import (
     term_similarity,
     topic_related_titles,
 )
-from helpers import EMBEDDING_TOKENS, load_bench_generator
+from helpers import EMBEDDING_TOKENS, load_bench_generator, tfidf_model
 from oracles import (
     EmbeddingFileError,
     cosine_block_reference,
@@ -370,7 +370,7 @@ class TestTermSimilarity:
     def test_tfidf_shared_token_toy(self):
         # three documents, every token has df=2, so equal idf weights;
         # "a b" vs "a c" share exactly one of two equally-weighted tokens.
-        tfidf = TfIdfModel.from_documents([["a", "b"], ["a", "c"], ["b", "c"]])
+        tfidf = tfidf_model([["a", "b"], ["a", "c"], ["b", "c"]])
         ctx = SimilarityContext(tfidf=tfidf)
         got = term_similarity(SimilarityKind.TFIDF, "a b", "a c", ctx)
         idf = math.log(3 / 2)
@@ -404,7 +404,7 @@ class TestTermSimilarity:
         assert bare.related_titles("topic") == ()
 
     def test_symmetry_all_kinds(self, store):
-        tfidf = TfIdfModel.from_documents([["a", "b"], ["b", "c"], ["a", "c", "d"]])
+        tfidf = tfidf_model([["a", "b"], ["b", "c"], ["a", "c", "d"]])
         ctx = SimilarityContext(embeddings=store, alt_embeddings=store, tfidf=tfidf)
         pairs = [("renewable energy", "smoking"), ("a b", "c d"), ("east", "north")]
         for kind in SimilarityKind:
@@ -801,7 +801,7 @@ class TestTopicRelatedTitles:
 class TestAvgIdf:
     def _fixture(self):
         docs = [["alpha", "beta"], ["alpha", "gamma"], ["delta"], ["alpha", "delta"]]
-        tfidf = TfIdfModel.from_documents(docs)
+        tfidf = tfidf_model(docs)
         corpus = WikiCorpus(
             articles={"topic": ArticleRecord({}, frozenset({"alpha", "beta", "zeta"}))},
             background_link_counts={},
@@ -839,12 +839,12 @@ class TestAvgIdf:
                       "b": ArticleRecord({}, frozenset({"alpha", "Gamma "}))},
             background_link_counts={}, background_total_links=0)
         tfidf = TfIdfModel.from_wiki_corpus(corpus)
-        want = TfIdfModel.from_documents([["Alpha", " beta"], ["alpha", "Gamma "]])
+        want = tfidf_model([["Alpha", " beta"], ["alpha", "Gamma "]])
         assert tfidf == want
         assert tfidf.idf_table == {"alpha": 0.0, "beta": math.log(2), "gamma": math.log(2)}
 
     def test_idf_keys_built_in_code_are_normalized(self):
-        # as from_documents keys them; the later of two spellings wins
+        # as a WikiCorpus record keys its body terms; the later of two spellings wins
         assert TfIdfModel({"Health": 2.0}, 5).idf("Health") == 2.0
         tfidf = TfIdfModel({"Health": 2.0, " health ": 3.0}, 5)
         assert tfidf.idf_table == {"health": 3.0}
