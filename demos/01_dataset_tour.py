@@ -20,7 +20,7 @@ print()
 
 print("== a few motions ==")
 for m in ds.motions[:5]:
-    surface = ds.actions.surface(m.action)
+    surface = ds.actions[m.action].surface
     members = sorted(c.id for c in ds.copas if m.id in c.motion_ids)
     print(f"  {m.id}: we should {surface} {m.topic}  ->  {members}")
 print()

@@ -46,7 +46,7 @@ print()
 
 # Actions may carry their own conclusion phrasing; "brings more harm
 # than good" reads badly under the default "we should <action> <topic>"
-# scheme, so its registry entry overrides the conclusion body.
+# scheme, so its Action in ds.actions overrides the conclusion body.
 social = next(m for m in ds.motions if m.topic == "social media")
 argument = build_syllogism(social, ds.copa("fixable"), Stance.CON, ds.actions)
 print("== analysis-style motion gets its own conclusion phrasing ==")

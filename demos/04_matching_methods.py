@@ -44,7 +44,7 @@ sentences = TopicSentenceCorpus.from_jsonl(DATA / "sentence_corpus.jsonl")
 
 # The query motion is not in the dataset.
 query = Motion("query", "subsidize", "solar energy")
-print(f"query motion: we should {ds.actions.surface(query.action)} {query.topic}")
+print(f"query motion: we should {ds.actions[query.action].surface} {query.topic}")
 print()
 
 # --- action statistics: p(CoPA | action) with a support cutoff --------------

@@ -8,7 +8,6 @@ leave-one-motion-out protocol.
 
 from .kb import (
     Action,
-    ActionRegistry,
     Claim,
     CoPA,
     CopaStats,
@@ -70,11 +69,9 @@ from .classifiers import (
 )
 from .evaluation import (
     EvalConfig,
-    LengthMismatch,
     PAt1Point,
     PRPoint,
     baseline_largest,
-    cohen_kappa,
     default_threshold_grid,
     leave_one_out,
     method_inputs,

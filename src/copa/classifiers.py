@@ -144,21 +144,24 @@ def logreg_fit(
 ) -> LogRegFit:
     """Deterministic damped Newton from a zero start.
 
-    Each step solves ``H dir = -g`` on the (d+1)-dimensional system of
-    weights and bias (bias last), with ``H = Aᵀ diag(p(1-p)/n) A`` for
-    ``A = [X 1]`` plus ``lam`` on the weight diagonal, then backtracks
-    until ``f(θ + t·dir) <= f(θ) + 1e-4·t·gᵀdir`` (Armijo).  Where the
-    solve fails or its direction does not descend (a singular H, as with
-    duplicate columns and ``lam = 0``), the step falls back to ``-g``.
+    Each step solves ``H dir = -g`` on ``θ = [w; b]``, the weights and
+    the bias, with ``H = Aᵀ diag(p(1-p)/n) A`` for ``A = [X 1]`` plus
+    ``lam`` on the weight diagonal, then backtracks until
+    ``f(θ + t·dir) < f(θ)`` and ``f(θ + t·dir) <= f(θ) + 1e-4·t·gᵀdir``
+    (Armijo).  Where the solve fails or its direction does not descend (a
+    singular H, as with duplicate columns and ``lam = 0``), the step falls
+    back to ``-g``.
 
     Stops when the gradient norm drops below ``tol``, when no step
-    descends at float precision, or after ``max_iters`` steps.  Returns
-    (weights, bias) as a ``LogRegFit``; its ``converged`` is False only
-    when one of the last two stops ended the fit above ``tol``, as on
-    separable data with ``lam = 0``, whose optimum lies at infinity.
+    strictly lowers the objective at float precision, or after
+    ``max_iters`` steps.  Returns (weights, bias) as a ``LogRegFit``; its
+    ``converged`` is False only when one of the last two stops ended the
+    fit above ``tol``, as on separable data with ``lam = 0``, whose
+    optimum lies at infinity, or with a ``tol`` below what float
+    precision reaches.
 
     ``on_step(iteration, objective)`` is called after every accepted
-    step; the accepted objective values never increase.
+    step; the accepted objective values strictly decrease.
 
     Each iterate is one pass: the margins ``X @ w + b`` of the accepted
     line-search candidate are the next iterate's, and their sigmoid feeds
@@ -175,15 +178,14 @@ def logreg_fit(
     ridge = np.diag(np.append(np.full(d, float(lam)), 0.0))
     neg_signs = -(2.0 * y - 1.0)
 
-    w = np.zeros(d)
-    b = 0.0
-    z = X @ w + b  # the margins of (w, b), carried over from the accepted candidate
-    value = _objective_at(z, neg_signs, w, lam)
+    theta = np.zeros(d + 1)
+    z = X @ theta[:d] + theta[d]  # the margins of θ, carried over from the accepted candidate
+    value = _objective_at(z, neg_signs, theta[:d], lam)
     n_iters = 0
     grad_sq = math.inf
     for iteration in range(max_iters + 1):
         p = sigmoid(z)
-        grad_w, grad_b = _gradient_at(X, y, p, w, lam)
+        grad_w, grad_b = _gradient_at(X, y, p, theta[:d], lam)
         grad = np.append(grad_w, grad_b)
         grad_sq = float(grad_w @ grad_w) + grad_b * grad_b
         # the pass after the last step only measures the final gradient
@@ -199,21 +201,19 @@ def logreg_fit(
         slope = float(grad @ direction)
         step = 1.0
         while step > 1e-20:
-            cand_w = w + step * direction[:d]
-            cand_b = b + step * float(direction[d])
-            cand_z = X @ cand_w + cand_b
-            cand_value = _objective_at(cand_z, neg_signs, cand_w, lam)
-            if cand_value <= value + 1e-4 * step * slope:
+            cand = theta + step * direction
+            cand_z = X @ cand[:d] + cand[d]
+            cand_value = _objective_at(cand_z, neg_signs, cand[:d], lam)
+            if cand_value < value and cand_value <= value + 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
-            break  # no descent direction left at float precision
-        assert cand_value <= value, "line search accepted an ascent step"
-        w, b, z, value = cand_w, cand_b, cand_z, cand_value
+            break  # no step lowers the objective at float precision
+        theta, z, value = cand, cand_z, cand_value
         n_iters += 1
         if on_step is not None:
             on_step(iteration, value)
-    return LogRegFit(w, b, n_iters, math.sqrt(grad_sq), tol)
+    return LogRegFit(theta[:d], float(theta[d]), n_iters, math.sqrt(grad_sq), tol)
 
 
 # ---------------------------------------------------------------------------

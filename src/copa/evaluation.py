@@ -32,10 +32,6 @@ from .kb import Dataset, Motion
 from .textsim import SimilarityContext, SimilarityKind
 
 
-class LengthMismatch(Exception):
-    """Paired label lists differ in length."""
-
-
 class FoldError(Exception):
     """Training failed inside a leave-one-out fold; carries the held-out
     motion id for debugging."""
@@ -263,9 +259,8 @@ def _included_columns(scores: ScoreMatrix, ds: Dataset, exclude_general: bool):
     if scores.motion_ids != ds.motion_ids or scores.copa_ids != ds.copa_ids:
         raise ValueError("the score matrix's ids are not the dataset's, in order")
     included = set(ds.included_copa_ids(exclude_general))
-    copa_ids = ds.copa_ids  # the property builds a new tuple on every read
-    cols = sorted((j for j, cid in enumerate(copa_ids) if cid in included),
-                  key=lambda j: copa_ids[j])
+    cols = sorted((j for j, cid in enumerate(ds.copa_ids) if cid in included),
+                  key=lambda j: ds.copa_ids[j])
     return scores.scores[:, cols], ds.label_counts.member[:, cols]
 
 
@@ -334,7 +329,7 @@ def p_at_1_curve(
 
 
 # ---------------------------------------------------------------------------
-# Baselines and agreement
+# Baselines
 # ---------------------------------------------------------------------------
 
 
@@ -356,23 +351,3 @@ def baseline_largest(ds: Dataset, exclude_general: bool = False) -> LargestCopaB
     return LargestCopaBaseline(
         copa_id=largest.id, precision=len(largest.motion_ids) / len(ds.motions)
     )
-
-
-def cohen_kappa(labels_a, labels_b) -> float:
-    """Cohen's kappa for two binary annotation lists.
-
-    Degenerate chance agreement (p_e = 1) returns 1.0 under perfect
-    observed agreement and 0.0 otherwise.
-    """
-    a = [int(bool(x)) for x in labels_a]
-    b = [int(bool(x)) for x in labels_b]
-    if len(a) != len(b) or not a:
-        raise LengthMismatch(f"{len(a)} vs {len(b)} labels")
-    n = len(a)
-    observed = sum(1 for x, y in zip(a, b) if x == y) / n
-    pa = sum(a) / n
-    pb = sum(b) / n
-    expected = pa * pb + (1 - pa) * (1 - pb)
-    if expected == 1.0:
-        return 1.0 if observed == 1.0 else 0.0
-    return (observed - expected) / (1.0 - expected)

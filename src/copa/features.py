@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kb import ActionRegistry, CoPA, Dataset, LabelCounts, Motion
+from .kb import Action, CoPA, Dataset, LabelCounts, Motion
 from .textsim import (
     MAX_SET_PAIRS,
     DomainError,
@@ -68,8 +68,9 @@ class CopaTextSets:
     c_t: frozenset[str]
 
 
-def motion_text_sets(motion: Motion, actions: ActionRegistry, ctx: SimilarityContext) -> MotionTextSets:
-    m_t = frozenset({actions.surface(motion.action), motion.topic})
+def motion_text_sets(motion: Motion, actions: dict[str, Action],
+                     ctx: SimilarityContext) -> MotionTextSets:
+    m_t = frozenset({actions[motion.action].surface, motion.topic})
     return MotionTextSets(m_t=m_t, m_w=ctx.related_titles(motion.topic))
 
 

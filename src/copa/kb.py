@@ -3,9 +3,9 @@
 A *motion* is an (action, topic) pair such as (ban, smoking), read as
 "we should ban smoking".  A *CoPA* (class of principled arguments) is a
 named recurring theme carrying exactly two opposing claims plus the set
-of motions the theme applies to.  A :class:`Dataset` bundles the action
-registry, the motions, the CoPAs and the binary match relation, and is
-loaded from a single JSON file.
+of motions the theme applies to.  A :class:`Dataset` bundles the closed
+set of actions (an id -> :class:`Action` dict), the motions, the CoPAs and
+the binary match relation, and is loaded from a single JSON file.
 
 Datasets are treated as immutable after loading; all operations here are
 pure and safe for concurrent reads.
@@ -55,7 +55,7 @@ class Stance(enum.Enum):
 
 @dataclass(frozen=True)
 class Action:
-    """A registry entry for one allowed action.
+    """One allowed action, keyed by ``id`` in ``Dataset.actions``.
 
     ``surface`` is the human phrasing used in claim text and feature
     sets (e.g. ``further_exploit`` -> "further exploit").  ``conclusion``
@@ -66,35 +66,6 @@ class Action:
     id: str
     surface: str
     conclusion: str | None = None
-
-
-class ActionRegistry:
-    """Closed set of allowed actions, keyed by id."""
-
-    def __init__(self, actions: list[Action] | tuple[Action, ...]):
-        self._by_id: dict[str, Action] = {}
-        for a in actions:
-            if a.id in self._by_id:
-                raise ValidationError(f"duplicate action id {a.id!r}")
-            self._by_id[a.id] = a
-
-    def __contains__(self, action_id: str) -> bool:
-        return action_id in self._by_id
-
-    def __getitem__(self, action_id: str) -> Action:
-        return self._by_id[action_id]
-
-    def __iter__(self):
-        return iter(self._by_id.values())
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ActionRegistry) and self._by_id == other._by_id
-
-    def surface(self, action_id: str) -> str:
-        return self._by_id[action_id].surface
 
 
 @dataclass(frozen=True)
@@ -143,13 +114,15 @@ class CoPA:
 class Dataset:
     """Motions, CoPAs and the match relation between them.
 
+    ``actions`` maps each allowed action id to its :class:`Action`.
     ``labels`` holds (motion_id, copa_id) pairs and always equals the
     union of the CoPAs' ``motion_ids``.  ``label_flags`` carries the
     optional per-label stance marker from the file; it is ignored by
-    every classifier.
+    every classifier.  ``motion_ids`` and ``copa_ids`` are the ids of
+    ``motions`` and ``copas``, in order.
     """
 
-    actions: ActionRegistry
+    actions: dict[str, Action]
     motions: tuple[Motion, ...]
     copas: tuple[CoPA, ...]
     labels: frozenset[tuple[str, str]]
@@ -157,6 +130,8 @@ class Dataset:
     label_flags: dict[tuple[str, str], bool] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.motion_ids = tuple(m.id for m in self.motions)
+        self.copa_ids = tuple(c.id for c in self.copas)
         self._motion_by_id = {m.id: m for m in self.motions}
         self._copa_by_id = {c.id: c for c in self.copas}
 
@@ -165,14 +140,6 @@ class Dataset:
 
     def copa(self, copa_id: str) -> CoPA:
         return self._copa_by_id[copa_id]
-
-    @property
-    def motion_ids(self) -> tuple[str, ...]:
-        return tuple(m.id for m in self.motions)
-
-    @property
-    def copa_ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.copas)
 
     def included_copa_ids(self, exclude_general: bool) -> tuple[str, ...]:
         if not exclude_general:
@@ -190,28 +157,20 @@ class Dataset:
         against."""
         if motion_id not in self._motion_by_id:
             raise KeyError(motion_id)
-        motions = tuple(m for m in self.motions if m.id != motion_id)
-        labels = frozenset(p for p in self.labels if p[0] != motion_id)
-        copas = tuple(
-            CoPA(
-                id=c.id,
-                name=c.name,
-                topic_related=c.topic_related,
-                manual_titles=c.manual_titles,
-                claims=c.claims,
-                motion_ids=frozenset(i for i in c.motion_ids if i != motion_id),
-            )
-            for c in self.copas
+        return replace(
+            self,
+            motions=tuple(m for m in self.motions if m.id != motion_id),
+            copas=tuple(replace(c, motion_ids=c.motion_ids - {motion_id}) for c in self.copas),
+            labels=frozenset(p for p in self.labels if p[0] != motion_id),
+            label_flags={p: v for p, v in self.label_flags.items() if p[0] != motion_id},
         )
-        flags = {p: v for p, v in self.label_flags.items() if p[0] != motion_id}
-        return Dataset(self.actions, motions, copas, labels, self.general_copa_ids, flags)
 
 
 @dataclass(frozen=True, eq=False)
 class LabelCounts:
     """The label relation as integer counts, read by BA, both blacklists,
     the count features and the statistics.  Per motion (row ``rows[id]``):
-    its action's registry column and its CoPA rows (``member``).  Over the
+    its action's ``actions`` column and its CoPA rows (``member``).  Over the
     motions counted: their number, per action, the members of each CoPA
     and those with each action.  ``without_motion(id)`` subtracts one."""
 
@@ -227,7 +186,7 @@ class LabelCounts:
 
     @classmethod
     def of(cls, ds: Dataset) -> "LabelCounts":
-        actions = {a.id: j for j, a in enumerate(ds.actions)}
+        actions = {a: j for j, a in enumerate(ds.actions)}
         rows = {m.id: i for i, m in enumerate(ds.motions)}
         action = np.array([actions[m.action] for m in ds.motions], dtype=np.intp)
         member = np.zeros((len(ds.motions), len(ds.copas)), dtype=bool)
@@ -249,20 +208,20 @@ class LabelCounts:
 
     def with_action(self, action: str) -> tuple[int, np.ndarray]:
         """The counted motions with ``action``, and per CoPA its counted
-        members with it; 0 for an action outside the registry."""
+        members with it; 0 for an action outside the dataset's actions."""
         col = self.actions.get(action)
         if col is None:
             return 0, np.zeros(len(self.copa_ids), dtype=np.int64)
         return int(self.action_size[col]), self.copa_action[:, col]
 
     def blacklisted(self, action: str) -> np.ndarray:
-        """Per CoPA, whether no counted member has the registry action
+        """Per CoPA, whether no counted member has the dataset action
         ``action``: the W2V and NB blacklists force the score there to 0."""
         return (self.with_action(action)[1] == 0) & (action in self.actions)
 
 
 # ---------------------------------------------------------------------------
-# Loading / saving
+# Loading
 # ---------------------------------------------------------------------------
 
 
@@ -286,15 +245,19 @@ def dataset_from_dict(doc: dict, source: str = "<dict>") -> Dataset:
     for key in ("actions", "copas", "motions", "labels"):
         _require(doc, key, list, source)
 
-    actions = []
+    parsed_actions = []
     for rec in doc["actions"]:
         aid = _require(rec, "id", str, f"{source} action")
         surface = _require(rec, "surface", str, f"{source} action {aid!r}")
         conclusion = rec.get("conclusion")
         if conclusion is not None and not isinstance(conclusion, str):
             raise ParseError(f"{source} action {aid!r}: field 'conclusion' must be a string")
-        actions.append(Action(aid, surface, conclusion))
-    registry = ActionRegistry(actions)
+        parsed_actions.append(Action(aid, surface, conclusion))
+    actions: dict[str, Action] = {}
+    for a in parsed_actions:
+        if a.id in actions:
+            raise ValidationError(f"duplicate action id {a.id!r}")
+        actions[a.id] = a
 
     raw_copas = []
     for rec in doc["copas"]:
@@ -340,7 +303,7 @@ def dataset_from_dict(doc: dict, source: str = "<dict>") -> Dataset:
     for m in motions:
         if not m.topic:
             raise ValidationError(f"motion {m.id!r}: empty topic")
-        if m.action not in registry:
+        if m.action not in actions:
             raise ValidationError(f"motion {m.id!r}: unknown action {m.action!r}")
         if m.id in motion_ids:
             raise ValidationError(f"duplicate motion id {m.id!r}")
@@ -395,7 +358,7 @@ def dataset_from_dict(doc: dict, source: str = "<dict>") -> Dataset:
         for cid, name, topic_related, titles, claims in raw_copas
     )
 
-    return Dataset(registry, tuple(motions), copas, frozenset(labels), general_ids, flags)
+    return Dataset(actions, tuple(motions), copas, frozenset(labels), general_ids, flags)
 
 
 def load_dataset(path) -> Dataset:
@@ -483,7 +446,7 @@ def build_syllogism(
     motion: Motion,
     copa: CoPA,
     stance: Stance,
-    actions: ActionRegistry,
+    actions: dict[str, Action],
     minor_override: str | None = None,
 ) -> Syllogism:
     """Assemble a three-line argument for a motion from a matched CoPA.
@@ -491,8 +454,8 @@ def build_syllogism(
     The major premise is the CoPA claim of the requested stance with the
     topic filled in.  The minor premise links motion to theme (callers
     may override it with something more fluent).  The conclusion is
-    "Therefore, we should <action> <topic>." unless the action registry
-    provides a dedicated conclusion body for the action.
+    "Therefore, we should <action> <topic>." unless the motion's
+    ``actions[motion.action]`` provides a dedicated conclusion body.
     """
     major = instantiate_claim(copa.claim(stance), motion)
     minor = minor_override if minor_override is not None else f"{motion.topic} relates to {copa.name}"

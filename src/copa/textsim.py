@@ -257,10 +257,7 @@ class TfIdfModel:
         for rec in corpus.records():
             for term in rec.body_terms:
                 df[term] = df.get(term, 0) + 1
-        model = cls({}, n_docs)
-        # keyed as it was counted, so __post_init__ need not key it again
-        object.__setattr__(model, "idf_table", {t: math.log(n_docs / d) for t, d in df.items()})
-        return model
+        return cls({t: math.log(n_docs / d) for t, d in df.items()}, n_docs)
 
 
 # ---------------------------------------------------------------------------

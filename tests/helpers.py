@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from copa.classifiers import ScoreMatrix, _gradient_at, _objective_at, sigmoid
-from copa.kb import Action, ActionRegistry, Claim, CoPA, Dataset, Motion, Stance
+from copa.kb import Action, Claim, CoPA, Dataset, Motion, Stance
 from copa.textsim import EmbeddingStore, TfIdfModel, name_key
 
 ACTION_POOL = ("ban", "legalize", "subsidize", "promote", "limit")
@@ -31,8 +31,8 @@ EMBEDDING_TOKENS = st.one_of(
 )
 
 
-def make_registry(action_ids=ACTION_POOL) -> ActionRegistry:
-    return ActionRegistry([Action(a, a.replace("_", " ")) for a in action_ids])
+def make_registry(action_ids=ACTION_POOL) -> dict[str, Action]:
+    return {a: Action(a, a.replace("_", " ")) for a in action_ids}
 
 
 def default_claims(name: str) -> tuple[Claim, Claim]:
@@ -91,7 +91,7 @@ def save_dataset(ds: Dataset, path) -> None:
         "actions": [
             {"id": a.id, "surface": a.surface}
             | ({"conclusion": a.conclusion} if a.conclusion is not None else {})
-            for a in ds.actions
+            for a in ds.actions.values()
         ],
         "copas": [
             {
@@ -152,7 +152,7 @@ def topic_words(ds: Dataset):
     words = set()
     for m in ds.motions:
         words.update(m.topic.split())
-        words.update(ds.actions.surface(m.action).split())
+        words.update(ds.actions[m.action].surface.split())
     return words
 
 

@@ -235,7 +235,7 @@ def logreg_fit_reference(X, y, lam, tol, max_iters):
             cand_w = w + step * direction[:d]
             cand_b = b + step * float(direction[d])
             cand_value = objective(cand_w, cand_b)
-            if cand_value <= value + 1e-4 * step * slope:
+            if cand_value < value and cand_value <= value + 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
@@ -268,7 +268,7 @@ def w2v_row_reference(X, labels, blacklisted, x, fit, lam, tol, max_iters):
 def build_blacklist(ds):
     """{copa id: the registry actions that no member of the CoPA has}; W2V
     and NB force the score of such an action to 0."""
-    all_actions = {a.id for a in ds.actions}
+    all_actions = set(ds.actions)
     return {
         c.id: all_actions - {ds.motion(mid).action for mid in c.motion_ids} for c in ds.copas
     }
@@ -375,19 +375,3 @@ def p_at_1_points(entries, labels, included_copas, motion_ids, thresholds):
         hits = sum(1 for mid, cid in covered if (mid, cid) in labels)
         points.append((float(t), len(covered) / len(motion_ids), hits / len(covered)))
     return points
-
-
-# --- kappa -------------------------------------------------------------------
-
-
-def kappa_from_confusion(a, b) -> float:
-    n = len(a)
-    both1 = sum(1 for x, y in zip(a, b) if x == 1 and y == 1)
-    both0 = sum(1 for x, y in zip(a, b) if x == 0 and y == 0)
-    p_o = (both1 + both0) / n
-    pa = sum(a) / n
-    pb = sum(b) / n
-    p_e = pa * pb + (1 - pa) * (1 - pb)
-    if p_e == 1.0:
-        return 1.0 if p_o == 1.0 else 0.0
-    return (p_o - p_e) / (1 - p_e)

@@ -325,6 +325,23 @@ class TestLogregFit:
         grad_w, grad_b = logreg_gradient(X, y, w, b, 1e-3)
         assert fit.grad_norm == math.sqrt(float(grad_w @ grad_w) + grad_b * grad_b)
 
+    def test_stalled_fit_stops_unconverged(self):
+        """A ``tol`` below float precision: the fit ends once no step
+        strictly lowers the objective, not after ``max_iters`` steps."""
+        rng = np.random.default_rng(77)
+        X = rng.normal(size=(40, 5))
+        y = (rng.random(40) < 0.5).astype(float)
+        values = []
+
+        def record(iteration, value):
+            assert iteration < 100, "the fit steps on after its objective stalled"
+            values.append(value)
+
+        fit = logreg_fit(X, y, tol=1e-300, max_iters=10**9, on_step=record)
+        assert fit.converged is False
+        assert fit.n_iters == len(values) < 100
+        assert all(b < a for a, b in zip(values, values[1:]))
+
     def test_reports_convergence(self):
         X = np.array([[1.0], [-1.0], [2.0], [-2.0]])
         y = np.array([1.0, 0.0, 1.0, 0.0])

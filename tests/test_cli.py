@@ -230,6 +230,16 @@ class TestExitCodes:
         result = runner.invoke(main, ["--config", str(cfg), "stats"])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("kind", ["actions", "copas", "motions"])
+    def test_duplicate_id_is_io_error(self, runner, tmp_path, kind):
+        doc = json.loads((ROOT / "data" / "sample_dataset.json").read_text())
+        doc[kind].append(doc[kind][0])
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["stats"], env={"COPA_DATASET": str(path)})
+        assert result.exit_code == 4
+        assert f"duplicate {kind[:-1]} id {doc[kind][0]['id']!r}" in result.output
+
     def test_malformed_dataset_is_io_error(self, runner, tmp_path):
         broken = tmp_path / "ds.json"
         broken.write_text("{oops")
@@ -481,6 +491,21 @@ class TestMatchCommand:
         assert result.exit_code == 0
         assert "pro: NATO works efficiently" in result.output
         assert "con: NATO fails to achieve its goals" in result.output
+
+    def test_unreachable_tol_still_answers(self):
+        """Every fit of a query stops once its objective stalls, however
+        small ``tol`` and however large ``max_iters``."""
+        env = {**os.environ, "COPA_TOL": "1e-300", "COPA_MAX_ITERS": "1000000000"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "copa.cli", "--config", "data/config.json", "match", "ban",
+             "smoking"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "personal_freedom" in result.stdout
 
     @pytest.mark.parametrize("method", ["knn", "ensemble"])
     @pytest.mark.parametrize("name", ["@query", "@@@@"])

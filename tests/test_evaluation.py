@@ -10,9 +10,7 @@ from copa.evaluation import (
     METHODS,
     EvalConfig,
     FoldError,
-    LengthMismatch,
     baseline_largest,
-    cohen_kappa,
     default_threshold_grid,
     leave_one_out,
     method_inputs,
@@ -40,7 +38,6 @@ from helpers import (
 from oracles import (
     ba_scores,
     build_blacklist,
-    kappa_from_confusion,
     knn_scores,
     p_at_1_points,
     pr_points,
@@ -602,36 +599,6 @@ class TestBaseline:
         assert baseline_largest(ds).copa_id == "g"
         assert baseline_largest(ds, exclude_general=True).copa_id == "c"
         assert baseline_largest(ds, exclude_general=True).precision == 0.25
-
-
-class TestCohenKappa:
-    def test_perfect_agreement(self):
-        assert cohen_kappa([1, 0, 1, 0], [1, 0, 1, 0]) == 1.0
-
-    def test_perfect_disagreement_balanced(self):
-        assert cohen_kappa([1, 1, 0, 0], [0, 0, 1, 1]) == -1.0
-
-    def test_hand_computed_confusion(self):
-        got = cohen_kappa([1, 1, 0, 0, 1], [1, 0, 0, 0, 1])
-        # p_o = 4/5, p_e = (3/5)(2/5) + (2/5)(3/5) = 12/25
-        assert got == pytest.approx(8 / 13, abs=1e-12)
-
-    def test_degenerate_chance_agreement(self):
-        assert cohen_kappa([1, 1, 1], [1, 1, 1]) == 1.0
-        assert cohen_kappa([0, 0], [0, 0]) == 1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            cohen_kappa([1, 0], [1])
-        with pytest.raises(LengthMismatch):
-            cohen_kappa([], [])
-
-    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=40))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_confusion_matrix_oracle(self, pairs):
-        a = [x for x, _ in pairs]
-        b = [y for _, y in pairs]
-        assert cohen_kappa(a, b) == pytest.approx(kappa_from_confusion(a, b), abs=1e-12)
 
 
 class TestThresholdGrid:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,6 +116,23 @@ class TestLoadDataset:
         doc = json.loads(json.dumps(TOY_DOC))
         doc["motions"].append({"id": "m4", "action": "ban", "topic": "smoking"})
         with pytest.raises(ValidationError, match="m4"):
+            load_dataset(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize("kind, record", [
+        ("actions", {"id": "legalize", "surface": "allow"}),
+        ("copas", {**TOY_DOC["copas"][1], "name": "Theme three"}),
+        ("motions", {"id": "m1", "action": "legalize", "topic": "dice"}),
+    ])
+    def test_duplicate_id(self, tmp_path, kind, record):
+        doc = json.loads(json.dumps(TOY_DOC))
+        doc[kind].append(record)
+        with pytest.raises(ValidationError, match=f"duplicate {kind[:-1]} id '{record['id']}'"):
+            load_dataset(_write(tmp_path, doc))
+
+    def test_action_parse_errors_come_before_a_duplicate_action_id(self, tmp_path):
+        doc = json.loads(json.dumps(TOY_DOC))
+        doc["actions"] += [{"id": "ban", "surface": "forbid"}, {"id": "tax"}]
+        with pytest.raises(ParseError, match="tax"):
             load_dataset(_write(tmp_path, doc))
 
     def test_topic_related_requires_titles(self, tmp_path):
@@ -316,6 +334,27 @@ def test_without_motion_shrinks_everything():
     assert ("m2", "c1") not in fold.labels
     # the original is untouched
     assert ds.copa("c1").motion_ids == {"m1", "m2"}
+
+
+def test_without_motion_is_the_file_without_the_motion(tmp_path):
+    """The fold keeps every other field: actions, claims, titles,
+    ``topic_related``, the general ids and the other motions' flags."""
+    doc = json.loads(json.dumps(TOY_DOC))
+    doc["actions"][0]["conclusion"] = "[TOPIC] must go"
+    doc["copas"][1].update(topic_related=True, manual_titles=["Gambling", "Cars"])
+    doc["general_copas"] = ["c2"]
+    doc["labels"][0]["claim_stance_pro_means_support"] = False
+    doc["labels"][3]["claim_stance_pro_means_support"] = True
+    ds = load_dataset(_write(tmp_path, doc))
+    fold = ds.without_motion("m2")
+    doc["motions"] = [m for m in doc["motions"] if m["id"] != "m2"]
+    doc["labels"] = [label for label in doc["labels"] if label["motion"] != "m2"]
+    assert fold == load_dataset(_write(tmp_path, doc))
+    assert fold.actions == ds.actions and fold.general_copa_ids == {"c2"}
+    assert [replace(c, motion_ids=frozenset()) for c in fold.copas] == [
+        replace(c, motion_ids=frozenset()) for c in ds.copas]
+    assert fold.label_flags == {("m1", "c1"): False, ("m3", "c2"): True}
+    assert (fold.motion_ids, fold.copa_ids) == (("m1", "m3"), ("c1", "c2"))
 
 
 def test_default_claims_are_opposing():
