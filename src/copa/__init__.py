@@ -30,7 +30,6 @@ from .textsim import (
     SimilarityKind,
     TfIdfModel,
     TopicSentenceCorpus,
-    UnknownTopic,
     WikiCorpus,
     avg_idf_in_article,
     embed_term,

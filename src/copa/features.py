@@ -112,12 +112,6 @@ def _count_values(counts: LabelCounts) -> np.ndarray:
                         counts.copa_size[None, :], counts.copa_action.T[counts.action])
 
 
-def _avg_idf(copa: CoPA, topic: str, ctx: SimilarityContext) -> float:
-    if ctx.tfidf is None:
-        return 0.0
-    return avg_idf_in_article(copa.manual_titles, topic, ctx.wiki, ctx.tfidf)
-
-
 def compute_features(
     motion: Motion,
     copa: CoPA,
@@ -144,7 +138,7 @@ def compute_features(
     values = [
         set_similarity(kind, *text_pairs[pair], ctx) for pair in _PAIRS for _, kind in _KINDS
     ]
-    values.append(_avg_idf(copa, motion.topic, ctx))
+    values.append(avg_idf_in_article(copa.manual_titles, motion.topic, ctx.wiki, ctx.tfidf))
 
     universe = [m for m in ds.motions if m.id != loo_holdout]
     m_all = {m.id for m in universe}
@@ -240,7 +234,8 @@ def motion_features(motion: Motion, ds: Dataset, ctx: SimilarityContext) -> np.n
     values = np.empty((len(ds.copas), N_FEATURES))
     sim = _similarity_sums([motion], ds, ctx)
     values[:, _SIM_FEATURES] = mean_similarity(sim.sums[0], sim.counts[0])
-    values[:, _IDF_FEATURE] = [_avg_idf(c, motion.topic, ctx) for c in ds.copas]
+    values[:, _IDF_FEATURE] = [avg_idf_in_article(c.manual_titles, motion.topic, ctx.wiki, ctx.tfidf)
+                               for c in ds.copas]
     counts = ds.label_counts
     n_action, n_inter = counts.with_action(motion.action)
     values[:, _COUNT_FEATURES] = count_ratios(counts.n_motions, n_action, counts.copa_size, n_inter)
@@ -278,7 +273,8 @@ class FeatureTable:
         self.values = np.empty((len(ds.motions), len(ds.copas), N_FEATURES))
         self.values[..., _SIM_FEATURES] = mean_similarity(sim.sums, sim.counts)
         self.values[..., _IDF_FEATURE] = np.array(
-            [[_avg_idf(c, m.topic, ctx) for c in ds.copas] for m in ds.motions]
+            [[avg_idf_in_article(c.manual_titles, m.topic, ctx.wiki, ctx.tfidf) for c in ds.copas]
+             for m in ds.motions]
         ).reshape(len(ds.motions), len(ds.copas))
         self.values[..., _COUNT_FEATURES] = _count_values(self.counts)
 

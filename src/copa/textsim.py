@@ -29,10 +29,6 @@ class DomainError(Exception):
     """An argument is outside the operation's documented domain."""
 
 
-class UnknownTopic(Exception):
-    """The corpus has no article record for the requested topic."""
-
-
 def name_key(name: str) -> str:
     """What two names (words, titles, topics) must share to be one name:
     equal ignoring case and surrounding space.  A leave-one-out fold drops
@@ -41,11 +37,24 @@ def name_key(name: str) -> str:
     return name.strip().lower()
 
 
+def _left_sum(values) -> float:
+    """The floats added left to right from 0.0, as ``sum`` adds them before
+    Python 3.12 (later ones compensate): the same bits on every version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def read_lines(path):
     """(line number, line) pairs of a UTF-8 text file, numbered from 1;
-    DomainError naming the file when it is not UTF-8."""
+    DomainError naming the file when it is not UTF-8, and its line 1 when
+    it starts with a byte-order mark (U+FEFF, which would join a word)."""
     with open(path, encoding="utf-8") as fh:
         try:
+            if fh.read(1) == "\ufeff":
+                raise DomainError(f"{path}:1: starts with a UTF-8 byte-order mark")
+            fh.seek(0)
             yield from enumerate(fh, start=1)
         except UnicodeDecodeError as exc:
             raise DomainError(f"{path}: not UTF-8 text ({exc})") from None
@@ -312,14 +321,9 @@ class WikiCorpus:
         self.background_link_counts = background_link_counts
         self.background_total_links = background_total_links
 
-    def has_article(self, topic: str) -> bool:
-        return name_key(topic) in self._articles
-
-    def article(self, topic: str) -> ArticleRecord:
-        try:
-            return self._articles[name_key(topic)]
-        except KeyError:
-            raise UnknownTopic(topic) from None
+    def article(self, topic: str) -> ArticleRecord | None:
+        """The topic's article record; None when the corpus has none."""
+        return self._articles.get(name_key(topic))
 
     def records(self):
         return self._articles.values()
@@ -434,7 +438,7 @@ def hypergeom_pvalue(k: int, n: int, K: int, N: int) -> float:
         _log_comb(K, i) + _log_comb(N - K, n - i) - log_denom for i in range(lo, hi + 1)
     ]
     peak = max(log_terms)
-    total = peak + math.log(sum(math.exp(t - peak) for t in log_terms))
+    total = peak + math.log(_left_sum(math.exp(t - peak) for t in log_terms))
     return min(1.0, math.exp(total))
 
 
@@ -496,10 +500,8 @@ class SimilarityContext:
         without a corpus or when the corpus has no article for it."""
         key = name_key(topic)
         if key not in self._title_cache:
-            titles = ()
-            if self.wiki is not None and self.wiki.has_article(topic):
-                titles = tuple(topic_related_titles(topic, self.wiki, cap=RELATED_TITLE_CAP))
-            self._title_cache[key] = titles
+            self._title_cache[key] = () if self.wiki is None else tuple(
+                topic_related_titles(topic, self.wiki, cap=RELATED_TITLE_CAP))
         return self._title_cache[key]
 
 
@@ -508,26 +510,21 @@ def _tfidf_vector(term: str, ctx: SimilarityContext) -> dict[str, float] | None:
     # otherwise by the tokens of the term string itself.
     if ctx.tfidf is None:
         return None
-    if ctx.wiki is not None and ctx.wiki.has_article(term):
-        units = ctx.wiki.article(term).body_terms
-    else:
-        units = term.split()
+    record = None if ctx.wiki is None else ctx.wiki.article(term)
+    units = term.split() if record is None else record.body_terms
     vec = {name_key(u): ctx.tfidf.idf(u) for u in units}
     vec = {u: w for u, w in vec.items() if w != 0.0}
     return vec or None
 
 
 def _tfidf_norm(vec: dict[str, float]) -> float:
-    return math.sqrt(sum(w * w for w in vec.values()))
+    return math.sqrt(_left_sum(w * w for w in vec.values()))
 
 
 def _dict_cosine(a: dict[str, float], b: dict[str, float]) -> float:
-    # add the common keys' products one by one in sorted order, so that
-    # cosine(a, b) == cosine(b, a) bit for bit and ``_tfidf_block``
-    # reproduces it (``sum`` may compensate on newer Pythons)
-    dot = 0.0
-    for t in sorted(a.keys() & b.keys()):
-        dot += a[t] * b[t]
+    # add the common keys' products in sorted order, so that cosine(a, b)
+    # == cosine(b, a) bit for bit and ``_tfidf_block`` reproduces it
+    dot = _left_sum(a[t] * b[t] for t in sorted(a.keys() & b.keys()))
     na = _tfidf_norm(a)
     nb = _tfidf_norm(b)
     if na == 0.0 or nb == 0.0:
@@ -709,8 +706,11 @@ def set_similarity(kind: SimilarityKind, terms_a, terms_b, ctx: SimilarityContex
 def topic_related_titles(topic: str, corpus: WikiCorpus, cap: int = 10) -> list[str]:
     """The (at most) ``cap`` titles linked from the topic's article that
     are most enriched versus the background pool, ascending by
-    hypergeometric p-value with lexicographic tie-breaks."""
-    record = corpus.article(topic)  # raises UnknownTopic
+    hypergeometric p-value with lexicographic tie-breaks; empty when the
+    corpus has no article for the topic."""
+    record = corpus.article(topic)
+    if record is None:
+        return []
     n = sum(record.link_counts.values())
     scored = []
     for title, count in record.link_counts.items():
@@ -726,13 +726,12 @@ def topic_related_titles(topic: str, corpus: WikiCorpus, cap: int = 10) -> list[
     return [title for _, title in scored[:cap]]
 
 
-def avg_idf_in_article(copa_titles, topic: str, corpus: WikiCorpus | None, tfidf: TfIdfModel) -> float:
+def avg_idf_in_article(copa_titles, topic: str, corpus: WikiCorpus | None,
+                       tfidf: TfIdfModel | None) -> float:
     """Mean idf of the CoPA's manual titles that occur in the topic's
-    article body; 0 when the article is missing or nothing intersects."""
-    if corpus is None or not corpus.has_article(topic):
-        return 0.0
-    body = corpus.article(topic).body_terms
+    article body; 0 when the corpus, the tf-idf model or the article is
+    missing, or when nothing intersects."""
+    record = None if corpus is None or tfidf is None else corpus.article(topic)
+    body = frozenset() if record is None else record.body_terms
     present = [t for t in copa_titles if name_key(t) in body]
-    if not present:
-        return 0.0
-    return sum(tfidf.idf(t) for t in present) / len(present)
+    return _left_sum(tfidf.idf(t) for t in present) / len(present) if present else 0.0

@@ -59,12 +59,12 @@ class EmbeddingFileError(Exception):
 def embedding_file_reference(path):
     """The embedding file grammar read one token at a time with ``float``:
     ({key: vector}, dimension), the later record winning on a key, or
-    EmbeddingFileError.  Errors, first match wins: a line whose tokens are
-    not all numbers, or whose count differs from the header's (or first
-    record's) dimension; no header and no record; a header count other
-    than the number of records; a dimension that is not positive; the
-    first record in the file with a non-finite component or squared
-    norm."""
+    EmbeddingFileError.  Errors, first match wins: a file that starts with
+    a UTF-8 byte-order mark; a line whose tokens are not all numbers, or
+    whose count differs from the header's (or first record's) dimension;
+    no header and no record; a header count other than the number of
+    records; a dimension that is not positive; the first record in the
+    file with a non-finite component or squared norm."""
 
     def is_int(token):
         try:
@@ -78,6 +78,8 @@ def embedding_file_reference(path):
     seen_content = False
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if lineno == 1 and line.startswith("\ufeff"):
+                raise EmbeddingFileError(f"{path}:1: starts with a UTF-8 byte-order mark")
             tokens = line.split()
             if not tokens:
                 continue

@@ -606,6 +606,12 @@ class TestSentenceFile:
         path.write_text('{"topic": "T1", "sentence": "a b"}\n\n{"topic": "t1", "sentence": "c"}\n')
         assert TopicSentenceCorpus.from_jsonl(path).get("t1") == ["a b", "c"]
 
+    def test_byte_order_mark_rejected(self, tmp_path):
+        path = tmp_path / "sent.jsonl"
+        path.write_text('\ufeff{"topic": "t1", "sentence": "a b"}\n', encoding="utf-8")
+        with pytest.raises(DomainError, match="sent.jsonl:1: starts with a UTF-8 byte-order mark"):
+            TopicSentenceCorpus.from_jsonl(path)
+
     @pytest.mark.parametrize("line", [
         '{"topic": "t1", "sentence": "trunc',
         '{"topic": "t1"}',

@@ -315,6 +315,20 @@ class TestExitCodes:
         assert str(bad) in result.output and "UTF-8" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("env_key, name", [
+        ("COPA_EMBEDDINGS", "toy_embeddings.txt"), ("COPA_SENTENCE_CORPUS", "sentence_corpus.jsonl"),
+    ])
+    def test_byte_order_mark_in_a_line_file_is_io_error(self, runner, tmp_path, monkeypatch,
+                                                         env_key, name):
+        monkeypatch.chdir(ROOT)
+        bom = tmp_path / name
+        bom.write_bytes(b"\xef\xbb\xbf" + (ROOT / "data" / name).read_bytes())
+        result = runner.invoke(main, ["--config", "data/config.json", "match", "ban", "smoking"],
+                               env={env_key: str(bom)})
+        assert result.exit_code == 4, result.output
+        assert f"{bom}:1: starts with a UTF-8 byte-order mark" in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("env_key, method", [
         ("COPA_EMBEDDINGS", "w2v"), ("COPA_SENTENCE_CORPUS", "nb"), ("COPA_WIKI_CORPUS", "lr"),
     ])

@@ -18,7 +18,6 @@ from copa.textsim import (
     SimilarityContext,
     SimilarityKind,
     TfIdfModel,
-    UnknownTopic,
     WikiCorpus,
     _cosine_block,
     _dict_cosine,
@@ -125,8 +124,8 @@ _WORDS = st.sampled_from(["foo", "Foo", "FOO", "#foo", "#", "t0", "T0", "u1", "7
 def _embedding_files(draw):
     """An embedding file's text: records of one width with numeric values
     or, in half the files, any records now and then; any separators, blank
-    and whitespace-only lines, CRLF or LF line ends, and a header that may
-    count right or wrong."""
+    and whitespace-only lines, CRLF or LF line ends, a header that may
+    count right or wrong, and now and then a leading byte-order mark."""
     dimension = draw(st.integers(1, 3))
     noisy = draw(st.booleans())
     words = _mostly(_WORDS, _TOKENS) if noisy else _WORDS
@@ -145,7 +144,8 @@ def _embedding_files(draw):
     if draw(st.booleans()):
         lines.insert(0, "")
     end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(lines) + draw(st.sampled_from([end, ""]))
+    bom = draw(_mostly(st.just(""), st.just("\ufeff")))
+    return bom + end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
 EMBEDDING_FILES = _embedding_files()
@@ -171,6 +171,15 @@ class TestEmbeddingFile:
         path.write_text("foo 1 2\nbar 3 4 5\n")
         with pytest.raises(DomainError):
             EmbeddingStore.from_file(path)
+
+    @pytest.mark.parametrize("text", ["foo 1 2\nbar 3 4\n", "2 2\nfoo 1 2\nbar 3 4\n", ""])
+    def test_byte_order_mark_rejected(self, tmp_path, text):
+        # kept, it would make the first word '\ufefffoo', or break the header
+        path = tmp_path / "emb.txt"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        with pytest.raises(DomainError, match="emb.txt:1: starts with a UTF-8 byte-order mark"):
+            EmbeddingStore.from_file(path)
+        self._assert_loads_like_reference(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -732,7 +741,6 @@ class TestWikiCorpus:
         late = ArticleRecord({"health": 2, "tax": 1}, frozenset({"health"}))
         corpus = WikiCorpus({" Smoking": early, "Smoking": late}, {"health": 1}, 10)
         for spelling in ("Smoking", "smoking", " SMOKING "):
-            assert corpus.has_article(spelling)
             assert corpus.article(spelling) is late  # the later record wins
         assert list(corpus.records()) == [late]
         ctx = SimilarityContext(wiki=corpus)
@@ -764,8 +772,9 @@ class TestTopicRelatedTitles:
 
     def test_unknown_topic(self):
         corpus = _toy_corpus({"x": 1}, {}, 10)
-        with pytest.raises(UnknownTopic):
-            topic_related_titles("nope", corpus)
+        assert corpus.article("nope") is None
+        assert topic_related_titles("nope", corpus) == []
+        assert SimilarityContext(wiki=corpus).related_titles("nope") == ()
 
     def test_ranked_by_enumeration_oracle(self):
         # 12 linked titles, background chosen so p-values are distinct
@@ -816,6 +825,18 @@ class TestAvgIdf:
     def test_missing_article_gives_zero(self):
         tfidf, corpus = self._fixture()
         assert avg_idf_in_article(["alpha"], "elsewhere", corpus, tfidf) == 0.0
+
+    def test_missing_corpus_or_model_gives_zero(self):
+        tfidf, corpus = self._fixture()
+        assert avg_idf_in_article(["alpha"], "topic", corpus, None) == 0.0
+        assert avg_idf_in_article(["alpha"], "topic", None, tfidf) == 0.0
+
+    def test_idfs_are_added_left_to_right(self):
+        # the builtin sum compensates on Python >= 3.12, where it gives 1.0
+        titles = [f"t{i}" for i in range(10)]
+        tfidf = TfIdfModel({t: 0.1 for t in titles}, 5)
+        corpus = WikiCorpus({"topic": ArticleRecord({}, frozenset(titles))}, {}, 0)
+        assert avg_idf_in_article(titles, "topic", corpus, tfidf) == 0.9999999999999999 / 10
 
     def test_singleton_mean(self):
         tfidf, corpus = self._fixture()
