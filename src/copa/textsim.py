@@ -5,8 +5,10 @@ article bodies) and a corpus of sentences per topic.  Each compares
 names by ``name_key``, applied once where the store is built, so a store
 built in code equals one read from a file.
 
-Everything here is pure and operates on stores that are immutable after
-loading: the arrays a store or a context's memo hands out are read-only.
+Everything here is pure and operates on stores whose contents are fixed
+once loaded (an embedding store converts a vector from its file's text on
+its first read, and keeps it): the arrays a store or a context's memo
+hands out are read-only.
 "Absent" similarity values are represented as ``None``; callers that
 average over pairs simply skip them.
 
@@ -49,13 +51,16 @@ def _left_sum(values) -> float:
 def read_lines(path):
     """(line number, line) pairs of a UTF-8 text file, numbered from 1;
     DomainError naming the file when it is not UTF-8, and its line 1 when
-    it starts with a byte-order mark (U+FEFF, which would join a word)."""
+    it starts with a byte-order mark (U+FEFF, which would join a word).
+    The file is read once, front to back: a pipe reads as a file does."""
     with open(path, encoding="utf-8") as fh:
         try:
-            if fh.read(1) == "\ufeff":
+            line = fh.readline()
+            if line.startswith("\ufeff"):
                 raise DomainError(f"{path}:1: starts with a UTF-8 byte-order mark")
-            fh.seek(0)
-            yield from enumerate(fh, start=1)
+            if line:
+                yield 1, line
+                yield from enumerate(fh, start=2)
         except UnicodeDecodeError as exc:
             raise DomainError(f"{path}: not UTF-8 text ({exc})") from None
 
@@ -66,9 +71,12 @@ def read_lines(path):
 
 
 class EmbeddingStore:
-    """word -> vector table with case-normalized lookup: one (n, d) float
-    matrix with a row per record, and a ``name_key`` -> row index in which
-    the later of two records with one key wins."""
+    """word -> vector table with case-normalized lookup: the records'
+    vectors in blocks of consecutive rows, and a ``name_key`` -> row index
+    in which the later of two records with one key wins.  A block is a
+    read-only (k, d) float matrix, or a ``_TextBlock`` of plain decimals
+    whose rows are converted when first read; every vector handed out is
+    read-only."""
 
     def __init__(self, table: dict[str, np.ndarray], dimension: int):
         if dimension <= 0:
@@ -78,26 +86,32 @@ class EmbeddingStore:
         for word, vec in zip(words, vectors):
             if vec.shape != (dimension,):
                 raise DomainError(f"vector for {word!r} has wrong dimension")
-        self._fill(words, vectors, dimension, lambda row: "")
+        matrix = np.vstack(vectors) if vectors else np.empty((0, dimension))
+        self._fill(words, [matrix], max(1, len(words)), dimension, lambda row: "")
 
-    def _fill(self, words: list[str], rows: list[np.ndarray], dimension: int, where):
-        """The store's one constructor.  ``rows`` are the records' vectors,
-        or (k, dimension) blocks of them, in the order of ``words``;
-        ``where(row)`` is the prefix of an error naming that record."""
-        matrix = np.vstack(rows) if rows else np.empty((0, dimension))
-        # one vectorized pass over every record, overridden ones too (a check
-        # per vector made file loading ~40% slower); a NaN or infinite
-        # component makes the squared norm non-finite too
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(np.einsum("ij,ij->i", matrix, matrix))
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise DomainError(
-                f"{where(row)}vector for {words[row]!r} has a non-finite component or norm"
-            )
-        matrix.setflags(write=False)
+    def _fill(self, words: list[str], blocks: list, block_lines: int, dimension: int, where):
+        """The store's one constructor.  ``blocks`` hold the records'
+        vectors in the order of ``words``, ``block_lines`` rows in each but
+        the last; ``where(row)`` is the prefix of an error naming that
+        record.  Only the matrices are checked for finite values: a
+        ``_TextBlock`` cannot hold any other."""
+        for index, block in enumerate(blocks):
+            if not isinstance(block, np.ndarray):
+                continue
+            # one vectorized pass over every record, overridden ones too (a
+            # check per vector made file loading ~40% slower); a NaN or
+            # infinite component makes the squared norm non-finite too
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(np.einsum("ij,ij->i", block, block))
+            if not finite.all():
+                row = index * block_lines + int(np.argmin(finite))
+                raise DomainError(
+                    f"{where(row)}vector for {words[row]!r} has a non-finite component or norm"
+                )
+            block.setflags(write=False)
         self.dimension = dimension
-        self._matrix = matrix
+        self._blocks = blocks
+        self._block_lines = block_lines
         self._rows = {word: row for row, word in enumerate(words)}
 
     def __contains__(self, word: str) -> bool:
@@ -108,7 +122,10 @@ class EmbeddingStore:
 
     def get(self, word: str) -> np.ndarray | None:
         row = self._rows.get(name_key(word))
-        return None if row is None else self._matrix[row]
+        if row is None:
+            return None
+        block, index = divmod(row, self._block_lines)
+        return self._blocks[block][index]
 
     @classmethod
     def from_file(cls, path) -> "EmbeddingStore":
@@ -117,9 +134,10 @@ class EmbeddingStore:
         optional "count dim" header (detected on the first non-blank line
         only) whose count must equal the number of records.  Later records
         win on duplicate words; every record must be finite.  The file is
-        read once, its records parsed in blocks of _BLOCK_LINES."""
+        read once, its records parsed in blocks of _BLOCK_LINES; every
+        error is raised here, none when a vector is read."""
         count = dimension = None
-        words, lines, rows, fields = [], [], [], []
+        words, lines, blocks, fields = [], [], [], []
         try:
             for lineno, line in read_lines(path):
                 parts = line.split(None, 1)
@@ -134,15 +152,15 @@ class EmbeddingStore:
                 lines.append(lineno)
                 fields.append(parts[1] if len(parts) == 2 else "")
                 if len(fields) == _BLOCK_LINES:
-                    dimension = _parse_block(path, fields, lines, dimension, rows)
+                    dimension = _parse_block(path, fields, lines, dimension, blocks)
         except DomainError:
             # not UTF-8: a bad line read before the undecodable bytes is the
             # error (a block's own error has left no fields pending)
             if fields:
-                _parse_block(path, fields, lines, dimension, rows)
+                _parse_block(path, fields, lines, dimension, blocks)
             raise
         if fields:
-            dimension = _parse_block(path, fields, lines, dimension, rows)
+            dimension = _parse_block(path, fields, lines, dimension, blocks)
         if dimension is None:
             raise DomainError(f"{path}: empty embedding file")
         if count is not None and count != len(words):
@@ -152,25 +170,105 @@ class EmbeddingStore:
         if dimension <= 0:
             raise DomainError(f"{path}: embedding dimension must be positive")
         store = cls.__new__(cls)
-        store._fill(words, rows, dimension, lambda row: f"{path}:{lines[row]}: ")
+        store._fill(words, blocks, _BLOCK_LINES, dimension, lambda row: f"{path}:{lines[row]}: ")
         return store
 
 
-#: value fields per ``np.loadtxt`` call: one call over the whole file's
-#: lines raised the peak RSS of a ``copa match`` process by ~7 MB
-_BLOCK_LINES = 1000
+#: records per block: a block of plain decimals keeps its text, and the
+#: check that finds one makes a few byte masks of the block's size; of
+#: 100, 250, 500 and 1,000, 250 gave a ``copa match`` process the lowest
+#: peak RSS (1,000 added ~0.5 MB)
+_BLOCK_LINES = 250
+
+#: the longest plain decimal a ``_TextBlock`` holds: at most 98 integer
+#: digits, so |x| < 10**98 and a squared norm of d < 10**108 of them is
+#: finite
+_PLAIN_TOKEN_BYTES = 100
 
 
-def _parse_block(path, fields, lines, dimension, rows) -> int:
+class _TextBlock:
+    """Records whose value fields are plain decimals (``_plain_block``):
+    their ASCII text and the offset of each line end in it.  Row i's
+    vector is ``float`` of its tokens, converted on its first read and
+    kept, read-only."""
+
+    __slots__ = ("_text", "_ends", "_vectors")
+
+    def __init__(self, text: bytes, ends: np.ndarray):
+        self._text, self._ends, self._vectors = text, ends, {}
+
+    def __getitem__(self, row: int) -> np.ndarray:
+        vector = self._vectors.get(row)
+        if vector is None:
+            start = int(self._ends[row - 1]) + 1 if row else 0
+            tokens = self._text[start:int(self._ends[row])].split()
+            vector = np.array([float(t) for t in tokens])
+            vector.setflags(write=False)
+            self._vectors[row] = vector
+        return vector
+
+
+def _plain_block(fields: list[str], dimension: int | None):
+    """(``_TextBlock``, d) of the value fields when each is d plain
+    decimals, ``-?[0-9]+\\.[0-9]+`` of at most _PLAIN_TOKEN_BYTES bytes,
+    split by single spaces and ended by a line end, d being ``dimension``
+    or, when that is None, the first field's width; None otherwise.
+
+    ``float`` reads every such token, to a finite value, so the block
+    needs no parse and no finite check when it is loaded.  The test is a
+    few vectorized passes over the block's bytes."""
+    text = "".join(fields)
+    if not (text.isascii() and text.endswith("\n")):
+        return None
+    text = text.encode("ascii")
+    b = np.frombuffer(text, dtype=np.uint8)
+    digit = (b >= ord("0")) & (b <= ord("9"))
+    dot = b == ord(".")
+    minus = b == ord("-")
+    sep = (b == ord(" ")) | (b == ord("\n"))
+    if not (digit | dot | minus | sep).all():
+        return None
+    # a dot has a digit on each side, and a minus starts a token (what
+    # follows it is then a digit: a dot would lack one before it, and a
+    # minus or separator would leave a token without a dot)
+    if dot[0] or (dot[1:] & ~digit[:-1]).any() or (dot[:-1] & ~digit[1:]).any():
+        return None
+    if (minus[1:] & ~sep[:-1]).any():
+        return None
+    # dots and separators alternate from a dot: each token has one dot,
+    # and no two separators meet
+    marks = np.flatnonzero(dot | sep)
+    kinds = dot[marks]
+    if not kinds[::2].all() or kinds[1::2].any():
+        return None
+    seps = marks[1::2]
+    if np.diff(seps, prepend=-1).max() > _PLAIN_TOKEN_BYTES + 1:
+        return None
+    # every d-th of the len(fields) * d separators ends a line: as each
+    # field holds one line end at most, each ends with one after d tokens
+    # (no count of separators, at least 1, matches a d of 0 or less)
+    ends = b[seps] == ord("\n")
+    d = int(np.argmax(ends)) + 1 if dimension is None else dimension
+    if len(seps) != len(fields) * d or not ends[d - 1::d].all():
+        return None
+    return _TextBlock(text, seps[d - 1::d].copy()), d
+
+
+def _parse_block(path, fields, lines, dimension, blocks) -> int:
     """Parse ``fields``, the value fields of the last len(fields) records,
-    into one (len(fields), d) block, append it to ``rows`` and return d.
-    ``fields`` is emptied first: none stay pending if the parse fails, and
-    their text does not outlive it.  One ``np.loadtxt`` call parses the
-    block; ``_parse_lines`` parses it again when loadtxt rejects it
-    (``1_0``, a ragged row), when its width is not ``dimension`` or when a
-    record has no values (loadtxt warns)."""
+    into one block of len(fields) rows of d values, append it to
+    ``blocks`` and return d.  ``fields`` is emptied first: none stay
+    pending if the parse fails, and their text does not outlive it.  A
+    block of plain decimals is kept as its text (``_plain_block``).  Any
+    other is parsed by one ``np.loadtxt`` call; ``_parse_lines`` parses it
+    again when loadtxt rejects it (``1_0``, a ragged row), when its width
+    is not ``dimension`` or when a record has no values (loadtxt warns)."""
     pending = fields.copy()
     fields.clear()
+    plain = _plain_block(pending, dimension)
+    if plain is not None:
+        blocks.append(plain[0])
+        return plain[1]
     block = None
     if all(pending):
         try:
@@ -180,7 +278,7 @@ def _parse_block(path, fields, lines, dimension, rows) -> int:
             pass
     if block is None or dimension not in (None, block.shape[1]):
         block = _parse_lines(path, pending, lines[-len(pending):], dimension)
-    rows.append(block)
+    blocks.append(block)
     return block.shape[1]
 
 

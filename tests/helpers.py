@@ -1,13 +1,15 @@
 """Shared builders for toy datasets, score matrices, synthetic
 embedding stores and tf-idf models, the Hypothesis strategies of file
-contents, a dataset file writer, and the logistic-regression objective and
-gradient at a point."""
+contents, a dataset file writer, a named-pipe reader, and the
+logistic-regression objective and gradient at a point."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 import math
+import os
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -187,3 +189,17 @@ def load_bench_module(name: str):
 def load_bench_generator():
     """The benchmark's workload generator."""
     return load_bench_module("generate")
+
+
+def load_from_fifo(directory: Path, name: str, data: bytes, load):
+    """``load(path)`` of a named pipe at ``directory / name`` through which
+    a thread writes ``data``: a loader that seeks fails on it."""
+    path = directory / name
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        return load(path)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive(), "the loader did not open the pipe"

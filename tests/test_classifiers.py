@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -46,6 +47,7 @@ from copa.textsim import (
 from helpers import (
     ACTION_POOL,
     build_dataset,
+    load_from_fifo,
     logreg_gradient,
     logreg_objective,
     matrix_entries,
@@ -611,6 +613,15 @@ class TestSentenceFile:
         path.write_text('\ufeff{"topic": "t1", "sentence": "a b"}\n', encoding="utf-8")
         with pytest.raises(DomainError, match="sent.jsonl:1: starts with a UTF-8 byte-order mark"):
             TopicSentenceCorpus.from_jsonl(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_named_pipe_loads_like_a_file(self, tmp_path):
+        text = '{"topic": "T1", "sentence": "a b"}\n{"topic": "t1", "sentence": "c"}\n'
+        corpus = load_from_fifo(tmp_path, "sent", text.encode(), TopicSentenceCorpus.from_jsonl)
+        assert corpus.get("t1") == ["a b", "c"]
+        with pytest.raises(DomainError, match="bom:1: starts with a UTF-8 byte-order mark"):
+            load_from_fifo(tmp_path, "bom", ("\ufeff" + text).encode(),
+                           TopicSentenceCorpus.from_jsonl)
 
     @pytest.mark.parametrize("line", [
         '{"topic": "t1", "sentence": "trunc',

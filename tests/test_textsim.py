@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,7 @@ from copa.textsim import (
     term_similarity,
     topic_related_titles,
 )
-from helpers import EMBEDDING_TOKENS, load_bench_generator, tfidf_model
+from helpers import EMBEDDING_TOKENS, load_bench_generator, load_from_fifo, tfidf_model
 from oracles import (
     EmbeddingFileError,
     cosine_block_reference,
@@ -150,6 +151,33 @@ def _embedding_files(draw):
 
 EMBEDDING_FILES = _embedding_files()
 
+#: plain decimals, now and then longer than the fast path takes
+_PLAIN_NUMBERS = _mostly(st.from_regex(r"-?[0-9]{1,3}\.[0-9]{1,6}", fullmatch=True),
+                         st.from_regex(r"-?[0-9]{40,70}\.[0-9]{1,60}", fullmatch=True))
+#: what a mutation puts in: bytes of the grammar, and ASCII near it
+_MUTANT_BYTES = st.sampled_from(list(b"09-. \n\t\r\x0b\x1c+eE_x#"))
+
+
+@st.composite
+def _mutated_plain_files(draw):
+    """The bytes of a plain-decimal embedding file (records of one width,
+    "\\n" line ends, now and then a header) with one byte replaced,
+    inserted or deleted."""
+    dimension = draw(st.integers(1, 3))
+    lines = [" ".join([draw(st.sampled_from(["foo", "Foo", "t0", "u1"]))]
+                      + [draw(_PLAIN_NUMBERS) for _ in range(dimension)])
+             for _ in range(draw(st.integers(1, 8)))]
+    if draw(st.booleans()):
+        lines.insert(0, f"{len(lines)} {dimension}")
+    data = bytearray("".join(line + "\n" for line in lines).encode("ascii"))
+    at = draw(st.integers(0, len(data) - 1))
+    edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+    if edit == "delete":
+        del data[at]
+    else:
+        data[at:at + (edit == "replace")] = bytes([draw(_MUTANT_BYTES)])
+    return bytes(data)
+
 
 class TestEmbeddingFile:
     def test_header_autodetected(self, tmp_path):
@@ -250,6 +278,78 @@ class TestEmbeddingFile:
         with mock.patch.object(textsim, "_BLOCK_LINES", block):
             self._assert_loads_like_reference(path)
 
+    @given(data=_mutated_plain_files(), block=st.sampled_from([1, 2, 3, 250]))
+    @settings(max_examples=300, deadline=None)
+    def test_a_plain_file_with_one_byte_changed_loads_like_the_reference(
+            self, tmp_path_factory, data, block):
+        path = tmp_path_factory.mktemp("emb") / "emb.txt"
+        path.write_bytes(data)
+        with mock.patch.object(textsim, "_BLOCK_LINES", block):
+            self._assert_loads_like_reference(path)
+
+    #: spellings next to the plain-decimal rule, -?[0-9]+\.[0-9]+ of at
+    #: most 100 bytes split by single spaces: (value field, plain?)
+    NEAR_PLAIN = [
+        ("1.5 -2.25", True), ("-0.0 0.0", True), (".5 1.5", False),
+        pytest.param("1.5 " + "9" * 98 + ".9", True, id="100-byte token"),
+        ("1.5 .5", False), ("1.5 5.", False), ("1.5 -.5", False), ("1.5 --1.0", False),
+        ("1.5 1.2.3", False), ("1.5 1.2.3.4", False), ("1.5 1.0-", False),
+        ("1.5 1.2-5", False), ("1.5  -2.25", False), ("1.5\t-2.25", False),
+        ("1.5 -2.25 ", False), ("1.5 1e5", False), ("1.5 2.5e5", False), ("1.5 2_0.5", False),
+        pytest.param("1.5 " + "1" * 120 + ".5", False, id="120-digit integer part"),
+        pytest.param("1.5 1" + "0" * 200 + "." + "0" * 199, False,
+                     id="400-digit 1e200, whose square overflows"),
+    ]
+
+    @pytest.mark.parametrize("field, plain", NEAR_PLAIN)
+    def test_near_plain_spellings_load_like_the_reference(self, tmp_path, field, plain):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"bar {field}\nfoo 0.5 -2.0\n")
+        self._assert_loads_like_reference(path)
+        assert (textsim._plain_block([field + "\n"], None) is not None) == plain
+
+    def test_plain_files_are_parsed_by_neither_loadtxt_nor_the_per_line_parse(
+            self, data_dir, tmp_path, monkeypatch):
+        def parse(*args, **kwargs):
+            raise AssertionError("a plain-decimal block was parsed when loaded")
+
+        monkeypatch.setattr(textsim.np, "loadtxt", parse)
+        monkeypatch.setattr(textsim, "_parse_lines", parse)
+        generate = load_bench_generator()
+        generate.write_workload(str(tmp_path), seed=1, n_motions=28, n_copas=37)
+        for path in (data_dir / "toy_embeddings.txt", data_dir / "toy_embeddings_alt.txt",
+                     tmp_path / "embeddings.txt", tmp_path / "embeddings_alt.txt"):
+            self._assert_parse_unchanged(path)
+
+    def test_a_plain_row_is_converted_when_first_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2\nfoo 1.5 -2.25\nbar 0.5 4.0\nFOO 3.0 0.25\n")
+        converted = []
+
+        def counted(token):
+            converted.append(token)
+            return float(token)
+
+        monkeypatch.setattr(textsim, "float", counted, raising=False)
+        with mock.patch.object(textsim, "_BLOCK_LINES", 2):
+            store = EmbeddingStore.from_file(path)
+        assert len(store) == 2 and converted == []
+        foo = store.get("Foo")
+        assert foo.tolist() == [3.0, 0.25] and converted == [b"3.0", b"0.25"]
+        assert store.get("foo") is foo and len(converted) == 2
+        with pytest.raises(ValueError):
+            foo[0] = 1.0
+        assert store.get("bar").tolist() == [0.5, 4.0] and converted[2:] == [b"0.5", b"4.0"]
+        assert store.get("qzx") is None and len(converted) == 4
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_named_pipe_loads_like_a_file(self, tmp_path):
+        text = "2 2\nfoo 1.5 -2.25\nbar 1e3 4\n"
+        store = load_from_fifo(tmp_path, "emb", text.encode(), EmbeddingStore.from_file)
+        assert store.get("foo").tolist() == [1.5, -2.25] and store.get("bar").tolist() == [1e3, 4.0]
+        with pytest.raises(DomainError, match="bom:1: starts with a UTF-8 byte-order mark"):
+            load_from_fifo(tmp_path, "bom", ("\ufeff" + text).encode(), EmbeddingStore.from_file)
+
     def test_bad_line_in_a_later_block_is_named(self, tmp_path):
         path = tmp_path / "emb.txt"
         records = [f"w{i} {i}.5 -{i}e-3" for i in range(2500)]
@@ -280,6 +380,7 @@ class TestEmbeddingFile:
     @pytest.mark.parametrize("block", [1, 1000])
     @pytest.mark.parametrize("text", ["foo 1_0 2\nbar 3 4\n", "foo 1 2\nbar 3 x\n",
                                       "foo 1 2\nbar 3 4 5\n", "foo 1 2\nbar\n",
+                                      "2 2\nfoo 1.5 2.5 3.5 4.5\nbar\n",
                                       "2 2\nfoo 1 2\nbar \u0661 4\n"])
     def test_a_file_the_per_line_parse_reads_is_read_once(self, tmp_path, monkeypatch,
                                                           text, block):
