@@ -20,6 +20,7 @@ monotone, so rankings are unaffected.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -134,33 +135,42 @@ class EmbeddingStore:
         optional "count dim" header (detected on the first non-blank line
         only) whose count must equal the number of records.  Later records
         win on duplicate words; every record must be finite.  The file is
-        read once, its records parsed in blocks of _BLOCK_LINES; every
-        error is raised here, none when a vector is read."""
+        read once, its records parsed in blocks of _BLOCK_LINES, each
+        checked on one set of byte masks (``_Masks``); every error is
+        raised here, none when a vector is read.
+
+        Per line the loop only splits off the word and keeps it, the line
+        number and the value field: the header is looked for before it,
+        and ``_parse_block`` keys a block's words in one pass."""
         count = dimension = None
-        words, lines, blocks, fields = [], [], [], []
+        words, lines, fields, blocks, masks = [], [], [], [], _Masks()
+        records = read_lines(path)
         try:
-            for lineno, line in read_lines(path):
-                parts = line.split(None, 1)
-                if not parts:
-                    continue
-                if count is None and not words:  # the first non-blank line
-                    tokens = line.split()
+            for lineno, line in records:
+                tokens = line.split()
+                if tokens:  # the first non-blank line
                     if len(tokens) == 2 and all(_is_int(t) for t in tokens):
                         count, dimension = int(tokens[0]), int(tokens[1])
-                        continue
-                words.append(name_key(parts[0]))
-                lines.append(lineno)
-                fields.append(parts[1] if len(parts) == 2 else "")
-                if len(fields) == _BLOCK_LINES:
-                    dimension = _parse_block(path, fields, lines, dimension, blocks)
+                    else:
+                        records = itertools.chain([(lineno, line)], records)
+                    break
+            for lineno, line in records:
+                parts = line.split(None, 1)
+                if parts:
+                    words.append(parts[0])
+                    lines.append(lineno)
+                    fields.append(parts[1] if len(parts) == 2 else "")
+                    if len(fields) == _BLOCK_LINES:
+                        dimension = _parse_block(path, words, fields, lines, dimension,
+                                                 blocks, masks)
         except DomainError:
             # not UTF-8: a bad line read before the undecodable bytes is the
             # error (a block's own error has left no fields pending)
             if fields:
-                _parse_block(path, fields, lines, dimension, blocks)
+                _parse_block(path, words, fields, lines, dimension, blocks, masks)
             raise
         if fields:
-            dimension = _parse_block(path, fields, lines, dimension, blocks)
+            dimension = _parse_block(path, words, fields, lines, dimension, blocks, masks)
         if dimension is None:
             raise DomainError(f"{path}: empty embedding file")
         if count is not None and count != len(words):
@@ -175,7 +185,7 @@ class EmbeddingStore:
 
 
 #: records per block: a block of plain decimals keeps its text, and the
-#: check that finds one makes a few byte masks of the block's size; of
+#: check that finds one writes a few byte masks of the block's size; of
 #: 100, 250, 500 and 1,000, 250 gave a ``copa match`` process the lowest
 #: peak RSS (1,000 added ~0.5 MB)
 _BLOCK_LINES = 250
@@ -208,7 +218,27 @@ class _TextBlock:
         return vector
 
 
-def _plain_block(fields: list[str], dimension: int | None):
+class _Masks:
+    """The byte masks ``_plain_block`` writes, one set for all the blocks
+    of a file: three rows of booleans, reallocated at a block's length
+    only when that block is longer than every one before it.  Masks
+    allocated per block let glibc hand the heap's top back after each
+    block and fault it in again for the next (~200 minor faults a block
+    in a fresh process)."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self):
+        self._rows = np.empty((3, 0), dtype=bool)
+
+    def get(self, n: int) -> np.ndarray:
+        """Three masks of n booleans, views of the set's first n columns."""
+        if self._rows.shape[1] < n:
+            self._rows = np.empty((3, n), dtype=bool)
+        return self._rows[:, :n]
+
+
+def _plain_block(fields: list[str], dimension: int | None, masks: _Masks):
     """(``_TextBlock``, d) of the value fields when each is d plain
     decimals, ``-?[0-9]+\\.[0-9]+`` of at most _PLAIN_TOKEN_BYTES bytes,
     split by single spaces and ended by a line end, d being ``dimension``
@@ -216,56 +246,71 @@ def _plain_block(fields: list[str], dimension: int | None):
 
     ``float`` reads every such token, to a finite value, so the block
     needs no parse and no finite check when it is loaded.  The test is a
-    few vectorized passes over the block's bytes."""
+    few vectorized passes over the block's bytes, written into ``masks``:
+    - Call the bytes below "0" other than "-" the marks.  In order they
+      must read ". " d - 1 times and then ".\\n", once per field.  This
+      one comparison gives each token one dot, single spaces between
+      tokens, d tokens a field and a line end ending each (a field holds
+      one line end at most); with no byte above "9", every other byte is
+      a digit or a minus.
+    - Every mark follows a digit, and no dot comes first: a dot has a
+      digit before it, and a token ends in a digit.
+    - Every minus follows a separator or comes first: it starts a token,
+      and it is not after a dot or a minus, so a dot has a digit after it
+      (a dot followed by a mark fails the clause above).
+    - No token is longer than _PLAIN_TOKEN_BYTES."""
     text = "".join(fields)
     if not (text.isascii() and text.endswith("\n")):
         return None
+    d = fields[0].count(" ") + 1 if dimension is None else dimension
     text = text.encode("ascii")
     b = np.frombuffer(text, dtype=np.uint8)
-    digit = (b >= ord("0")) & (b <= ord("9"))
-    dot = b == ord(".")
-    minus = b == ord("-")
-    sep = (b == ord(" ")) | (b == ord("\n"))
-    if not (digit | dot | minus | sep).all():
+    if b[0] == ord(".") or b.max() > ord("9"):
         return None
-    # a dot has a digit on each side, and a minus starts a token (what
-    # follows it is then a digit: a dot would lack one before it, and a
-    # minus or separator would leave a token without a dot)
-    if dot[0] or (dot[1:] & ~digit[:-1]).any() or (dot[:-1] & ~digit[1:]).any():
+    nondigit, minus, mark = masks.get(len(b))
+    np.less(b, ord("0"), out=nondigit)
+    np.equal(b, ord("-"), out=minus)
+    np.not_equal(nondigit, minus, out=mark)  # below "0" but not "-"
+    marks = np.flatnonzero(mark)
+    # the last byte is a mark, so a d of 0 or less fails here; and the
+    # template below is never longer than the text
+    if len(marks) != 2 * d * len(fields):
         return None
-    if (minus[1:] & ~sep[:-1]).any():
+    if b[marks].tobytes() != (b". " * (d - 1) + b".\n") * len(fields):
         return None
-    # dots and separators alternate from a dot: each token has one dot,
-    # and no two separators meet
-    marks = np.flatnonzero(dot | sep)
-    kinds = dot[marks]
-    if not kinds[::2].all() or kinds[1::2].any():
+    # a mark after a non-digit, then a minus after a byte other than a
+    # separator (past the comparison, the bytes below "-" are separators)
+    np.logical_and(nondigit[:-1], mark[1:], out=mark[1:])
+    np.greater_equal(b[:-1], ord("-"), out=nondigit[:-1])
+    np.logical_and(nondigit[:-1], minus[1:], out=minus[1:])
+    if mark[1:].any() or minus[1:].any():
         return None
     seps = marks[1::2]
-    if np.diff(seps, prepend=-1).max() > _PLAIN_TOKEN_BYTES + 1:
-        return None
-    # every d-th of the len(fields) * d separators ends a line: as each
-    # field holds one line end at most, each ends with one after d tokens
-    # (no count of separators, at least 1, matches a d of 0 or less)
-    ends = b[seps] == ord("\n")
-    d = int(np.argmax(ends)) + 1 if dimension is None else dimension
-    if len(seps) != len(fields) * d or not ends[d - 1::d].all():
+    # a token's length + 1 is its separator's distance from the one before
+    # (from -1 for the first token)
+    if np.diff(seps).max(initial=seps[0] + 1) > _PLAIN_TOKEN_BYTES + 1:
         return None
     return _TextBlock(text, seps[d - 1::d].copy()), d
 
 
-def _parse_block(path, fields, lines, dimension, blocks) -> int:
+def _parse_block(path, words, fields, lines, dimension, blocks, masks) -> int:
     """Parse ``fields``, the value fields of the last len(fields) records,
     into one block of len(fields) rows of d values, append it to
-    ``blocks`` and return d.  ``fields`` is emptied first: none stay
+    ``blocks`` and return d; key those records' words, the end of
+    ``words``, by ``name_key``.  ``fields`` is emptied first: none stay
     pending if the parse fails, and their text does not outlive it.  A
-    block of plain decimals is kept as its text (``_plain_block``).  Any
-    other is parsed by one ``np.loadtxt`` call; ``_parse_lines`` parses it
-    again when loadtxt rejects it (``1_0``, a ragged row), when its width
-    is not ``dimension`` or when a record has no values (loadtxt warns)."""
+    block of plain decimals is kept as its text (``_plain_block``, on
+    ``masks``).  Any other is parsed by one ``np.loadtxt`` call;
+    ``_parse_lines`` parses it again when loadtxt rejects it (``1_0``, a
+    ragged row), when its width is not ``dimension`` or when a record has
+    no values (loadtxt warns)."""
     pending = fields.copy()
     fields.clear()
-    plain = _plain_block(pending, dimension)
+    # one lower() for the block: a word holds no whitespace, so strip()
+    # would keep it, and the line ends between the words keep each word's
+    # lowering its own (a capital sigma reads a word's neighbours)
+    words[-len(pending):] = "\n".join(words[-len(pending):]).lower().split("\n")
+    plain = _plain_block(pending, dimension, masks)
     if plain is not None:
         blocks.append(plain[0])
         return plain[1]
@@ -605,11 +650,13 @@ class SimilarityContext:
 
 def _tfidf_vector(term: str, ctx: SimilarityContext) -> dict[str, float] | None:
     # A term is represented by its article body when the corpus has one,
-    # otherwise by the tokens of the term string itself.
+    # otherwise by the tokens of the term string itself.  The body terms
+    # are taken in sorted order: ``_tfidf_norm`` adds the squares in the
+    # vector's order, and a frozenset's order follows the hash seed.
     if ctx.tfidf is None:
         return None
     record = None if ctx.wiki is None else ctx.wiki.article(term)
-    units = term.split() if record is None else record.body_terms
+    units = term.split() if record is None else sorted(record.body_terms)
     vec = {name_key(u): ctx.tfidf.idf(u) for u in units}
     vec = {u: w for u, w in vec.items() if w != 0.0}
     return vec or None

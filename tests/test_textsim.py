@@ -2,6 +2,9 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -118,14 +121,17 @@ _NUMBERS = st.one_of(
 #: what may stand in a record, valid or not: ``float`` reads the first
 #: three spellings but ``np.loadtxt`` does not
 _TOKENS = st.sampled_from(["1_0", "\u0661", "\uff11", "#1"]) | EMBEDDING_TOKENS
-_WORDS = st.sampled_from(["foo", "Foo", "FOO", "#foo", "#", "t0", "T0", "u1", "7"])
+#: words, among them two whose lowercasing is not byte by byte: a final
+#: capital sigma, and a dotted capital I that lowers to two code points
+_WORDS = st.sampled_from(["foo", "Foo", "FOO", "#foo", "#", "t0", "T0", "u1", "7",
+                          "ΟΔΟΣ", "İstanbul"])
 
 
 @st.composite
 def _embedding_files(draw):
     """An embedding file's text: records of one width with numeric values
     or, in half the files, any records now and then; any separators, blank
-    and whitespace-only lines, CRLF or LF line ends, a header that may
+    and whitespace-only lines, CRLF, LF or CR line ends, a header that may
     count right or wrong, and now and then a leading byte-order mark."""
     dimension = draw(st.integers(1, 3))
     noisy = draw(st.booleans())
@@ -144,7 +150,7 @@ def _embedding_files(draw):
         lines.insert(0, f"{count} {dimension}")
     if draw(st.booleans()):
         lines.insert(0, "")
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     bom = draw(_mostly(st.just(""), st.just("\ufeff")))
     return bom + end.join(lines) + draw(st.sampled_from([end, ""]))
 
@@ -297,6 +303,7 @@ class TestEmbeddingFile:
         ("1.5 1.2-5", False), ("1.5  -2.25", False), ("1.5\t-2.25", False),
         ("1.5 -2.25 ", False), ("1.5 1e5", False), ("1.5 2.5e5", False), ("1.5 2_0.5", False),
         pytest.param("1.5 " + "1" * 120 + ".5", False, id="120-digit integer part"),
+        pytest.param("9" * 99 + ".9 1.5", False, id="101-byte first token"),
         pytest.param("1.5 1" + "0" * 200 + "." + "0" * 199, False,
                      id="400-digit 1e200, whose square overflows"),
     ]
@@ -306,7 +313,7 @@ class TestEmbeddingFile:
         path = tmp_path / "emb.txt"
         path.write_text(f"bar {field}\nfoo 0.5 -2.0\n")
         self._assert_loads_like_reference(path)
-        assert (textsim._plain_block([field + "\n"], None) is not None) == plain
+        assert (textsim._plain_block([field + "\n"], None, textsim._Masks()) is not None) == plain
 
     def test_plain_files_are_parsed_by_neither_loadtxt_nor_the_per_line_parse(
             self, data_dir, tmp_path, monkeypatch):
@@ -320,6 +327,34 @@ class TestEmbeddingFile:
         for path in (data_dir / "toy_embeddings.txt", data_dir / "toy_embeddings_alt.txt",
                      tmp_path / "embeddings.txt", tmp_path / "embeddings_alt.txt"):
             self._assert_parse_unchanged(path)
+
+    def test_later_shorter_blocks_reuse_the_masks_of_a_longer_one(self, tmp_path, monkeypatch):
+        # blocks of two records: the first, longest block sizes the masks
+        # that the others check their bytes on, and each leaves its marks
+        # there; no byte of an earlier block may count in a later one, and
+        # only the block that is not plain is parsed when loaded
+        long = "1" * 60 + "." + "2" * 30
+        records = [f"a {long} -{long}", f"b -{long} {long}",  # plain, long tokens
+                   "c 0.5 -1.25", "d 3.0 4.5",  # plain
+                   "e 123456789012345 -7", "f 0.5 7",  # not plain, longer than the next
+                   "g -0.25 1.0", "h 8.5 9.75",  # plain
+                   "i 1.5 -2.5"]  # plain, the last block
+        path = tmp_path / "emb.txt"
+        path.write_text("".join(r + "\n" for r in records))
+        parsed, loadtxt = [], np.loadtxt
+
+        def counted(fields, *args, **kwargs):
+            parsed.append(list(fields))
+            return loadtxt(fields, *args, **kwargs)
+
+        def per_line(*args):
+            raise AssertionError("a block took the per-line parse")
+
+        monkeypatch.setattr(textsim.np, "loadtxt", counted)
+        monkeypatch.setattr(textsim, "_parse_lines", per_line)
+        with mock.patch.object(textsim, "_BLOCK_LINES", 2):
+            self._assert_loads_like_reference(path)
+        assert parsed == [["123456789012345 -7\n", "0.5 7\n"]]
 
     def test_a_plain_row_is_converted_when_first_read(self, tmp_path, monkeypatch):
         path = tmp_path / "emb.txt"
@@ -381,7 +416,7 @@ class TestEmbeddingFile:
     @pytest.mark.parametrize("text", ["foo 1_0 2\nbar 3 4\n", "foo 1 2\nbar 3 x\n",
                                       "foo 1 2\nbar 3 4 5\n", "foo 1 2\nbar\n",
                                       "2 2\nfoo 1.5 2.5 3.5 4.5\nbar\n",
-                                      "2 2\nfoo 1 2\nbar \u0661 4\n"])
+                                      "2 2\nfoo 1 2\nbar \u0661 4\n", "1 0\nfoo 1.5\n"])
     def test_a_file_the_per_line_parse_reads_is_read_once(self, tmp_path, monkeypatch,
                                                           text, block):
         # a block np.loadtxt rejects is parsed again from the lines already
@@ -503,6 +538,33 @@ class TestTermSimilarity:
         got = term_similarity(SimilarityKind.TFIDF, "solar", "lunar", ctx)
         # panel has df=2=n_docs -> idf 0, dropped; sun vs moon share nothing
         assert got == 0.0
+
+    def test_tfidf_norms_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # an article's body terms are a frozenset, whose order follows the
+        # interpreter's hash seed, and a norm adds its squares in its
+        # vector's order: the vector takes the terms in sorted order
+        load_bench_generator().write_workload(str(tmp_path), seed=1, n_motions=28, n_copas=37)
+        script = (
+            "import json, pathlib\n"
+            "from copa.textsim import SimilarityContext, SimilarityKind, TfIdfModel, WikiCorpus,"
+            " _tfidf_norm\n"
+            "wiki = WikiCorpus.from_file('wiki.json')\n"
+            "ctx = SimilarityContext(tfidf=TfIdfModel.from_wiki_corpus(wiki), wiki=wiki)\n"
+            "for topic in sorted(json.loads(pathlib.Path('wiki.json').read_text())['articles']):\n"
+            "    print(topic, _tfidf_norm(ctx.term_vector(SimilarityKind.TFIDF, topic)).hex())\n"
+        )
+        src = str(Path(textsim.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                                                 if p)}
+            result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                    capture_output=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0].count(b"\n") == 19
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_a_replaced_context_forgets_the_removed_stores(self, store):
         corpus = _toy_corpus({"health": 2}, {"health": 1}, 10)
