@@ -39,6 +39,7 @@ from .textsim import (
     TfIdfModel,
     TopicSentenceCorpus,
     WikiCorpus,
+    name_key,
 )
 
 EXIT_CONFIG = 2
@@ -179,12 +180,13 @@ def _build_context(cfg: AppConfig, methods) -> SimilarityContext:
 
 def _query_motion(ds: kb.Dataset, action: str, topic: str) -> kb.Motion:
     """The motion (ACTION, TOPIC) a command is asked about, held to the
-    loader's rules for a dataset motion: a known action and a non-empty
-    topic (CliDomainError otherwise).  Its id is longer than every
-    dataset motion id, so KNN's self-exclusion drops none."""
+    loader's rules for a dataset motion: a known action and a topic whose
+    ``name_key`` is not empty (CliDomainError otherwise).  Its id is
+    longer than every dataset motion id, so KNN's self-exclusion drops
+    none."""
     if action not in ds.actions:
         raise CliDomainError(f"unknown action {action!r}")
-    if not topic:
+    if not name_key(topic):
         raise CliDomainError("empty topic")
     return kb.Motion(id="@" * (1 + max(map(len, ds.motion_ids), default=0)),
                      action=action, topic=topic)

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .textsim import name_key
+
 TOPIC_TOKEN = "[TOPIC]"
 
 #: CoPA names treated as "general" (applicable to almost any motion)
@@ -301,7 +303,7 @@ def dataset_from_dict(doc: dict, source: str = "<dict>") -> Dataset:
     copa_ids = {cid for cid, *_ in raw_copas}
     motion_ids = set()
     for m in motions:
-        if not m.topic:
+        if not name_key(m.topic):
             raise ValidationError(f"motion {m.id!r}: empty topic")
         if m.action not in actions:
             raise ValidationError(f"motion {m.id!r}: unknown action {m.action!r}")
@@ -310,7 +312,7 @@ def dataset_from_dict(doc: dict, source: str = "<dict>") -> Dataset:
         motion_ids.add(m.id)
     pairs = {}
     for m in motions:
-        key = (m.action, m.topic)
+        key = (m.action, name_key(m.topic))
         if key in pairs:
             raise ValidationError(f"motion {m.id!r}: duplicate (action, topic) pair {key!r}")
         pairs[key] = m.id

@@ -136,8 +136,11 @@ class EmbeddingStore:
         only) whose count must equal the number of records.  Later records
         win on duplicate words; every record must be finite.  The file is
         read once, its records parsed in blocks of _BLOCK_LINES, each
-        checked on one set of byte masks (``_Masks``); every error is
-        raised here, none when a vector is read.
+        checked on one set of byte masks (``_Masks``): a block of plain
+        decimals keeps its text, and each row of it is converted when
+        first read; any other block is parsed here, token by token
+        (``_parse_lines``).  Every error is raised here, none when a
+        vector is read.
 
         Per line the loop only splits off the word and keeps it, the line
         number and the value field: the header is looked for before it,
@@ -300,10 +303,7 @@ def _parse_block(path, words, fields, lines, dimension, blocks, masks) -> int:
     ``words``, by ``name_key``.  ``fields`` is emptied first: none stay
     pending if the parse fails, and their text does not outlive it.  A
     block of plain decimals is kept as its text (``_plain_block``, on
-    ``masks``).  Any other is parsed by one ``np.loadtxt`` call;
-    ``_parse_lines`` parses it again when loadtxt rejects it (``1_0``, a
-    ragged row), when its width is not ``dimension`` or when a record has
-    no values (loadtxt warns)."""
+    ``masks``); any other is parsed now by ``_parse_lines``."""
     pending = fields.copy()
     fields.clear()
     # one lower() for the block: a word holds no whitespace, so strip()
@@ -314,23 +314,16 @@ def _parse_block(path, words, fields, lines, dimension, blocks, masks) -> int:
     if plain is not None:
         blocks.append(plain[0])
         return plain[1]
-    block = None
-    if all(pending):
-        try:
-            # comments=None: a '#' in a value field is a bad token, not a comment
-            block = np.loadtxt(pending, dtype=float, comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if block is None or dimension not in (None, block.shape[1]):
-        block = _parse_lines(path, pending, lines[-len(pending):], dimension)
+    block = _parse_lines(path, pending, lines[-len(pending):], dimension)
     blocks.append(block)
     return block.shape[1]
 
 
 def _parse_lines(path, fields: list[str], lines: list[int], dimension: int | None) -> np.ndarray:
-    """``_parse_block``'s per-token parse, ``float`` on each token: the
-    fields' (len(fields), d) values, or DomainError naming the line of the
-    first record that is not numeric or not of the dimension."""
+    """The parse of a block that is not plain, ``float`` on each token:
+    the fields' (len(fields), d) values, d being ``dimension`` or, when
+    that is None, the first field's width; or DomainError naming the line
+    of the first record that is not numeric or not of the dimension."""
     vectors = []
     for lineno, field in zip(lines, fields):
         try:
@@ -536,8 +529,8 @@ class TopicSentenceCorpus:
     @classmethod
     def from_jsonl(cls, path) -> "TopicSentenceCorpus":
         """Read JSON lines; a malformed line, or a record that is not an
-        object with a string ``topic`` and a string ``sentence``, raises
-        DomainError naming the file and line."""
+        object with a string ``topic`` and a non-empty string
+        ``sentence``, raises DomainError naming the file and line."""
         table: dict[str, list[str]] = {}
         for lineno, line in read_lines(path):
             line = line.strip()
@@ -552,6 +545,8 @@ class TopicSentenceCorpus:
                 raise DomainError(
                     f"{path}:{lineno}: record needs a string 'topic' and a string 'sentence'"
                 )
+            if not rec["sentence"]:
+                raise DomainError(f"{path}:{lineno}: empty sentence for topic {rec['topic']!r}")
             table.setdefault(rec["topic"], []).append(rec["sentence"])
         return cls(table)
 

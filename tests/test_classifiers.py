@@ -633,7 +633,7 @@ class TestSentenceFile:
     def test_bad_record_rejected(self, tmp_path, line):
         path = tmp_path / "sent.jsonl"
         path.write_text('{"topic": "t0", "sentence": "fine"}\n' + line + "\n")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"sent\.jsonl:2: "):
             TopicSentenceCorpus.from_jsonl(path)
 
 

@@ -210,9 +210,12 @@ class TestExitCodes:
         )
         assert result.exit_code == 3
 
-    @pytest.mark.parametrize("command", [["match", "ban", ""], ["invent", "ban", "", "c1"]])
+    @pytest.mark.parametrize("command", [["match", "ban", ""], ["invent", "ban", "", "c1"],
+                                         ["match", "ban", "  "], ["invent", "ban", "\t", "c1"],
+                                         ["match", "ban", "\t"], ["invent", "ban", "  ", "c1"]])
     def test_empty_topic_is_domain_error(self, runner, workspace, command):
-        """A query topic the dataset loader would reject in a motion."""
+        """A query topic the dataset loader would reject in a motion: one
+        whose ``name_key`` is empty."""
         result = runner.invoke(main, ["--config", str(workspace / "config.json"), *command])
         assert result.exit_code == 3, result.output
         assert result.output == "error: empty topic\n"

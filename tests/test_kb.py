@@ -112,10 +112,19 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="c1"):
             load_dataset(_write(tmp_path, doc))
 
-    def test_duplicate_action_topic_pair(self, tmp_path):
+    @pytest.mark.parametrize("topic", ["smoking", "Smoking", " smoking "])
+    def test_duplicate_action_topic_pair(self, tmp_path, topic):
+        # topics are compared by name_key, the package's one name rule
         doc = json.loads(json.dumps(TOY_DOC))
-        doc["motions"].append({"id": "m4", "action": "ban", "topic": "smoking"})
+        doc["motions"].append({"id": "m4", "action": "ban", "topic": topic})
         with pytest.raises(ValidationError, match="m4"):
+            load_dataset(_write(tmp_path, doc))
+
+    @pytest.mark.parametrize("topic", ["", "  "])
+    def test_empty_topic(self, tmp_path, topic):
+        doc = json.loads(json.dumps(TOY_DOC))
+        doc["motions"].append({"id": "m4", "action": "legalize", "topic": topic})
+        with pytest.raises(ValidationError, match="motion 'm4': empty topic"):
             load_dataset(_write(tmp_path, doc))
 
     @pytest.mark.parametrize("kind, record", [
