@@ -34,9 +34,7 @@ from .textsim import (
     avg_idf_in_article,
     embed_term,
     hypergeom_pvalue,
-    set_similarity,
     similarity_block,
-    term_similarity,
     topic_related_titles,
 )
 from .features import (
@@ -44,7 +42,6 @@ from .features import (
     EmptyTrainingSet,
     FeatureTable,
     Standardizer,
-    compute_features,
     motion_features,
     standardize,
 )

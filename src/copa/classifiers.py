@@ -415,8 +415,8 @@ class NBClassifier:
         self.positive_sentences[copas] += sign * share.sentences
 
     def without_motion(self, motion_id: str) -> "NBClassifier":
-        """The classifier of ``ds.without_motion(motion_id)`` for the ``ds``
-        that ``train_nb`` built this one from: copies of the tables minus
+        """The classifier that ``train_nb`` would build from its ``ds`` less
+        motion ``motion_id`` and its labels: copies of the tables minus
         that motion's counts."""
         fold = replace(self, totals=self.totals.copy(), positive=self.positive.copy(),
                        positive_sentences=self.positive_sentences.copy(),

@@ -22,7 +22,6 @@ from .textsim import (
     avg_idf_in_article,
     mean_similarity,
     name_key,
-    set_similarity,
     similarity_block,
 )
 
@@ -61,8 +60,7 @@ class MotionTextSets:
 
 @dataclass(frozen=True)
 class CopaTextSets:
-    """c_m: the manual title list; c_t: member-motion topics (minus every
-    topic with the held-out motion's ``name_key`` in leave-one-out mode)."""
+    """c_m: the manual title list; c_t: member-motion topics."""
 
     c_m: tuple[str, ...]
     c_t: frozenset[str]
@@ -74,12 +72,9 @@ def motion_text_sets(motion: Motion, actions: dict[str, Action],
     return MotionTextSets(m_t=m_t, m_w=ctx.related_titles(motion.topic))
 
 
-def copa_text_sets(copa: CoPA, ds: Dataset, loo_holdout: str | None = None) -> CopaTextSets:
-    c_t = {ds.motion(mid).topic for mid in copa.motion_ids}
-    if loo_holdout is not None:  # the held-out motion's topic goes, and with it the motion
-        held = name_key(ds.motion(loo_holdout).topic)
-        c_t = {t for t in c_t if name_key(t) != held}
-    return CopaTextSets(c_m=copa.manual_titles, c_t=frozenset(c_t))
+def copa_text_sets(copa: CoPA, ds: Dataset) -> CopaTextSets:
+    c_t = frozenset(ds.motion(mid).topic for mid in copa.motion_ids)
+    return CopaTextSets(c_m=copa.manual_titles, c_t=c_t)
 
 
 #: positions of the six similarity features that read c_t, m_t's three
@@ -110,43 +105,6 @@ def _count_values(counts: LabelCounts) -> np.ndarray:
     every CoPA, over the motions it counts."""
     return count_ratios(counts.n_motions, counts.action_size[counts.action][:, None],
                         counts.copa_size[None, :], counts.copa_action.T[counts.action])
-
-
-def compute_features(
-    motion: Motion,
-    copa: CoPA,
-    ds: Dataset,
-    ctx: SimilarityContext,
-    loo_holdout: str | None = None,
-) -> np.ndarray:
-    """Feature vector for one (motion, CoPA) pair, ordered as
-    FEATURE_NAMES: the per-pair reference of ``FeatureTable``.
-
-    When ``loo_holdout`` names a motion, that motion is excluded from the
-    count universes (M_a, M_c, M_*) and its topic from c_t, so training
-    folds never see the held-out motion.
-    """
-    m_sets = motion_text_sets(motion, ds.actions, ctx)
-    c_sets = copa_text_sets(copa, ds, loo_holdout)
-
-    text_pairs = {
-        "mt_cm": (m_sets.m_t, c_sets.c_m),
-        "mt_ct": (m_sets.m_t, c_sets.c_t),
-        "mw_cm": (m_sets.m_w, c_sets.c_m),
-        "mw_ct": (m_sets.m_w, c_sets.c_t),
-    }
-    values = [
-        set_similarity(kind, *text_pairs[pair], ctx) for pair in _PAIRS for _, kind in _KINDS
-    ]
-    values.append(avg_idf_in_article(copa.manual_titles, motion.topic, ctx.wiki, ctx.tfidf))
-
-    universe = [m for m in ds.motions if m.id != loo_holdout]
-    m_all = {m.id for m in universe}
-    m_a = {m.id for m in universe if m.action == motion.action}
-    m_c = copa.motion_ids & m_all
-    values.extend(count_ratios(len(m_all), len(m_a), len(m_c), len(m_a & m_c)))
-
-    return np.array(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -180,9 +138,13 @@ def _similarity_sums(motions, ds: Dataset, ctx: SimilarityContext) -> _Similarit
     """The twelve similarity features of ``motions`` against every CoPA of
     ``ds`` as exact sums: per kind one ``similarity_block`` of all
     motion-side terms against all CoPA-side terms, then A @ sims @ B.T
-    over the incidence matrices A and B of the text sets.  Every sum is a
-    multiple of SIMILARITY_STEP of at most MAX_SET_PAIRS terms, so it is
-    exact in any summation order and equals ``set_similarity``'s."""
+    over the incidence matrices A and B of the text sets (with
+    multiplicity), and the same over the masks of present pairs.  Every
+    sum is a multiple of SIMILARITY_STEP of at most MAX_SET_PAIRS terms,
+    so it is exact in any summation order: a set similarity does not
+    depend on the order of either set, nor on the block its pairs were
+    cut from.  A text-set pair of more than MAX_SET_PAIRS term pairs
+    raises DomainError naming the CoPA."""
     m_sets = [motion_text_sets(m, ds.actions, ctx) for m in motions]
     c_sets = [copa_text_sets(c, ds) for c in ds.copas]
     rows = sorted({t for s in m_sets for t in (*s.m_t, *s.m_w)})
@@ -229,8 +191,10 @@ def _similarity_sums(motions, ds: Dataset, ctx: SimilarityContext) -> _Similarit
 
 
 def motion_features(motion: Motion, ds: Dataset, ctx: SimilarityContext) -> np.ndarray:
-    """(CoPAs x features) array: ``compute_features`` of the motion against
-    every CoPA of ``ds`` in order, with no holdout, bit for bit."""
+    """(CoPAs x features) array: the feature vector of the motion against
+    every CoPA of ``ds`` in order, with no motion held out; for a query
+    with a dataset motion's action and topic, that motion's rows of the
+    ``FeatureTable``, bit for bit."""
     values = np.empty((len(ds.copas), N_FEATURES))
     sim = _similarity_sums([motion], ds, ctx)
     values[:, _SIM_FEATURES] = mean_similarity(sim.sums[0], sim.counts[0])
@@ -243,19 +207,22 @@ def motion_features(motion: Motion, ds: Dataset, ctx: SimilarityContext) -> np.n
 
 
 class FeatureTable:
-    """``compute_features`` of every (motion, CoPA) pair of a dataset,
-    built once, from which each leave-one-out fold is derived.
+    """The feature vector of every (motion, CoPA) pair of a dataset, built
+    once, from which each leave-one-out fold is derived.
 
-    The twelve similarity features come from ``_similarity_sums``: exact
-    sums and counts of pair similarities, divided once.  Holding out
-    motion h changes only two things.  The c_t of a CoPA loses h's topic
-    under every spelling with its ``name_key`` (and h), which matters
-    only to the CoPAs whose c_t holds such a topic: a fold subtracts those
-    term columns from their c_t sums and counts, which is exact.  The
-    count universes lose h: a fold reads the four count features from the
-    dataset's ``LabelCounts`` minus h.
+    A set similarity is the mean of ``similarity_block`` over the present
+    term pairs of its two text sets, with multiplicity, and 0 when no pair
+    is present.  The twelve similarity features come from
+    ``_similarity_sums``: exact sums and counts of pair similarities,
+    divided once.  Holding out motion h changes only two things.  The c_t
+    of a CoPA loses h's topic under every spelling with its ``name_key``
+    (and h), which matters only to the CoPAs whose c_t holds such a topic:
+    a fold subtracts those term columns from their c_t sums and counts,
+    which is exact.  The count universes lose h: a fold reads the four
+    count features from the dataset's ``LabelCounts`` minus h.
     Everything else is reused, so the fold ``without_motion(h)`` holds
-    ``compute_features(..., loo_holdout=h)`` of every pair, bit for bit:
+    every pair's features computed afresh with h held out, bit for bit
+    (the tests hold it to a per-pair computation in ``tests/oracles.py``):
     h's row dropped from ``values`` and ``labels``, as the training rows,
     and kept apart as the rows ``query_rows`` scores h from.  The table as
     built trains on every row and scores a new query from

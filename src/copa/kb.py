@@ -153,20 +153,6 @@ class Dataset:
         """The label relation of every motion as integer counts, built once."""
         return LabelCounts.of(self)
 
-    def without_motion(self, motion_id: str) -> "Dataset":
-        """A copy with one motion (and its labels) removed: the reference
-        that leave-one-out folds, derived by subtraction, are checked
-        against."""
-        if motion_id not in self._motion_by_id:
-            raise KeyError(motion_id)
-        return replace(
-            self,
-            motions=tuple(m for m in self.motions if m.id != motion_id),
-            copas=tuple(replace(c, motion_ids=c.motion_ids - {motion_id}) for c in self.copas),
-            labels=frozenset(p for p in self.labels if p[0] != motion_id),
-            label_flags={p: v for p, v in self.label_flags.items() if p[0] != motion_id},
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class LabelCounts:
@@ -427,8 +413,9 @@ def copa_stats(ds: Dataset, exclude_general: bool = False) -> CopaStats:
 
 
 def instantiate_claim(claim: Claim, motion: Motion) -> str:
-    """Substitute every ``[TOPIC]`` occurrence with the motion's topic."""
-    return claim.template.replace(TOPIC_TOKEN, motion.topic)
+    """Substitute every ``[TOPIC]`` occurrence with the motion's topic,
+    stripped of surrounding space."""
+    return claim.template.replace(TOPIC_TOKEN, motion.topic.strip())
 
 
 @dataclass(frozen=True)
@@ -458,12 +445,14 @@ def build_syllogism(
     may override it with something more fluent).  The conclusion is
     "Therefore, we should <action> <topic>." unless the motion's
     ``actions[motion.action]`` provides a dedicated conclusion body.
+    Each line holds the topic stripped of surrounding space.
     """
+    topic = motion.topic.strip()
     major = instantiate_claim(copa.claim(stance), motion)
-    minor = minor_override if minor_override is not None else f"{motion.topic} relates to {copa.name}"
+    minor = minor_override if minor_override is not None else f"{topic} relates to {copa.name}"
     action = actions[motion.action]
     if action.conclusion is not None:
-        conclusion = f"Therefore, {action.conclusion.replace(TOPIC_TOKEN, motion.topic)}."
+        conclusion = f"Therefore, {action.conclusion.replace(TOPIC_TOKEN, topic)}."
     else:
-        conclusion = f"Therefore, we should {action.surface} {motion.topic}."
+        conclusion = f"Therefore, we should {action.surface} {topic}."
     return Syllogism(major=major, minor=minor, conclusion=conclusion)

@@ -9,8 +9,9 @@ Everything here is pure and operates on stores whose contents are fixed
 once loaded (an embedding store converts a vector from its file's text on
 its first read, and keeps it): the arrays a store or a context's memo
 hands out are read-only.
-"Absent" similarity values are represented as ``None``; callers that
-average over pairs simply skip them.
+A term with no representation under a measure makes its pairs
+"Absent": ``similarity_block`` marks them in a mask, and set
+similarities skip them.
 
 Cosine similarities over embeddings are affinely mapped from [-1, 1] to
 [0, 1] so that all similarity features share one range; the map is
@@ -661,32 +662,6 @@ def _tfidf_norm(vec: dict[str, float]) -> float:
     return math.sqrt(_left_sum(w * w for w in vec.values()))
 
 
-def _dict_cosine(a: dict[str, float], b: dict[str, float]) -> float:
-    # add the common keys' products in sorted order, so that cosine(a, b)
-    # == cosine(b, a) bit for bit and ``_tfidf_block`` reproduces it
-    dot = _left_sum(a[t] * b[t] for t in sorted(a.keys() & b.keys()))
-    na = _tfidf_norm(a)
-    nb = _tfidf_norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return dot / (na * nb)
-
-
-def term_similarity(kind: SimilarityKind, a: str, b: str, ctx: SimilarityContext) -> float | None:
-    """Similarity of two terms in [0, 1], or None when either side is
-    unrepresentable under the requested measure: the per-pair reference
-    of ``similarity_block`` (embedding cosines through a BLAS ``np.dot``,
-    not rounded)."""
-    va = ctx.term_vector(kind, a)
-    vb = ctx.term_vector(kind, b)
-    if va is None or vb is None:
-        return None
-    if kind is SimilarityKind.TFIDF:
-        return min(1.0, max(0.0, _dict_cosine(va, vb)))
-    cos = float(np.clip(np.dot(va, vb), -1.0, 1.0))
-    return (cos + 1.0) / 2.0
-
-
 #: Set similarities sum pair similarities rounded to multiples of this
 #: step.  A sum of at most MAX_SET_PAIRS of them is a multiple of the step
 #: below 2**13, exact in float64 (53-bit significand) at every partial
@@ -707,14 +682,17 @@ def similarity_block(kind: SimilarityKind, terms_a, terms_b, ctx: SimilarityCont
     SIMILARITY_STEP, and the mask of the pairs that are not Absent
     (their sims are 0).
 
-    Each entry depends only on its own two terms, never on the block's
-    shape or order, the BLAS library or its thread count.  Embedding
-    entries are the mapped cosine of ``term_similarity`` with the dot
+    A pair is Absent when either term has no vector under ``kind``
+    (``SimilarityContext.term_vector``).  Each entry depends only on its
+    own two terms, never on the block's shape or order, the BLAS library
+    or its thread count.  Embedding entries are the mapped cosine
+    (clip(u·v, -1, 1) + 1) / 2 of the two unit vectors with the dot
     product taken as ``np.sum(u * v)``, rounded (``_cosine_block`` gets
     them from one BLAS product and a rounding guard); tf-idf entries are
-    ``term_similarity`` exactly, rounded.  Every similarity in the
-    package goes through this kernel: the set similarities of the
-    feature table and KNN's candidate row."""
+    the cosine of the two tf-idf vectors clipped to [0, 1]
+    (``_tfidf_block``), rounded.  Every similarity in the package goes
+    through this kernel: the set similarities of the feature table and
+    KNN's candidate row."""
     va = [ctx.term_vector(kind, t) for t in terms_a]
     vb = [ctx.term_vector(kind, t) for t in terms_b]
     present = np.outer(
@@ -791,8 +769,10 @@ def _cosine_block(va, vb) -> np.ndarray:
 
 
 def _tfidf_block(va, vb) -> np.ndarray:
-    # ``_dict_cosine`` of every pair: each pair's products are added one
-    # common unit at a time in sorted-unit order
+    # the cosine of every pair of tf-idf vectors, clipped to [0, 1]: each
+    # pair's products are added one common unit at a time in sorted-unit
+    # order, left to right, and divided by the product of the two
+    # ``_tfidf_norm``s; 0 where either vector is None or has norm 0
     def postings(vectors):
         by_unit: dict[str, tuple[list, list]] = {}
         for i, vec in enumerate(vectors):
@@ -819,23 +799,6 @@ def mean_similarity(sums, counts):
     of present pairs: sums / counts, and 0 where the count is 0."""
     sums = np.asarray(sums, dtype=float)
     return np.divide(sums, counts, out=np.zeros(sums.shape), where=np.asarray(counts) != 0)
-
-
-def set_similarity(kind: SimilarityKind, terms_a, terms_b, ctx: SimilarityContext) -> float:
-    """Mean term similarity over all cross pairs (with multiplicity),
-    skipping Absent pairs; 0 when either side is empty or every pair is
-    Absent.  The sum of the pair's ``similarity_block`` is exact, so the
-    mean does not depend on the order of either side, nor on whether the
-    pairs were cut from a larger block.  More than
-    MAX_SET_PAIRS pairs raise DomainError."""
-    terms_a, terms_b = list(terms_a), list(terms_b)
-    if len(terms_a) * len(terms_b) > MAX_SET_PAIRS:
-        raise DomainError(
-            f"{len(terms_a)} x {len(terms_b)} term pairs exceed the exact-sum bound "
-            f"of {MAX_SET_PAIRS}"
-        )
-    sims, present = similarity_block(kind, terms_a, terms_b, ctx)
-    return float(mean_similarity(sims.sum(), present.sum()))
 
 
 # ---------------------------------------------------------------------------

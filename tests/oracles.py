@@ -1,17 +1,29 @@
-"""Brute-force reference implementations used to check the library.
+"""Reference implementations used to check the library, in two parts.
 
-These deliberately re-derive every quantity from first principles
-(explicit loops, exact integer arithmetic) and share no code with the
-package internals they verify.
+The brute-force references deliberately re-derive every quantity from
+first principles (explicit loops, exact integer arithmetic) and share no
+code with the package internals they verify.
+
+The per-pair references, at the end, compute one term similarity, one
+set similarity or one (motion, CoPA) feature vector at a time, and one
+leave-one-out dataset by copying.  They read the package's term vectors
+and its similarity kernel; the package itself computes these quantities
+only in blocks and tables, and derives its folds by subtraction, and the
+tests hold those to the references bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+
+from copa import features, textsim
+from copa.features import FEATURE_NAMES
+from copa.textsim import MAX_SET_PAIRS, DomainError, SimilarityKind
 
 
 # --- embeddings / similarity -------------------------------------------------
@@ -377,3 +389,105 @@ def p_at_1_points(entries, labels, included_copas, motion_ids, thresholds):
         hits = sum(1 for mid, cid in covered if (mid, cid) in labels)
         points.append((float(t), len(covered) / len(motion_ids), hits / len(covered)))
     return points
+
+
+# --- per-pair references -----------------------------------------------------
+
+
+def _left_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _dict_cosine(a, b):
+    """Cosine of two tf-idf vectors ({unit: weight}): the common units'
+    products added left to right in sorted-unit order, so that
+    cosine(a, b) == cosine(b, a) bit for bit; 0 when either norm is 0."""
+    dot = _left_sum(a[t] * b[t] for t in sorted(a.keys() & b.keys()))
+    na = math.sqrt(_left_sum(w * w for w in a.values()))
+    nb = math.sqrt(_left_sum(w * w for w in b.values()))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return dot / (na * nb)
+
+
+def term_similarity(kind, a, b, ctx):
+    """Similarity of two terms in [0, 1], or None when either side is
+    unrepresentable under the requested measure: the per-pair reference
+    of ``similarity_block`` (embedding cosines through a BLAS ``np.dot``,
+    not rounded)."""
+    va = ctx.term_vector(kind, a)
+    vb = ctx.term_vector(kind, b)
+    if va is None or vb is None:
+        return None
+    if kind is SimilarityKind.TFIDF:
+        return min(1.0, max(0.0, _dict_cosine(va, vb)))
+    cos = float(np.clip(np.dot(va, vb), -1.0, 1.0))
+    return (cos + 1.0) / 2.0
+
+
+def set_similarity(kind, terms_a, terms_b, ctx):
+    """Mean term similarity over all cross pairs (with multiplicity),
+    skipping Absent pairs; 0 when either side is empty or every pair is
+    Absent.  The sum of the pair's ``similarity_block`` is exact, so the
+    mean does not depend on the order of either side, nor on whether the
+    pairs were cut from a larger block.  More than MAX_SET_PAIRS pairs
+    raise DomainError."""
+    terms_a, terms_b = list(terms_a), list(terms_b)
+    if len(terms_a) * len(terms_b) > MAX_SET_PAIRS:
+        raise DomainError(
+            f"{len(terms_a)} x {len(terms_b)} term pairs exceed the exact-sum bound "
+            f"of {MAX_SET_PAIRS}"
+        )
+    sims, present = textsim.similarity_block(kind, terms_a, terms_b, ctx)
+    return float(textsim.mean_similarity(sims.sum(), present.sum()))
+
+
+def copa_text_sets(copa, ds, loo_holdout=None):
+    """The CoPA's c_m and c_t; with ``loo_holdout``, c_t less every topic
+    with the held-out motion's ``name_key``, and with it the motion."""
+    sets = features.copa_text_sets(copa, ds)
+    if loo_holdout is None:
+        return sets
+    held = textsim.name_key(ds.motion(loo_holdout).topic)
+    return replace(sets, c_t=frozenset(t for t in sets.c_t if textsim.name_key(t) != held))
+
+
+_KIND_OF = {"embed": SimilarityKind.EMBEDDING, "embed_alt": SimilarityKind.EMBEDDING_ALT,
+            "tfidf": SimilarityKind.TFIDF}
+
+
+def compute_features(motion, copa, ds, ctx, loo_holdout=None):
+    """Feature vector for one (motion, CoPA) pair, ordered as
+    FEATURE_NAMES: the per-pair reference of ``FeatureTable``.
+
+    When ``loo_holdout`` names a motion, that motion is excluded from the
+    count universes (M_a, M_c, M_*) and its topic from c_t, so training
+    folds never see the held-out motion."""
+    m_sets = features.motion_text_sets(motion, ds.actions, ctx)
+    c_sets = copa_text_sets(copa, ds, loo_holdout)
+    sets = {"mt": m_sets.m_t, "mw": m_sets.m_w, "cm": c_sets.c_m, "ct": c_sets.c_t}
+    values = []
+    for name in FEATURE_NAMES[:12]:  # sim_<motion side>_<CoPA side>_<kind>
+        _, m_side, c_side, kind = name.split("_", 3)
+        values.append(set_similarity(_KIND_OF[kind], sets[m_side], sets[c_side], ctx))
+    values.append(textsim.avg_idf_in_article(copa.manual_titles, motion.topic, ctx.wiki, ctx.tfidf))
+    values.extend(count_features(motion, copa, ds, loo_holdout))
+    return np.array(values, dtype=float)
+
+
+def without_motion(ds, motion_id):
+    """A copy of ``ds`` with one motion (and its labels) removed: the
+    reference that leave-one-out folds, derived by subtraction, are
+    checked against."""
+    if motion_id not in ds.motion_ids:
+        raise KeyError(motion_id)
+    return replace(
+        ds,
+        motions=tuple(m for m in ds.motions if m.id != motion_id),
+        copas=tuple(replace(c, motion_ids=c.motion_ids - {motion_id}) for c in ds.copas),
+        labels=frozenset(p for p in ds.labels if p[0] != motion_id),
+        label_flags={p: v for p, v in ds.label_flags.items() if p[0] != motion_id},
+    )

@@ -33,7 +33,7 @@ from copa.evaluation import (
     p_at_1_curve,
     pr_curve,
 )
-from copa.features import FEATURE_NAMES, FeatureTable, compute_features, motion_features
+from copa.features import FEATURE_NAMES, FeatureTable, motion_features
 from copa.kb import Motion, Stance, build_syllogism, copa_stats, instantiate_claim, load_dataset
 from copa.textsim import SimilarityContext, hypergeom_pvalue
 from helpers import (
@@ -48,12 +48,14 @@ from helpers import (
 )
 from oracles import (
     ba_scores,
+    compute_features,
     count_features,
     elementwise_max,
     knn_scores,
     p_at_1_points,
     pr_points,
     predicted_pairs,
+    without_motion,
 )
 
 GRID = default_threshold_grid()
@@ -80,7 +82,7 @@ def test_c01_knn_matches_bruteforce_oracle_exactly():
         ctx = SimilarityContext(embeddings=store)
         queries = list(ds.motions) + [Motion("q", "ban", ds.motions[0].topic)]
         for query in queries:
-            train = ds.without_motion(query.id) if query.id != "q" else ds
+            train = without_motion(ds, query.id) if query.id != "q" else ds
             got = predict_knn(train, query, ctx, threshold=0.5, min_neighbors=3, top=5)
             want = knn_scores(train, query, store, threshold=0.5, min_neighbors=3, top=5)
             assert np.array_equal(got, want, equal_nan=True)  # exact, abstentions included
@@ -98,7 +100,7 @@ def test_c02_ba_and_count_features_match_counting_oracles():
         ds = random_dataset(rng, max_motions=20, max_copas=5)
         model = train_ba(ds, k=int(rng.integers(1, 4)))
         for m in ds.motions:
-            fold = ds.without_motion(m.id)
+            fold = without_motion(ds, m.id)
             fold_model = train_ba(fold, k=model.k)
             assert np.array_equal(predict_ba(fold_model, m), ba_scores(fold, m, k=model.k),
                                   equal_nan=True)

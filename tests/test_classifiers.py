@@ -42,7 +42,6 @@ from copa.textsim import (
     EmbeddingStore,
     SimilarityContext,
     SimilarityKind,
-    term_similarity,
 )
 from helpers import (
     ACTION_POOL,
@@ -63,6 +62,8 @@ from oracles import (
     knn_scores,
     logreg_fit_reference,
     sigmoid_masked,
+    term_similarity,
+    without_motion,
 )
 
 
@@ -197,7 +198,7 @@ class TestKNN:
             [np.nan, np.nan], equal_nan=True)
         m1 = ds.motion("m1")
         assert np.array_equal(predict_knn(ds, m1, ctx, min_neighbors=1),
-                              predict_knn(ds.without_motion("m1"), m1, ctx, min_neighbors=1),
+                              predict_knn(without_motion(ds, "m1"), m1, ctx, min_neighbors=1),
                               equal_nan=True)
 
     def test_exclude_topic_drops_same_topic_candidates(self):
@@ -788,16 +789,16 @@ class TestNB:
         ds, corpus = _nb_fold_fixture(np.random.default_rng(seed))
         # the planted cases a fold must follow
         full = _nb_reference(ds, corpus, ds.copa("solo"), alpha)
-        fold = _nb_reference(ds.without_motion("m2"), corpus, ds.copa("solo"), alpha)
+        fold = _nb_reference(without_motion(ds, "m2"), corpus, ds.copa("solo"), alpha)
         assert "lonely" in full.log_prob_pos and "lonely" not in fold.log_prob_pos
         assert "limit" not in build_blacklist(ds)["solo"]
-        assert "limit" in build_blacklist(ds.without_motion("m2"))["solo"]
-        assert "limit" not in build_blacklist(ds.without_motion("m2"))["c0"]
+        assert "limit" in build_blacklist(without_motion(ds, "m2"))["solo"]
+        assert "limit" not in build_blacklist(without_motion(ds, "m2"))["c0"]
 
         config = EvalConfig(methods=("nb",), nb_alpha=alpha)
         model = train_nb(ds, corpus, alpha=alpha)
         for m in ds.motions:
-            fold_ds = ds.without_motion(m.id)
+            fold_ds = without_motion(ds, m.id)
             got = score_motion("nb", model.without_motion(m.id), m, config,
                                SimilarityContext(sentences=corpus))
             want = _reference_scores(fold_ds, corpus, m, alpha)
@@ -1032,7 +1033,7 @@ def test_build_blacklist_exact_definition():
     # the label counts that the W2V and NB blacklists read agree, in
     # the dataset and in every fold of it
     for counts, fold in [(ds.label_counts, ds)] + [
-        (ds.label_counts.without_motion(m.id), ds.without_motion(m.id)) for m in ds.motions
+        (ds.label_counts.without_motion(m.id), without_motion(ds, m.id)) for m in ds.motions
     ]:
         for action in ("ban", "legalize", "subsidize", "promote", "limit", "unregistered"):
             want = [action in build_blacklist(fold)[c.id] for c in fold.copas]

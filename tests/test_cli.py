@@ -18,7 +18,7 @@ from copa.classifiers import TopicSentenceCorpus
 from copa.cli import AppConfig, ConfigError, main
 from copa.features import FEATURE_NAMES
 from copa.kb import ParseError, ValidationError, load_dataset
-from copa.textsim import DomainError, EmbeddingStore, WikiCorpus
+from copa.textsim import MAX_SET_PAIRS, DomainError, EmbeddingStore, WikiCorpus
 from helpers import EMBEDDING_TOKENS, TEXT, load_bench_generator, load_bench_module
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -509,6 +509,15 @@ class TestMatchCommand:
         assert "pro: NATO works efficiently" in result.output
         assert "con: NATO fails to achieve its goals" in result.output
 
+    def test_claims_hold_the_topic_without_its_surrounding_space(self, runner, monkeypatch):
+        # the query's topic is matched by name_key, so its scores are those of "Smoking"
+        monkeypatch.chdir(ROOT)
+        spaced, plain = (runner.invoke(main, ["--config", "data/config.json", "match", "ban", t])
+                         for t in (" Smoking ", "Smoking"))
+        assert spaced.exit_code == 0 and plain.exit_code == 0, spaced.output
+        assert "pushes Smoking into" in plain.output
+        assert spaced.output == plain.output
+
     def test_unreachable_tol_still_answers(self):
         """Every fit of a query stops once its objective stalls, however
         small ``tol`` and however large ``max_iters``."""
@@ -582,6 +591,17 @@ class TestInventCommand:
             "Solar energy is a form of clean energy.",
             "Therefore, humanity must further exploit solar energy.",
         ]
+
+    def test_syllogism_holds_the_topic_without_its_surrounding_space(self, runner, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        spaced, plain = (
+            runner.invoke(main, ["--config", "data/config.json", "invent", "ban", t, "black_market"])
+            for t in (" Smoking ", "Smoking"))
+        assert spaced.exit_code == 0 and plain.exit_code == 0, spaced.output
+        lines = plain.output.splitlines()
+        assert lines[1].startswith("Smoking relates to ")
+        assert lines[2] == "Therefore, we should ban Smoking."
+        assert spaced.output == plain.output
 
 
 class TestEvalCommand:
@@ -659,7 +679,9 @@ class TestEvalCommand:
         finally:
             tracer.uninstall()
         assert result.exit_code == 0, result.output
-        assert tracer.absent == []
+        # the per-pair references live in tests/oracles.py, not in the package
+        assert sorted(tracer.absent) == ["features.compute_features", "kb.Dataset.without_motion",
+                                         "textsim.set_similarity", "textsim.term_similarity"]
         # every fit is called from its trainer, checked, and converged
         fits = {kind: (f["calls"] > 0, f["unchecked"], f["unconverged"])
                 for kind, f in tracer.fits.items()}
@@ -715,18 +737,26 @@ class TestFeaturesCommand:
         assert [row[-3] for row in rows[1:4]] == [odd, odd, "m1"]
 
     def test_exact_sum_bound_exits_4_naming_the_copa(self, runner, workspace, tmp_path):
-        # m_t = {"ban", "t0"} against 4,097 titles is 8,194 term pairs
-        doc = json.loads((workspace / "ds.json").read_text())
-        titles = [f"title {i}" for i in range(4097)]
-        doc["copas"][1] = {**doc["copas"][1], "manual_titles": titles}
-        (tmp_path / "ds.json").write_text(json.dumps(doc))
-        cfg = tmp_path / "c.json"
-        base = json.loads((workspace / "config.json").read_text())
-        cfg.write_text(json.dumps({**base, "dataset": str(tmp_path / "ds.json")}))
-        result = runner.invoke(main, ["--config", str(cfg), "features"])
+        # m_t = {"ban", "t0"} against 4,097 titles is 8,194 term pairs; against
+        # 4,096 it is 8,192 = MAX_SET_PAIRS, the most one set similarity may sum
+        def features_with_titles(n):
+            doc = json.loads((workspace / "ds.json").read_text())
+            titles = [f"title {i}" for i in range(n)]
+            doc["copas"][1] = {**doc["copas"][1], "manual_titles": titles}
+            (tmp_path / "ds.json").write_text(json.dumps(doc))
+            cfg = tmp_path / "c.json"
+            base = json.loads((workspace / "config.json").read_text())
+            cfg.write_text(json.dumps({**base, "dataset": str(tmp_path / "ds.json")}))
+            return runner.invoke(main, ["--config", str(cfg), "features"])
+
+        result = features_with_titles(4097)
         assert result.exit_code == 4, result.output
         assert "'c2'" in result.output and "exact-sum bound" in result.output
         assert "Traceback" not in result.output
+        assert 2 * 4096 == MAX_SET_PAIRS
+        result = features_with_titles(4096)
+        assert result.exit_code == 0, result.output
+        assert len(result.output.splitlines()) == 1 + 6 * 2
 
     def test_output_does_not_depend_on_blas_threads(self, tmp_path):
         manifest = load_bench_generator().write_workload(

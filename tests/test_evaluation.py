@@ -43,6 +43,7 @@ from oracles import (
     pr_points,
     predicted_pairs,
     w2v_row_reference,
+    without_motion,
 )
 from test_classifiers import _reference_scores as nb_row_reference
 
@@ -76,7 +77,7 @@ class TestLeaveOneOut:
         ba = out["ba"]
         # each fold trains on the other two motions; recompute per fold
         for i, m in enumerate(ds.motions):
-            fold = ds.without_motion(m.id)
+            fold = without_motion(ds, m.id)
             assert len(fold.motions) == 2
             assert np.array_equal(ba.scores[i], ba_scores(fold, m, k=1), equal_nan=True)
 
@@ -105,7 +106,7 @@ class TestLeaveOneOut:
         config = EvalConfig(methods=("knn",), knn_min_neighbors=2, topic_min_motions=2)
         out = leave_one_out(ds, config, ctx)
         for i, m in enumerate(ds.motions):
-            fold = ds.without_motion(m.id)
+            fold = without_motion(ds, m.id)
             want = knn_scores(fold, m, store, min_neighbors=2, top=5,
                               exclude_topic=m.topic)
             assert np.array_equal(out["knn"].scores[i], want, equal_nan=True)
@@ -231,7 +232,7 @@ class TestLeaveOneOut:
         assert "promote" not in {m.action for m in ds.motions}
         assert ctx.term_vector(SimilarityKind.EMBEDDING, "silent") is None
         assert "limit" not in build_blacklist(ds)["solo"]
-        assert "limit" in build_blacklist(ds.without_motion("m2"))["solo"]
+        assert "limit" in build_blacklist(without_motion(ds, "m2"))["solo"]
 
         config = EvalConfig(methods=("ba", "knn", "w2v", "nb"), ba_k=int(rng.integers(1, 3)),
                             knn_min_neighbors=1, topic_min_motions=1)
@@ -240,7 +241,7 @@ class TestLeaveOneOut:
         eligible = topic_method_copas(ds, config.topic_min_motions)
         ineligible = np.array([cid not in eligible for cid in ds.copa_ids])
         for i, m in enumerate(ds.motions):
-            fold = ds.without_motion(m.id)
+            fold = without_motion(ds, m.id)
             for method in ("ba", "w2v", "nb"):
                 inputs = method_inputs(method, fold, config, ctx)
                 want = score_motion(method, inputs, m, config, ctx)
@@ -272,7 +273,7 @@ class TestLeaveOneOut:
             ctx = SimilarityContext(embeddings=embeddings, sentences=corpus)
             inputs = {method: method_inputs(method, ds, config, ctx) for method in ("w2v", "nb")}
             cases = [(ds, q, lambda method: inputs[method]) for q in queries]
-            cases += [(ds.without_motion(m.id), m,
+            cases += [(without_motion(ds, m.id), m,
                        lambda method, mid=m.id: inputs[method].without_motion(mid))
                       for m in ds.motions]
             for train, motion, fold_inputs in cases:
@@ -323,7 +324,7 @@ class TestLeaveOneOut:
                 want = sum(
                     sum(c.id in eligible and m.action not in blacklist[c.id] for c in ds.copas)
                     for m in ds.motions if m.id in embedded and embedded - {m.id}
-                    for blacklist in [build_blacklist(ds.without_motion(m.id))]
+                    for blacklist in [build_blacklist(without_motion(ds, m.id))]
                 )
                 fits.clear()
                 leave_one_out(ds, config, ctx)

@@ -7,8 +7,6 @@ from copa.features import (
     FEATURE_NAMES,
     EmptyTrainingSet,
     FeatureTable,
-    compute_features,
-    copa_text_sets,
     motion_text_sets,
     standardize,
 )
@@ -20,11 +18,16 @@ from copa.textsim import (
     SimilarityKind,
     TfIdfModel,
     WikiCorpus,
-    set_similarity,
-    term_similarity,
 )
 from helpers import build_dataset, random_dataset, random_embeddings, topic_words
-from oracles import count_features, set_similarity_mean
+from oracles import (
+    compute_features,
+    copa_text_sets,
+    count_features,
+    set_similarity,
+    set_similarity_mean,
+    term_similarity,
+)
 
 IDX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 COUNT_SLICE = slice(IDX["action_share_of_all_motions"], None)

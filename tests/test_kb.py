@@ -21,6 +21,7 @@ from copa.kb import (
     load_dataset,
 )
 from helpers import build_dataset, default_claims, make_registry, random_dataset, save_dataset
+from oracles import without_motion
 
 TOY_DOC = {
     "actions": [{"id": "ban", "surface": "ban"}, {"id": "legalize", "surface": "legalize"}],
@@ -337,7 +338,7 @@ def test_without_motion_shrinks_everything():
         copas=[("c1", "one"), ("c2", "two")],
         labels=[("m1", "c1"), ("m2", "c1"), ("m3", "c2")],
     )
-    fold = ds.without_motion("m2")
+    fold = without_motion(ds, "m2")
     assert fold.motion_ids == ("m1", "m3")
     assert fold.copa("c1").motion_ids == {"m1"}
     assert ("m2", "c1") not in fold.labels
@@ -355,7 +356,7 @@ def test_without_motion_is_the_file_without_the_motion(tmp_path):
     doc["labels"][0]["claim_stance_pro_means_support"] = False
     doc["labels"][3]["claim_stance_pro_means_support"] = True
     ds = load_dataset(_write(tmp_path, doc))
-    fold = ds.without_motion("m2")
+    fold = without_motion(ds, "m2")
     doc["motions"] = [m for m in doc["motions"] if m["id"] != "m2"]
     doc["labels"] = [label for label in doc["labels"] if label["motion"] != "m2"]
     assert fold == load_dataset(_write(tmp_path, doc))

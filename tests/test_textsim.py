@@ -24,24 +24,24 @@ from copa.textsim import (
     TfIdfModel,
     WikiCorpus,
     _cosine_block,
-    _dict_cosine,
     _tfidf_block,
     avg_idf_in_article,
     embed_term,
     hypergeom_pvalue,
-    set_similarity,
     similarity_block,
-    term_similarity,
     topic_related_titles,
 )
 from helpers import EMBEDDING_TOKENS, load_bench_generator, load_from_fifo, tfidf_model
 from oracles import (
     EmbeddingFileError,
+    _dict_cosine,
     cosine_block_reference,
     embedding_file_reference,
     hypergeom_tail_by_draws,
     hypergeom_tail_exact,
+    set_similarity,
     set_similarity_mean,
+    term_similarity,
     unit_topic_vector,
 )
 
