@@ -16,7 +16,6 @@ from .kb import (
     ParseError,
     Stance,
     Syllogism,
-    UnknownStance,
     ValidationError,
     build_syllogism,
     copa_stats,
@@ -39,7 +38,6 @@ from .textsim import (
 )
 from .features import (
     FEATURE_NAMES,
-    EmptyTrainingSet,
     FeatureTable,
     Standardizer,
     motion_features,
@@ -47,7 +45,6 @@ from .features import (
 )
 from .classifiers import (
     BAModel,
-    DimensionMismatch,
     NBClassifier,
     ScoreMatrix,
     W2VTable,

@@ -26,11 +26,8 @@ import numpy as np
 
 from .features import N_FEATURES, Standardizer, standardize
 from .kb import Dataset, LabelCounts, Motion
-from .textsim import (SimilarityContext, SimilarityKind, TopicSentenceCorpus, name_key,
-                      similarity_block)
-
-class DimensionMismatch(Exception):
-    """Training inputs disagree in length or width."""
+from .textsim import (DomainError, SimilarityContext, SimilarityKind, TopicSentenceCorpus,
+                      name_key, similarity_block)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +167,9 @@ def logreg_fit(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
-        raise DimensionMismatch("X must be a 2-d array")
+        raise DomainError("X must be a 2-d array")
     if len(X) != len(y) or len(y) == 0:
-        raise DimensionMismatch(f"{len(X)} rows vs {len(y)} labels")
+        raise DomainError(f"{len(X)} rows vs {len(y)} labels")
     n, d = X.shape
     A = np.hstack([X, np.ones((n, 1))])
     ridge = np.diag(np.append(np.full(d, float(lam)), 0.0))
@@ -529,7 +526,7 @@ def train_feature_lr(
     ``labels`` the matching (motions x CoPAs) 0/1 block; every pair is
     one training row, motion-major."""
     if len(values) == 0:
-        raise DimensionMismatch("no training motions left")
+        raise DomainError("no training motions left")
     X = np.asarray(values, dtype=float).reshape(-1, N_FEATURES)
     scaler = standardize(X)
     fit = logreg_fit(scaler.transform(X), np.asarray(labels, dtype=float).reshape(-1),

@@ -8,10 +8,10 @@ can be overridden by a ``COPA_``-prefixed environment variable, and
 flags override both.  Each value is checked against its declared type
 and range when the config is loaded.
 
-Exit codes: 0 success, 2 configuration problem, 3 domain problem (e.g.
-unknown action), 4 I/O or data-file problem, a dataset too small for the
-command, or a leave-one-out fold that failed (the message names the
-held-out motion).
+Exit codes: 0 success, 2 ``ConfigError`` (configuration problem), 3
+``CliDomainError`` (domain problem, e.g. unknown action), 4 ``OSError`` or
+``textsim.DomainError``: inputs that cannot be used, such as a data-file
+problem, a dataset too small for the command or a failed fold.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .textsim import (
     TopicSentenceCorpus,
     WikiCorpus,
     name_key,
+    read_json,
 )
 
 EXIT_CONFIG = 2
@@ -86,12 +87,11 @@ class AppConfig(EvalConfig):
         values: dict = {}
         if path is not None:
             try:
-                with open(path, encoding="utf-8") as fh:
-                    doc = json.load(fh)
+                doc = read_json(path)
             except OSError as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
-            except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, long integer, nesting
-                raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+            except DomainError as exc:
+                raise ConfigError(f"config {exc}") from None
             if not isinstance(doc, dict):
                 raise ConfigError(f"config {path}: top level must be an object")
             values.update(doc)
@@ -205,8 +205,7 @@ def _guarded(fn):
         _fail(EXIT_CONFIG, str(exc))
     except CliDomainError as exc:
         _fail(EXIT_DOMAIN, str(exc))
-    except (kb.ParseError, kb.ValidationError, DomainError, evalmod.FoldError,
-            evalmod.DatasetTooSmall) as exc:
+    except DomainError as exc:
         _fail(EXIT_IO, str(exc))
     except BrokenPipeError:
         # downstream consumer (e.g. head) closed the pipe; silence the

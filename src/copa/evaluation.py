@@ -29,15 +29,15 @@ from . import classifiers as clf
 from .classifiers import ScoreMatrix, ensemble
 from .features import FeatureTable
 from .kb import Dataset, Motion
-from .textsim import SimilarityContext, SimilarityKind
+from .textsim import DomainError, SimilarityContext, SimilarityKind
 
 
-class FoldError(Exception):
+class FoldError(DomainError):
     """Training failed inside a leave-one-out fold; carries the held-out
     motion id for debugging."""
 
 
-class DatasetTooSmall(ValueError):
+class DatasetTooSmall(DomainError):
     """The dataset lacks the motions or CoPAs an operation needs."""
 
 

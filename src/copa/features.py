@@ -46,10 +46,6 @@ FEATURE_NAMES: tuple[str, ...] = tuple(
 N_FEATURES = len(FEATURE_NAMES)
 
 
-class EmptyTrainingSet(Exception):
-    """standardize() needs at least one vector."""
-
-
 @dataclass(frozen=True)
 class MotionTextSets:
     """m_t: {action surface form, topic}; m_w: up to ten enriched titles."""
@@ -298,7 +294,7 @@ def standardize(train_vectors) -> Standardizer:
     # in another order over a block of another layout
     matrix = np.ascontiguousarray(train_vectors, dtype=float)
     if matrix.size == 0:
-        raise EmptyTrainingSet("standardize() requires at least one vector")
+        raise DomainError("standardize() requires at least one vector")
     mean = matrix.mean(axis=0)
     std = matrix.std(axis=0)
     scale = np.where(std > STDDEV_FLOOR, 1.0 / np.where(std > STDDEV_FLOOR, std, 1.0), 0.0)

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .textsim import name_key
+from .textsim import DomainError, name_key, read_json
 
 TOPIC_TOKEN = "[TOPIC]"
 
@@ -29,18 +28,14 @@ TOPIC_TOKEN = "[TOPIC]"
 DEFAULT_GENERAL_NAMES = ("Conservatism", "Fixable", "Framework")
 
 
-class ParseError(Exception):
-    """The dataset file is structurally malformed (bad JSON, missing or
-    mistyped fields)."""
+class ParseError(DomainError):
+    """The dataset file is structurally malformed (not UTF-8, bad JSON,
+    missing or mistyped fields)."""
 
 
-class ValidationError(Exception):
+class ValidationError(DomainError):
     """The dataset file parses but violates a domain invariant (dangling
     id, unknown action, claims that do not form an opposing pair, ...)."""
-
-
-class UnknownStance(Exception):
-    """A CoPA lacks a claim of the requested stance."""
 
 
 class Stance(enum.Enum):
@@ -109,7 +104,7 @@ class CoPA:
         for c in self.claims:
             if c.stance is stance:
                 return c
-        raise UnknownStance(f"CoPA {self.id!r} has no {stance.value} claim")
+        raise ValidationError(f"CoPA {self.id!r} has no {stance.value} claim")
 
 
 @dataclass
@@ -355,11 +350,10 @@ def load_dataset(path) -> Dataset:
     Raises ParseError for malformed files and ValidationError for files
     that parse but break a domain invariant.  I/O errors propagate.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, long integer, nesting
-            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        doc = read_json(path)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from None
     return dataset_from_dict(doc, source=str(path))
 
 

@@ -30,7 +30,8 @@ import numpy as np
 
 
 class DomainError(Exception):
-    """An argument is outside the operation's documented domain."""
+    """An argument is outside the operation's documented domain: the
+    inputs cannot be used, and a command exits 4."""
 
 
 def name_key(name: str) -> str:
@@ -65,6 +66,21 @@ def read_lines(path):
                 yield from enumerate(fh, start=2)
         except UnicodeDecodeError as exc:
             raise DomainError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def read_json(path):
+    """The JSON document of a UTF-8 file, read whole; DomainError as from
+    ``read_lines``, or naming the file when it is not valid JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+            if text.startswith("\ufeff"):
+                raise DomainError(f"{path}:1: starts with a UTF-8 byte-order mark")
+            return json.loads(text)
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8 text ({exc})") from None
+        except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
+            raise DomainError(f"{path}: not valid JSON ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -467,16 +483,10 @@ class WikiCorpus:
 
     @classmethod
     def from_file(cls, path) -> "WikiCorpus":
-        """Read the JSON corpus; malformed JSON, a record that is not an
+        """Read the JSON corpus through ``read_json``; a record that is not an
         object, ``body_terms`` that are not a list of strings or a link
         count that is not a non-negative integer raises DomainError."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except UnicodeDecodeError as exc:
-                raise DomainError(f"{path}: not UTF-8 text ({exc})") from None
-            except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
-                raise DomainError(f"{path}: not valid JSON ({exc})") from None
+        doc = read_json(path)
         try:
             doc = _json_object(doc, "top level")
             articles = {}

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from copa import classifiers as clfmod
 from copa.classifiers import (
-    DimensionMismatch,
     LogRegFit,
     ScoreMatrix,
     TopicSentenceCorpus,
@@ -300,11 +299,11 @@ class TestLogregFit:
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DomainError, match="3 rows vs 4 labels"):
             logreg_fit(np.zeros((3, 2)), np.zeros(4))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DomainError, match="X must be a 2-d array"):
             logreg_fit(np.zeros(3), np.zeros(3))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DomainError, match="0 rows vs 0 labels"):
             logreg_fit(np.zeros((0, 2)), np.zeros(0))
 
     def test_deterministic(self):

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import copa
 from copa import classifiers as clfmod
 from copa.classifiers import TopicSentenceCorpus
-from copa.cli import AppConfig, ConfigError, main
+from copa.cli import AppConfig, ConfigError, _guarded, main
 from copa.features import FEATURE_NAMES
 from copa.kb import ParseError, ValidationError, load_dataset
 from copa.textsim import MAX_SET_PAIRS, DomainError, EmbeddingStore, WikiCorpus
@@ -146,7 +148,26 @@ def _trimmed_sample(path, drop):
     return path
 
 
+def _package_error_classes():
+    """Every exception class that a ``copa`` module defines."""
+    modules = [importlib.import_module(f"copa.{info.name}")
+               for info in pkgutil.iter_modules(copa.__path__)]
+    return [value for module in modules for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, BaseException)
+            and value.__module__ == module.__name__]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("error", _package_error_classes(), ids=lambda cls: cls.__name__)
+    def test_every_package_error_exits_with_its_documented_code(self, capsys, error):
+        def body():
+            raise error("what went wrong")
+
+        with pytest.raises(SystemExit) as exited:
+            _guarded(body)
+        assert exited.value.code == {"ConfigError": 2, "CliDomainError": 3}.get(error.__name__, 4)
+        assert capsys.readouterr().err == "error: what went wrong\n"
+
     @pytest.mark.parametrize("drop, args, code, message", [
         ("all but one motion", ["eval"], 4,
          "leave-one-out needs at least 2 motions, the dataset has 1"),
@@ -191,6 +212,14 @@ class TestExitCodes:
         bad.write_text('{"no_such_key": 1}')
         result = runner.invoke(main, ["--config", str(bad), "stats"])
         assert result.exit_code == 2
+
+    def test_config_file_with_a_byte_order_mark(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + (ROOT / "data" / "config.json").read_bytes())
+        result = runner.invoke(main, ["--config", str(cfg), "stats"])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: config {cfg}:1: starts with a UTF-8 byte-order mark\n"
 
     def test_invalid_hyperparameter(self, runner, tmp_path, workspace):
         bad = tmp_path / "c.json"
@@ -306,7 +335,7 @@ class TestExitCodes:
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize(
-        "env_key", ["COPA_EMBEDDINGS", "COPA_WIKI_CORPUS", "COPA_SENTENCE_CORPUS"]
+        "env_key", ["COPA_DATASET", "COPA_EMBEDDINGS", "COPA_WIKI_CORPUS", "COPA_SENTENCE_CORPUS"]
     )
     def test_non_utf8_data_file_is_io_error(self, runner, tmp_path, monkeypatch, env_key):
         monkeypatch.chdir(ROOT)
@@ -319,10 +348,11 @@ class TestExitCodes:
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("env_key, name", [
-        ("COPA_EMBEDDINGS", "toy_embeddings.txt"), ("COPA_SENTENCE_CORPUS", "sentence_corpus.jsonl"),
+        ("COPA_DATASET", "sample_dataset.json"), ("COPA_EMBEDDINGS", "toy_embeddings.txt"),
+        ("COPA_WIKI_CORPUS", "wiki_corpus.json"), ("COPA_SENTENCE_CORPUS", "sentence_corpus.jsonl"),
     ])
-    def test_byte_order_mark_in_a_line_file_is_io_error(self, runner, tmp_path, monkeypatch,
-                                                         env_key, name):
+    def test_byte_order_mark_in_a_data_file_is_io_error(self, runner, tmp_path, monkeypatch,
+                                                        env_key, name):
         monkeypatch.chdir(ROOT)
         bom = tmp_path / name
         bom.write_bytes(b"\xef\xbb\xbf" + (ROOT / "data" / name).read_bytes())

@@ -8,6 +8,7 @@ from copa.classifiers import TopicSentenceCorpus
 from copa.cli import AppConfig
 from copa.evaluation import (
     METHODS,
+    DatasetTooSmall,
     EvalConfig,
     FoldError,
     baseline_largest,
@@ -207,7 +208,7 @@ class TestLeaveOneOut:
 
     def test_needs_two_motions(self):
         ds = build_dataset([("m1", "ban", "a")], [("c1", "one")], [])
-        with pytest.raises(ValueError):
+        with pytest.raises(DatasetTooSmall, match="leave-one-out needs at least 2 motions"):
             leave_one_out(ds, EvalConfig(methods=("ba",)), SimilarityContext())
 
     def test_nb_requires_corpus(self):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from copa.features import (
     FEATURE_NAMES,
-    EmptyTrainingSet,
     FeatureTable,
     motion_text_sets,
     standardize,
@@ -13,6 +12,7 @@ from copa.features import (
 from copa.kb import Motion, load_dataset
 from copa.textsim import (
     ArticleRecord,
+    DomainError,
     EmbeddingStore,
     SimilarityContext,
     SimilarityKind,
@@ -232,7 +232,7 @@ class TestStandardizer:
         assert out[0] == 0.0 and out[2] == 0.0
 
     def test_empty_training_set(self):
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(DomainError, match="at least one vector"):
             standardize([])
 
     @settings(max_examples=100, deadline=None)

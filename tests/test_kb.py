@@ -12,7 +12,6 @@ from copa.kb import (
     Motion,
     ParseError,
     Stance,
-    UnknownStance,
     ValidationError,
     build_syllogism,
     copa_stats,
@@ -328,7 +327,7 @@ class TestBuildSyllogism:
             (Claim("a", Stance.PRO), Claim("b", Stance.PRO)),  # bypasses validation
             frozenset(),
         )
-        with pytest.raises(UnknownStance):
+        with pytest.raises(ValidationError, match="CoPA 'c' has no con claim"):
             build_syllogism(Motion("m", "ban", "x"), broken, Stance.CON, registry)
 
 
