@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .features import N_FEATURES, Standardizer, standardize
+from .features import N_FEATURES, FitWorkspace, Standardizer, standardize
 from .kb import Dataset, LabelCounts, Motion
 from .textsim import (DomainError, SimilarityContext, SimilarityKind, TopicSentenceCorpus,
                       name_key, similarity_block)
@@ -94,28 +94,45 @@ def ensemble(matrices: list[ScoreMatrix]) -> ScoreMatrix:
 # ---------------------------------------------------------------------------
 
 
-def sigmoid(z):
+def sigmoid(z, out=None, scratch=None):
     """1 / (1 + exp(-z)) elementwise, from e = exp(-|z|) so that no exp
     overflows: 1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere (NaN
-    stays NaN).  A 0-d input gives a float."""
+    stays NaN).  A 0-d input gives a float.  The result is written into
+    ``out`` and e into ``scratch``, two float arrays of z's shape (new
+    ones when None)."""
     z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    out = np.empty_like(z) if out is None else out
+    scratch = np.empty_like(z) if scratch is None else scratch
+    e = np.exp(np.negative(np.abs(z, out=scratch), out=scratch), out=scratch)
+    np.copyto(out, e)
+    np.copyto(out, 1.0, where=z >= 0)
+    np.divide(out, np.add(1.0, e, out=e), out=out)
     return float(out) if out.ndim == 0 else out
 
 
-def _objective_at(z, neg_signs, w, lam) -> float:
+def _objective_at(z, neg_signs, w, lam, scratch=None) -> float:
     """The fit's objective, the mean negative log-likelihood plus
     (lam/2)*||w||^2 (bias excluded from the penalty), from the margins
-    ``z = X @ w + b`` and ``neg_signs = -(2y - 1)``."""
-    return float(np.logaddexp(0.0, neg_signs * z).mean()) + 0.5 * lam * float(w @ w)
+    ``z = X @ w + b`` and ``neg_signs = -(2y - 1)``; ``scratch``, an array
+    of z's shape, holds the per-row terms when given."""
+    terms = np.multiply(neg_signs, z, out=scratch)
+    return float(np.logaddexp(0.0, terms, out=terms).mean()) + 0.5 * lam * float(w @ w)
 
 
-def _gradient_at(X, y, p, w, lam):
+def _gradient_at(X, y, p, w, lam, scratch=None):
     """The objective's gradient ``(grad_w, grad_b)`` from the
-    probabilities ``p = sigmoid(X @ w + b)``."""
-    residual = (p - y) / len(y)
+    probabilities ``p = sigmoid(X @ w + b)``; ``scratch``, an array of
+    p's shape, holds the residuals when given."""
+    residual = np.subtract(p, y, out=scratch)
+    np.divide(residual, len(y), out=residual)
     return X.T @ residual + lam * w, float(residual.sum())
+
+
+def _margins(X, theta, out):
+    """X @ w + b for θ = [w; b], written into ``out``."""
+    d = X.shape[1]
+    np.matmul(X, theta[:d], out=out)
+    return np.add(out, theta[d], out=out)
 
 
 class LogRegFit(tuple):
@@ -138,6 +155,7 @@ def logreg_fit(
     tol: float = 1e-6,
     max_iters: int = 10000,
     on_step=None,
+    workspace: FitWorkspace | None = None,
 ) -> LogRegFit:
     """Deterministic damped Newton from a zero start.
 
@@ -163,6 +181,16 @@ def logreg_fit(
     Each iterate is one pass: the margins ``X @ w + b`` of the accepted
     line-search candidate are the next iterate's, and their sigmoid feeds
     both its gradient and its Hessian.
+
+    Every n-row array of the fit lives in ``workspace`` (a new one when
+    None), written with ``out=``: ``A = [X 1]``, the Hessian's weighted
+    rows, and the margins, probabilities and line-search candidates.  A
+    fit with a
+    workspace that a fit of its shape has used allocates only its
+    (d+1)² Hessian, the solve and the small arrays it returns, none of
+    them a workspace array.  The Hessian is ``Wᵀ @ A`` for the C-ordered
+    rows ``W = A * (p(1-p)/n)[:, None]``, whose F-ordered ``Wᵀ`` is laid
+    out as ``A.T * p(1-p)/n`` is, so BLAS sums it in the same order.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -171,24 +199,35 @@ def logreg_fit(
     if len(X) != len(y) or len(y) == 0:
         raise DomainError(f"{len(X)} rows vs {len(y)} labels")
     n, d = X.shape
-    A = np.hstack([X, np.ones((n, 1))])
+    workspace = FitWorkspace() if workspace is None else workspace
+    A = workspace.array("A", (n, d + 1))
+    A[:, :d] = X
+    A[:, d] = 1.0
+    weighted = workspace.array("weighted", (n, d + 1))
+    z, cand_z, p, scratch, neg_signs = (workspace.array(name, (n,)) for name in
+                                        ("z", "cand_z", "p", "scratch", "neg_signs"))
     ridge = np.diag(np.append(np.full(d, float(lam)), 0.0))
-    neg_signs = -(2.0 * y - 1.0)
+    np.multiply(2.0, y, out=neg_signs)
+    np.subtract(neg_signs, 1.0, out=neg_signs)
+    np.negative(neg_signs, out=neg_signs)  # -(2y - 1)
 
     theta = np.zeros(d + 1)
-    z = X @ theta[:d] + theta[d]  # the margins of θ, carried over from the accepted candidate
-    value = _objective_at(z, neg_signs, theta[:d], lam)
+    _margins(X, theta, z)  # the margins of θ, carried over from the accepted candidate
+    value = _objective_at(z, neg_signs, theta[:d], lam, scratch)
     n_iters = 0
     grad_sq = math.inf
     for iteration in range(max_iters + 1):
-        p = sigmoid(z)
-        grad_w, grad_b = _gradient_at(X, y, p, theta[:d], lam)
+        sigmoid(z, out=p, scratch=scratch)
+        grad_w, grad_b = _gradient_at(X, y, p, theta[:d], lam, scratch)
         grad = np.append(grad_w, grad_b)
         grad_sq = float(grad_w @ grad_w) + grad_b * grad_b
         # the pass after the last step only measures the final gradient
         if math.sqrt(grad_sq) < tol or iteration == max_iters:
             break
-        hessian = (A.T * (p * (1.0 - p) / n)) @ A + ridge
+        curvature = np.subtract(1.0, p, out=scratch)
+        np.multiply(p, curvature, out=curvature)
+        np.divide(curvature, n, out=curvature)  # p(1-p)/n
+        hessian = np.multiply(A, curvature[:, None], out=weighted).T @ A + ridge
         try:
             direction = np.linalg.solve(hessian, -grad)
         except np.linalg.LinAlgError:
@@ -199,14 +238,15 @@ def logreg_fit(
         step = 1.0
         while step > 1e-20:
             cand = theta + step * direction
-            cand_z = X @ cand[:d] + cand[d]
-            cand_value = _objective_at(cand_z, neg_signs, cand[:d], lam)
+            cand_value = _objective_at(_margins(X, cand, cand_z), neg_signs, cand[:d], lam,
+                                       scratch)
             if cand_value < value and cand_value <= value + 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
             break  # no step lowers the objective at float precision
-        theta, z, value = cand, cand_z, cand_value
+        theta, value = cand, cand_value
+        z, cand_z = cand_z, z
         n_iters += 1
         if on_step is not None:
             on_step(iteration, value)
@@ -249,21 +289,78 @@ def predict_ba(model: BAModel, motion: Motion) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KNNCandidates:
-    """KNN's training motions: those of ``ds`` not on ``exclude_topic``
-    (by ``name_key``).  The fold without motion h excludes h's topic, and
-    with it h."""
+#: rows of KNN's topic block computed by one ``similarity_block`` call,
+#: which bounds the call's temporaries
+KNN_BLOCK_ROWS = 64
+#: the most distinct topics KNN keeps a topic block for; the block costs
+#: 9 bytes a topic pair (a float and a mask byte), 9.4 MB at this bound
+KNN_BLOCK_MAX_TOPICS = 1024
 
-    ds: Dataset
-    exclude_topic: str | None = None
+
+class KNNCandidates:
+    """KNN's training motions, built once per dataset with the context
+    ``ctx`` whose embeddings they are scored by: the motions of ``ds``,
+    with their motion ids ``ids`` and topic keys ``keys`` in dataset
+    order.  The fold ``without_motion(h)`` excludes h's topic
+    (``exclude_topic``, by ``name_key``), and with it h.
+
+    A fold scores its held-out motion from the dataset's topic block:
+    the ``similarity_block`` of the distinct topics against themselves,
+    computed when a fold first asks for a row, ``KNN_BLOCK_ROWS`` rows at
+    a time, and shared by the inputs and every fold until they are freed.
+    The held-out motion's row is its topic's row, read at every motion's
+    topic.  An entry depends only on its two terms, so the row is bit for
+    bit the one-row block of the held-out topic against every motion's.
+    The block grows as the square of the distinct topics (3.1 MB for 589),
+    so a dataset with more than ``KNN_BLOCK_MAX_TOPICS`` of them keeps
+    none and gives each fold its own one-row block.  So does any motion
+    but the held-out one, such as ``match``'s query: a command that takes
+    no fold never builds the block."""
+
+    def __init__(self, ds: Dataset, ctx: SimilarityContext):
+        self.ds = ds
+        self.ctx = ctx
+        self.holdout: str | None = None
+        self.topics = [m.topic for m in ds.motions]
+        self.ids = np.array(ds.motion_ids, dtype=object)
+        self.keys = np.array([name_key(t) for t in self.topics], dtype=object)
+        distinct = {t: i for i, t in enumerate(dict.fromkeys(self.topics))}
+        self._distinct = list(distinct)
+        self._topic_rows = np.array([distinct[t] for t in self.topics], dtype=np.intp)
+        self._block: list[np.ndarray] = []  # [sims, present] once built, shared by the folds
 
     def without_motion(self, motion_id: str) -> "KNNCandidates":
-        return replace(self, exclude_topic=self.ds.motion(motion_id).topic)
+        fold = copy.copy(self)
+        fold.holdout = motion_id
+        return fold
+
+    @property
+    def exclude_topic(self) -> str | None:
+        """The held-out motion's topic, None for the inputs as built."""
+        return None if self.holdout is None else self.ds.motion(self.holdout).topic
+
+    def similarities(self, motion: Motion) -> tuple[np.ndarray, np.ndarray]:
+        """(sims, present): the ``similarity_block`` row of ``motion``'s
+        topic against every motion's topic, in dataset order."""
+        if motion.id != self.holdout or len(self._distinct) > KNN_BLOCK_MAX_TOPICS:
+            sims, present = similarity_block(SimilarityKind.EMBEDDING, [motion.topic],
+                                             self.topics, self.ctx)
+            return sims[0], present[0]
+        if not self._block:
+            topics = self._distinct
+            sims = np.empty((len(topics), len(topics)))
+            present = np.empty(sims.shape, dtype=bool)
+            for lo in range(0, len(topics), KNN_BLOCK_ROWS):
+                hi = lo + KNN_BLOCK_ROWS
+                sims[lo:hi], present[lo:hi] = similarity_block(
+                    SimilarityKind.EMBEDDING, topics[lo:hi], topics, self.ctx)
+            self._block += [sims, present]
+        row = self._topic_rows[self.ds.label_counts.rows[motion.id]]
+        return self._block[0][row, self._topic_rows], self._block[1][row, self._topic_rows]
 
 
 def predict_knn(
-    ds_train: Dataset,
+    train: Dataset | KNNCandidates,
     motion: Motion,
     ctx: SimilarityContext,
     threshold: float = 0.5,
@@ -280,22 +377,29 @@ def predict_knn(
     id) vote.  The similarities are one ``similarity_block`` row, each
     rounded to a multiple of SIMILARITY_STEP (2⁻⁴⁰), so candidates whose
     similarities differ by less than 2⁻⁴¹ may tie and fall to the motion
-    id order.  ``exclude_topic`` drops training motions on that topic
-    (``name_key``), used by leave-one-out evaluation.
+    id order.  ``train`` is a dataset, or the ``KNNCandidates`` of one
+    built with ``ctx``.  ``exclude_topic`` drops training motions on that
+    topic (``name_key``); it is for a dataset only, as a fold of
+    ``KNNCandidates`` drops its own ``exclude_topic``.
     """
-    topics = [m.topic for m in ds_train.motions]
-    sims, present = similarity_block(SimilarityKind.EMBEDDING, [motion.topic], topics, ctx)
-    ids = np.array(ds_train.motion_ids, dtype=object)
-    eligible = present[0] & (sims[0] > threshold) & (ids != motion.id)
+    if isinstance(train, KNNCandidates):
+        if train.ctx is not ctx or exclude_topic is not None:
+            raise ValueError("KNNCandidates are scored with the context they were built "
+                             "with, and exclude the topic of their held-out motion")
+        candidates, exclude_topic = train, train.exclude_topic
+    else:
+        candidates = KNNCandidates(train, ctx)
+    sims, present = candidates.similarities(motion)
+    ids = candidates.ids
+    eligible = present & (sims > threshold) & (ids != motion.id)
     if exclude_topic is not None:
-        skip = name_key(exclude_topic)
-        eligible &= np.array([name_key(t) != skip for t in topics], dtype=bool)
-    candidates = np.flatnonzero(eligible)
-    if len(candidates) < min_neighbors:
-        return np.full(len(ds_train.copa_ids), np.nan)
+        eligible &= candidates.keys != name_key(exclude_topic)
+    chosen = np.flatnonzero(eligible)
+    if len(chosen) < min_neighbors:
+        return np.full(len(candidates.ds.copa_ids), np.nan)
     # similarity descending, then motion id (Python string order)
-    chosen = candidates[np.lexsort((ids[candidates], -sims[0, candidates]))[:top]]
-    votes = ds_train.label_counts.member[chosen].sum(axis=0)
+    chosen = chosen[np.lexsort((ids[chosen], -sims[chosen]))[:top]]
+    votes = candidates.ds.label_counts.member[chosen].sum(axis=0)
     return score_row(votes / len(chosen))
 
 
@@ -309,9 +413,13 @@ class W2VTable:
     ``X`` of each motion whose topic has an embedding (the others are left
     out of training), at dataset row ``rows``, with its CoPA memberships
     ``labels`` (0/1), and the label counts the blacklist reads.  The fold
-    ``without_motion(h)`` drops h's row and subtracts h from the counts."""
+    ``without_motion(h)`` drops h's row and subtracts h from the counts.
+    ``workspace`` is the ``FitWorkspace`` that ``train_w2v_lr``'s
+    per-CoPA fits of the table and of its folds are given; it is freed
+    with the table."""
 
     def __init__(self, ds: Dataset, ctx: SimilarityContext):
+        self.workspace = FitWorkspace()
         vectors = [ctx.term_vector(SimilarityKind.EMBEDDING, m.topic) for m in ds.motions]
         self.rows = np.array([i for i, v in enumerate(vectors) if v is not None], dtype=np.intp)
         shape = (len(self.rows), ctx.embeddings.dimension)
@@ -333,16 +441,21 @@ def train_w2v_lr(
     tol: float = 1e-6,
     max_iters: int = 10000,
     columns: np.ndarray | None = None,
+    workspace: FitWorkspace | None = None,
 ) -> list[LogRegFit | None]:
     """One-vs-rest logistic regression per CoPA over the table's unit
     topic vectors, in ``copa_ids`` order: a fit for each CoPA that the
     boolean mask ``columns`` keeps (``None`` keeps every CoPA), ``None``
     for the others; none at all when no training motion has an
-    embedding."""
+    embedding.  The fits write into ``workspace`` (the table's
+    ``workspace`` in ``eval`` and ``match``; a new one when None), one
+    after another."""
     if not len(table.X):
         return []
     keep = np.ones(table.labels.shape[1], dtype=bool) if columns is None else columns
-    return [logreg_fit(table.X, table.labels[:, j], lam=lam, tol=tol, max_iters=max_iters)
+    workspace = FitWorkspace() if workspace is None else workspace
+    return [logreg_fit(table.X, table.labels[:, j], lam=lam, tol=tol, max_iters=max_iters,
+                       workspace=workspace)
             if kept else None for j, kept in enumerate(keep)]
 
 
@@ -517,6 +630,7 @@ def train_feature_lr(
     lam: float = 1e-3,
     tol: float = 1e-6,
     max_iters: int = 10000,
+    workspace: FitWorkspace | None = None,
 ) -> tuple[Standardizer, LogRegFit]:
     """A single pair classifier over standardized 17-feature vectors: the
     standardizer and the fit over its outputs.
@@ -524,13 +638,18 @@ def train_feature_lr(
     ``values`` is a (motions x CoPAs x features) block of a
     ``FeatureTable`` (a whole table or a fold's training rows) and
     ``labels`` the matching (motions x CoPAs) 0/1 block; every pair is
-    one training row, motion-major."""
+    one training row, motion-major.  The standardized block is the
+    workspace's (the table's ``workspace`` in ``eval`` and ``match``; a
+    new one when None), and ``logreg_fit`` writes into the same one; it
+    is an array of its own, not a column view of the fit's ``[X 1]``."""
     if len(values) == 0:
         raise DomainError("no training motions left")
     X = np.asarray(values, dtype=float).reshape(-1, N_FEATURES)
+    workspace = FitWorkspace() if workspace is None else workspace
     scaler = standardize(X)
-    fit = logreg_fit(scaler.transform(X), np.asarray(labels, dtype=float).reshape(-1),
-                     lam=lam, tol=tol, max_iters=max_iters)
+    standardized = scaler.transform(X, out=workspace.array("standardized", X.shape))
+    fit = logreg_fit(standardized, np.asarray(labels, dtype=float).reshape(-1),
+                     lam=lam, tol=tol, max_iters=max_iters, workspace=workspace)
     return scaler, fit
 
 

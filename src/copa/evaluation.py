@@ -90,7 +90,8 @@ def _score_w2v(table: clf.W2VTable, motion: Motion, config: EvalConfig,
     if columns is not None:
         fitted &= columns
     fits = clf.train_w2v_lr(table, lam=config.l2_lambda, tol=config.tol,
-                            max_iters=config.max_iters, columns=fitted)
+                            max_iters=config.max_iters, columns=fitted,
+                            workspace=table.workspace)
     return clf.predict_w2v(fits, table.counts, motion, ctx)
 
 
@@ -99,11 +100,10 @@ def _score_w2v(table: clf.W2VTable, motion: Motion, config: EvalConfig,
 METHODS = {
     "ba": Method((), (), False, lambda ds, config, ctx: clf.train_ba(ds, k=config.ba_k),
                  lambda model, motion, config, ctx, columns: clf.predict_ba(model, motion)),
-    "knn": Method(("embeddings",), (), True, lambda ds, config, ctx: clf.KNNCandidates(ds),
+    "knn": Method(("embeddings",), (), True, lambda ds, config, ctx: clf.KNNCandidates(ds, ctx),
                   lambda inputs, motion, config, ctx, columns: clf.predict_knn(
-                      inputs.ds, motion, ctx, threshold=config.knn_threshold,
-                      min_neighbors=config.knn_min_neighbors, top=config.knn_top,
-                      exclude_topic=inputs.exclude_topic)),
+                      inputs, motion, ctx, threshold=config.knn_threshold,
+                      min_neighbors=config.knn_min_neighbors, top=config.knn_top)),
     "w2v": Method(("embeddings",), (), True, lambda ds, config, ctx: clf.W2VTable(ds, ctx),
                   _score_w2v),
     "nb": Method(("sentences",), (), True,
@@ -113,7 +113,8 @@ METHODS = {
     "lr": Method((), ("embeddings", "alt_embeddings", "wiki"), False, _feature_table,
                  lambda table, motion, config, ctx, columns: clf.predict_feature_lr(
                      clf.train_feature_lr(table.values, table.labels, lam=config.l2_lambda,
-                                          tol=config.tol, max_iters=config.max_iters),
+                                          tol=config.tol, max_iters=config.max_iters,
+                                          workspace=table.workspace),
                      table.query_rows(motion))),
 }
 KNOWN_METHODS = tuple(METHODS)

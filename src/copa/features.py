@@ -223,12 +223,17 @@ class FeatureTable:
     and kept apart as the rows ``query_rows`` scores h from.  The table as
     built trains on every row and scores a new query from
     ``motion_features``.
+
+    ``workspace`` is the ``FitWorkspace`` of the feature LR's fits: the
+    table and every fold of it share it, so each fold's fit writes into
+    the arrays the last one used, and it is freed with the table.
     """
 
     def __init__(self, ds: Dataset, ctx: SimilarityContext):
         self._ds = ds
         self._ctx = ctx
         self.holdout: str | None = None
+        self.workspace = FitWorkspace()
         self.counts = ds.label_counts
         self.labels = self.counts.member.astype(float)
         sim = _similarity_sums(ds.motions, ds, ctx)
@@ -269,6 +274,32 @@ class FeatureTable:
         return motion_features(motion, self._ds, self._ctx)
 
 
+class FitWorkspace:
+    """Scratch arrays for the logistic fits of one method's inputs.
+
+    ``FeatureTable`` and ``classifiers.W2VTable`` each own one, which
+    every fold of them shares and which is freed with them when the
+    command ends.  ``array(name, shape)`` is the one array kept under
+    ``name``: a fit of the shape the last fit had writes into the arrays
+    that fit used, with ``out=``, instead of allocating its own.  So
+    nothing a fit returns may be, or view, one of these arrays; the next
+    fit overwrites them.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The float array kept under ``name``: the last one, with what was
+        last written to it, when it has ``shape``; otherwise a new,
+        uninitialized one in its place."""
+        kept = self._arrays.get(name)
+        if kept is None or kept.shape != shape:
+            kept = np.empty(shape)
+            self._arrays[name] = kept
+        return kept
+
+
 @dataclass(frozen=True)
 class Standardizer:
     """Per-feature (x - mean) / stddev transform with population stddev.
@@ -280,8 +311,11 @@ class Standardizer:
     mean: np.ndarray
     scale: np.ndarray  # 1/stddev, or 0 for constant features
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.mean) * self.scale
+    def transform(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(x - mean) * scale, written into ``out`` when given (a float
+        array of x's shape) and returned."""
+        shifted = np.subtract(np.asarray(x, dtype=float), self.mean, out=out)
+        return np.multiply(shifted, self.scale, out=shifted)
 
 
 STDDEV_FLOOR = 1e-9

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from copa import classifiers as clfmod
 from copa.classifiers import (
+    KNNCandidates,
     LogRegFit,
     ScoreMatrix,
     TopicSentenceCorpus,
@@ -34,17 +36,21 @@ from copa.classifiers import (
 )
 from copa.cli import main
 from copa.evaluation import EvalConfig, score_motion
-from copa.features import N_FEATURES, FeatureTable, Standardizer, motion_features
-from copa.kb import Motion
+from copa.features import N_FEATURES, FeatureTable, FitWorkspace, Standardizer, motion_features
+from copa.kb import Motion, load_dataset
 from copa.textsim import (
     DomainError,
     EmbeddingStore,
     SimilarityContext,
     SimilarityKind,
+    TfIdfModel,
+    WikiCorpus,
+    similarity_block,
 )
 from helpers import (
     ACTION_POOL,
     build_dataset,
+    load_bench_generator,
     load_from_fifo,
     logreg_gradient,
     logreg_objective,
@@ -934,6 +940,158 @@ def test_block_scores_equal_a_per_row_loop(seed, n, spread):
             for (w, b), veto in zip(fits, vetoed, strict=True)]
     assert len(copas) < 2 or 0 < vetoed.sum() < len(copas)
     assert np.array_equal(predict_w2v(fits, ds.label_counts, Motion("q", "ban", "t"), ctx), want)
+
+
+# ---------------------------------------------------------------------------
+# Fit workspaces and KNN's topic block: what every fold shares
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """The benchmark's generated 28 x 37 inputs of seed 1: the dataset and
+    a context of every store."""
+    path = tmp_path_factory.mktemp("generated")
+    load_bench_generator().write_workload(str(path), seed=1, n_motions=28, n_copas=37)
+    wiki = WikiCorpus.from_file(path / "wiki.json")
+    ctx = SimilarityContext(embeddings=EmbeddingStore.from_file(path / "embeddings.txt"),
+                            alt_embeddings=EmbeddingStore.from_file(path / "embeddings_alt.txt"),
+                            wiki=wiki, tfidf=TfIdfModel.from_wiki_corpus(wiki))
+    return load_dataset(path / "dataset.json"), ctx
+
+
+def test_a_used_workspace_bounds_what_a_feature_lr_fold_allocates(generated):
+    """Once a workspace has served one fold, the fit of a fold of the same
+    shape peaks below two n x (d+1) float64 arrays: the standardized block,
+    [X 1], the Hessian's weighted rows and the per-row vectors are the
+    workspace's, and only ``standardize``'s variance pass remains."""
+    ds, ctx = generated
+    table = FeatureTable(ds, ctx)
+    first, second = (table.without_motion(mid) for mid in ds.motion_ids[:2])
+    train_feature_lr(first.values, first.labels, workspace=table.workspace)
+    n_rows = second.values.shape[0] * second.values.shape[1]
+    array_bytes = n_rows * (N_FEATURES + 1) * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, fit = train_feature_lr(second.values, second.labels, workspace=table.workspace)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert fit.n_iters > 0
+    assert peak < 2 * array_bytes, (peak, array_bytes)
+
+
+def _workspace_arrays(workspace: FitWorkspace) -> list[np.ndarray]:
+    return list(workspace._arrays.values())
+
+
+def test_fits_that_share_a_workspace_return_arrays_of_their_own(generated):
+    """Fold A's model is untouched by fold B's fit into the same workspace,
+    shares no memory with it, and equals a fit with a workspace of its own,
+    bit for bit; for the feature LR and for W2V."""
+    ds, ctx = generated
+    table = FeatureTable(ds, ctx)
+    fold_a, fold_b = (table.without_motion(mid) for mid in ds.motion_ids[:2])
+    scaler, fit = train_feature_lr(fold_a.values, fold_a.labels, workspace=table.workspace)
+    model = [scaler.mean, scaler.scale, fit[0], np.array(fit[1])]
+    kept = [a.copy() for a in model]
+    train_feature_lr(fold_b.values, fold_b.labels, workspace=table.workspace)
+    alone_scaler, alone_fit = train_feature_lr(fold_a.values, fold_a.labels)
+    alone = [alone_scaler.mean, alone_scaler.scale, alone_fit[0], np.array(alone_fit[1])]
+    for got, want, fresh in zip(model, kept, alone, strict=True):
+        assert got.tobytes() == want.tobytes() == fresh.tobytes()
+    assert len(_workspace_arrays(table.workspace)) >= 8
+    for got in model[:3]:
+        assert not any(np.shares_memory(got, a) for a in _workspace_arrays(table.workspace))
+
+    w2v = W2VTable(ds, ctx)
+    embedded = [ds.motion_ids[row] for row in w2v.rows[:2]]
+    fold_a, fold_b = (w2v.without_motion(mid) for mid in embedded)
+    fits = train_w2v_lr(fold_a, tol=1e-4, workspace=w2v.workspace)
+    kept = [(w.copy(), b) for w, b in fits]
+    train_w2v_lr(fold_b, tol=1e-4, workspace=w2v.workspace)
+    alone = train_w2v_lr(W2VTable(ds, ctx).without_motion(embedded[0]), tol=1e-4)
+    for (w, b), (kept_w, kept_b), (alone_w, alone_b) in zip(fits, kept, alone, strict=True):
+        assert w.tobytes() == kept_w.tobytes() == alone_w.tobytes() and b == kept_b == alone_b
+        assert not any(np.shares_memory(w, a) for a in _workspace_arrays(w2v.workspace))
+    assert fold_a.workspace is fold_b.workspace is w2v.workspace
+
+
+def test_a_workspace_refits_across_shapes_as_a_new_one():
+    """A workspace that served fits of other shapes gives each fit the bits
+    of a fit with a workspace of its own."""
+    rng = np.random.default_rng(17)
+    workspace = FitWorkspace()
+    for n, d in ((30, 3), (30, 3), (12, 5), (30, 3), (1, 1)):
+        X = rng.normal(size=(n, d))
+        y = (rng.random(n) < 0.5).astype(float)
+        shared = logreg_fit(X, y, lam=1e-2, workspace=workspace)
+        alone = logreg_fit(X, y, lam=1e-2)
+        assert shared[0].tobytes() == alone[0].tobytes() and shared[1] == alone[1]
+        assert shared.n_iters == alone.n_iters and shared.grad_norm == alone.grad_norm
+
+
+@pytest.mark.parametrize("rows, max_topics", [(1, clfmod.KNN_BLOCK_MAX_TOPICS),
+                                              (3, clfmod.KNN_BLOCK_MAX_TOPICS),
+                                              (clfmod.KNN_BLOCK_ROWS, clfmod.KNN_BLOCK_MAX_TOPICS),
+                                              (clfmod.KNN_BLOCK_ROWS, 7)])
+def test_knn_fold_rows_from_the_topic_block_equal_one_row_blocks(monkeypatch, rows,
+                                                                 max_topics):
+    """Every fold reads its held-out motion's similarities from the
+    dataset's topic block, built once in chunks of ``rows`` rows: bit for
+    bit the one-row ``similarity_block`` a new query gets, with two
+    spellings of one topic and a topic without an embedding among them;
+    and the fold's KNN row equals the dataset's with the topic excluded.
+    With more distinct topics (8) than ``max_topics``, no block is kept
+    and each fold gets the one-row block itself."""
+    monkeypatch.setattr(clfmod, "KNN_BLOCK_ROWS", rows)
+    monkeypatch.setattr(clfmod, "KNN_BLOCK_MAX_TOPICS", max_topics)
+    rng = np.random.default_rng(5)
+    words = ["smoking", "alcohol", "gambling", "nuclear", "power", "whaling"]
+    store = EmbeddingStore({w: rng.normal(size=4) for w in words}, 4)
+    ctx = SimilarityContext(embeddings=store)
+    topics = ["smoking", " Smoking ", "alcohol", "nuclear power", "unheard of", "gambling",
+              "whaling", "power", "alcohol"]
+    motions = [(f"m{i}", ("ban", "legalize")[i % 2], t) for i, t in enumerate(topics)]
+    labels = [(f"m{i}", f"c{i % 3}") for i in range(len(topics))]
+    ds = build_dataset(motions, [(f"c{j}", f"theme {j}") for j in range(3)], labels)
+    assert ctx.term_vector(SimilarityKind.EMBEDDING, "unheard of") is None
+    inputs = KNNCandidates(ds, ctx)
+    for m in ds.motions:
+        fold = inputs.without_motion(m.id)
+        assert fold.exclude_topic == m.topic
+        sims, present = fold.similarities(m)
+        want_sims, want_present = similarity_block(SimilarityKind.EMBEDDING, [m.topic],
+                                                   topics, ctx)
+        assert sims.tobytes() == want_sims[0].tobytes(), m
+        assert np.array_equal(present, want_present[0]), m
+        for top in (1, 3):
+            got = predict_knn(fold, m, ctx, min_neighbors=1, top=top)
+            want = predict_knn(ds, m, ctx, min_neighbors=1, top=top, exclude_topic=m.topic)
+            assert np.array_equal(got, want, equal_nan=True), (m, top)
+    # one block of the distinct topics, shared by every fold, when they are few enough
+    if len(set(topics)) <= max_topics:
+        assert inputs._block[0].shape == (len(set(topics)),) * 2
+    else:
+        assert inputs._block == []
+    # a new query against the inputs as built reads its own row, not the block
+    query = Motion("q", "ban", " smoking")
+    assert np.array_equal(predict_knn(inputs, query, ctx, min_neighbors=1),
+                          predict_knn(ds, query, ctx, min_neighbors=1), equal_nan=True)
+
+
+def test_knn_candidates_take_no_second_context_or_topic(generated):
+    """``KNNCandidates`` are scored with the context they were built with
+    and exclude their held-out motion's topic themselves; ``predict_knn``
+    refuses another context or an ``exclude_topic`` for them."""
+    ds, ctx = generated
+    fold = KNNCandidates(ds, ctx).without_motion(ds.motion_ids[0])
+    m = ds.motions[0]
+    with pytest.raises(ValueError, match="context they were built with"):
+        predict_knn(fold, m, SimilarityContext(embeddings=ctx.embeddings))
+    with pytest.raises(ValueError, match="held-out motion"):
+        predict_knn(fold, m, ctx, exclude_topic=m.topic)
 
 
 # ---------------------------------------------------------------------------
